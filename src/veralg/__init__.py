@@ -1,137 +1,25 @@
-"""Exact verbal-operation calculus on truncated free linear algebras."""
+"""Exact verbal-operation calculus on truncated free linear algebras.
 
-from .cases import (
-    EXAMPLE_IDS,
-    example_bound,
-    expand_job,
-    falsify_job,
-    load_job,
-    run_all,
-    run_example,
-)
-from .closure import (
-    Branch,
-    Certificate,
-    GenConstraints,
-    TruncatedIdeal,
-    closure_sampled,
-    falsify_equation_ideal,
-    falsify_smallest_closed,
-    gen_constraints,
-    ideal_build,
-    ideal_contains,
-    kernel_contains,
-    sf_image,
-    solve_cases,
-)
-from .freealg import (
-    ContextMismatch,
-    Element,
-    Endomorphism,
-    GeneratorSet,
-    Monomial,
-    ParamElement,
-    SymbolicEndomorphism,
-    enumerate_monomials,
-    monomials_of_multidegree,
-    parse_element,
-    parse_monomial,
-)
-from .scalars import (
-    CyclicSubstitution,
-    FieldAutomorphism,
-    FieldSpec,
-    ParamContext,
-    ParamPoly,
-    Scalar,
-    ZeroInversion,
-    factor_for_branching,
-    parampoly_reduce,
-    parse_parampoly,
-    parse_scalar,
-)
-from .variety import (
-    IdentityScheme,
-    RATIONALS,
-    RowReducer,
-    TruncatedAlgebra,
-    VarietyPresentation,
-    build_truncated,
-    builtin_variety,
-    builtin_variety_names,
-    polarize,
-)
-from .verbal import (
-    InnerReport,
-    Op2Report,
-    PreconditionError,
-    VerbalSystem,
-    check_op2,
-    inner_witness,
-    scaling_check,
-    sigma_apply,
-    word_transform,
-)
+The top level re-exports the names of the README's library example and
+check_op2; everything else is imported from its submodule.
+"""
+
+from . import cases
+from .closure import gen_constraints, ideal_build
+from .freealg import GeneratorSet, parse_element
+from .scalars import FieldSpec
+from .variety import build_truncated, builtin_variety
+from .verbal import VerbalSystem, check_op2
 
 __all__ = [
-    "Branch",
-    "Certificate",
-    "ContextMismatch",
-    "CyclicSubstitution",
-    "EXAMPLE_IDS",
-    "Element",
-    "Endomorphism",
-    "FieldAutomorphism",
     "FieldSpec",
-    "GenConstraints",
     "GeneratorSet",
-    "IdentityScheme",
-    "InnerReport",
-    "Monomial",
-    "Op2Report",
-    "ParamContext",
-    "ParamElement",
-    "ParamPoly",
-    "PreconditionError",
-    "RATIONALS",
-    "RowReducer",
-    "Scalar",
-    "SymbolicEndomorphism",
-    "TruncatedAlgebra",
-    "TruncatedIdeal",
-    "VarietyPresentation",
     "VerbalSystem",
-    "ZeroInversion",
     "build_truncated",
     "builtin_variety",
-    "builtin_variety_names",
+    "cases",
     "check_op2",
-    "closure_sampled",
-    "enumerate_monomials",
-    "example_bound",
-    "expand_job",
-    "factor_for_branching",
-    "falsify_equation_ideal",
-    "falsify_job",
-    "falsify_smallest_closed",
     "gen_constraints",
     "ideal_build",
-    "ideal_contains",
-    "inner_witness",
-    "kernel_contains",
-    "load_job",
-    "monomials_of_multidegree",
-    "parampoly_reduce",
     "parse_element",
-    "parse_monomial",
-    "parse_parampoly",
-    "parse_scalar",
-    "polarize",
-    "run_all",
-    "run_example",
-    "scaling_check",
-    "sf_image",
-    "sigma_apply",
-    "solve_cases",
-    "word_transform",
 ]

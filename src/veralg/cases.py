@@ -279,9 +279,7 @@ def expand_job(job: dict) -> dict:
     t = parse_element(job["generator"], gens, field)
     ideal = ideal_build(alg, field, (t,), int(job["tail"]))
     cons = gen_constraints(alg, ideal, system)
-    applied = alg.normal_form_param(
-        cons.alpha.apply(cons.sigma_generator, alg.bound)
-    )
+    applied = alg.normal_form(cons.alpha.apply(cons.sigma_generator, alg.bound))
     image = []
     for text in job.get("candidates", ()):
         target = alg.normal_form(parse_element(text, gens, field))

@@ -19,13 +19,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .freealg import (
-    Element,
-    Endomorphism,
-    Monomial,
-    ParamElement,
-    SymbolicEndomorphism,
-)
+from .freealg import Element, Endomorphism, Monomial
 from .scalars import (
     ParamContext,
     ParamPoly,
@@ -52,7 +46,6 @@ __all__ = [
     "falsify_smallest_closed",
     "gen_constraints",
     "ideal_build",
-    "ideal_contains",
     "kernel_contains",
     "sf_image",
     "solve_cases",
@@ -79,7 +72,7 @@ class TruncatedIdeal:
         self.reducer = reducer
 
     def contains(self, el: Element) -> bool:
-        if el.field != self.field:
+        if el.domain != self.field:
             raise ValueError("element lives over a different field")
         return self.reducer.contains(coordinates(self.alg, el))
 
@@ -101,37 +94,8 @@ class TruncatedIdeal:
         return tuple(out)
 
     def residue(self, coords: dict) -> dict:
-        """Coordinates modulo the ideal: pivot columns eliminated."""
-        out = dict(coords)
-        for p, row in self.reducer.pivots.items():
-            q = out.pop(p, None)
-            if q is None:
-                continue
-            for k, v in row.items():
-                if k == p:
-                    continue
-                s = out.get(k, Scalar.zero(self.field)) - q * v
-                if s.is_zero:
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        return out
-
-    def residue_param(self, coords: dict) -> dict:
-        out = dict(coords)
-        for p, row in self.reducer.pivots.items():
-            q = out.pop(p, None)
-            if q is None or q.is_zero:
-                continue
-            for k, v in row.items():
-                if k == p:
-                    continue
-                s = out.get(k, ParamPoly.zero(q.ctx)) - q.scale(v)
-                if s.is_zero:
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        return {k: v for k, v in out.items() if not v.is_zero}
+        """Coordinates modulo the ideal, with Scalar or ParamPoly values."""
+        return self.reducer.reduce(coords)
 
     def __repr__(self):
         gens = ", ".join(g.encode() for g in self.generators)
@@ -156,7 +120,7 @@ def ideal_build(alg, field, generators: Sequence[Element], tail: int) -> Truncat
     normalized = []
     pending = []
     for g in generators:
-        if g.field != field or g.gens != alg.gens:
+        if g.domain != field or g.gens != alg.gens:
             raise ValueError("generator context mismatch")
         nf = alg.normal_form(g)
         if nf.is_zero:
@@ -180,10 +144,6 @@ def ideal_build(alg, field, generators: Sequence[Element], tail: int) -> Truncat
                     pending.append(prod)
 
     return TruncatedIdeal(alg, field, tail, tuple(normalized), reducer)
-
-
-def ideal_contains(ideal: TruncatedIdeal, el: Element) -> bool:
-    return ideal.contains(el)
 
 
 def _single_homogeneous_generator(ideal: TruncatedIdeal) -> Element:
@@ -227,7 +187,7 @@ class GenConstraints:
     """
 
     ctx: ParamContext
-    alpha: SymbolicEndomorphism
+    alpha: Endomorphism
     equations: tuple
     basis: tuple
     sigma_generator: Element
@@ -238,9 +198,9 @@ def gen_constraints(alg, ideal: TruncatedIdeal, system: VerbalSystem) -> GenCons
     if ideal.field != system.field:
         raise PreconditionError("ideal and system fields differ")
     st = sigma_apply(alg, system, t)
-    alpha = SymbolicEndomorphism.generic_linear(alg.gens, system.field, extra=("rho",))
-    ctx = alpha.ctx
-    applied = alg.normal_form_param(alpha.apply(st, alg.bound))
+    alpha = Endomorphism.generic_linear(alg.gens, system.field, extra=("rho",))
+    ctx = alpha.domain
+    applied = alg.normal_form(alpha.apply(st, alg.bound))
     target = alg.normal_form(t)
     rho = ParamPoly.variable(ctx, "rho")
     equations = []
@@ -436,10 +396,7 @@ def solve_cases(
 
 def kernel_contains(alg, ideal: TruncatedIdeal, constraints: GenConstraints, branch: Branch, el: Element) -> bool:
     """Does alpha(el) lie in the ideal for every alpha satisfying the case?"""
-    applied = alg.normal_form_param(constraints.alpha.apply(el, alg.bound))
-    index = alg.basis_index()
-    coords = {index[m]: p for m, p in applied.terms.items()}
-    residue = ideal.residue_param(coords)
+    residue = ideal.residue(coordinates(alg, constraints.alpha.apply(el, alg.bound)))
     subs = dict(branch.substitutions)
     rules = list(branch.residuals)
     return all(
@@ -623,8 +580,8 @@ def falsify_smallest_closed(alg, system: VerbalSystem, word: Monomial) -> Certif
     """
     report = check_op2(alg.variety, system, alg.gens, alg.bound)
     element = Element.from_monomial(alg.gens, system.field, word)
-    alpha = SymbolicEndomorphism.generic_linear(alg.gens, system.field)
-    applied = alg.normal_form_param(alpha.apply(element, alg.bound))
+    alpha = Endomorphism.generic_linear(alg.gens, system.field)
+    applied = alg.normal_form(alpha.apply(element, alg.bound))
     index = alg.basis_index()
 
     vectors = {}

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 __all__ = [
     "CyclicSubstitution",
@@ -46,7 +46,9 @@ class CyclicSubstitution(ValueError):
 #
 # A polynomial in m commuting variables is a dict {exponent tuple: Fraction}
 # with no zero values; the zero polynomial is the empty dict.  Monomials are
-# ordered graded-lexicographically.
+# ordered graded-lexicographically.  The arithmetic helpers only need +, -,
+# *, / and truthiness of the values, so ParamPoly runs them on Scalar values
+# (and Element's _p_add/_p_neg on monomial keys with either coefficient type).
 
 
 def _grlex(e):
@@ -56,7 +58,8 @@ def _grlex(e):
 def _p_add(p, q):
     out = dict(p)
     for e, c in q.items():
-        s = out.get(e, 0) + c
+        s = out.get(e)
+        s = c if s is None else s + c
         if s:
             out[e] = s
         else:
@@ -79,7 +82,9 @@ def _p_mul(p, q):
     for e1, c1 in p.items():
         for e2, c2 in q.items():
             e = tuple(a + b for a, b in zip(e1, e2))
-            s = out.get(e, 0) + c1 * c2
+            c = c1 * c2
+            s = out.get(e)
+            s = c if s is None else s + c
             if s:
                 out[e] = s
             else:
@@ -292,6 +297,9 @@ class Scalar:
     @property
     def is_zero(self) -> bool:
         return not self.num
+
+    def __bool__(self):
+        return bool(self.num)
 
     @property
     def is_one(self) -> bool:
@@ -603,6 +611,9 @@ class ParamPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self):
+        return bool(self.terms)
+
     def constant_value(self) -> Optional[Scalar]:
         """The value as a Scalar, or None when an unknown occurs."""
         if not self.terms:
@@ -623,12 +634,7 @@ class ParamPoly:
 
     def leading(self):
         """(exponent tuple, coefficient) of the graded-lex largest term."""
-        e = max(self.terms, key=_grlex)
-        return e, self.terms[e]
-
-    def degree_in(self, name: str) -> int:
-        i = self.ctx.index(name)
-        return max((e[i] for e in self.terms), default=0)
+        return _p_lead(self.terms)
 
     # -- arithmetic
 
@@ -649,20 +655,12 @@ class ParamPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in o.terms.items():
-            s = out.get(e)
-            s = c if s is None else s + c
-            if s.is_zero:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return ParamPoly(self.ctx, out)
+        return ParamPoly(self.ctx, _p_add(self.terms, o.terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ParamPoly(self.ctx, {e: -c for e, c in self.terms.items()})
+        return ParamPoly(self.ctx, _p_neg(self.terms))
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -680,17 +678,7 @@ class ParamPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e)
-                s = c1 * c2 if s is None else s + c1 * c2
-                if s.is_zero:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return ParamPoly(self.ctx, out)
+        return ParamPoly(self.ctx, _p_mul(self.terms, o.terms))
 
     __rmul__ = __mul__
 
@@ -703,9 +691,7 @@ class ParamPoly:
         return out
 
     def scale(self, value: Scalar) -> "ParamPoly":
-        if value.is_zero:
-            return ParamPoly.zero(self.ctx)
-        return ParamPoly(self.ctx, {e: c * value for e, c in self.terms.items()})
+        return ParamPoly(self.ctx, _p_scale(self.terms, value))
 
     def scale_fraction(self, value) -> "ParamPoly":
         f = Fraction(value)
@@ -756,20 +742,8 @@ class ParamPoly:
         """Exact quotient self/divisor, or None when it does not divide."""
         if divisor.is_zero:
             raise ZeroInversion("division by the zero polynomial")
-        if self.is_zero:
-            return self
-        de, dc = divisor.leading()
-        quo = {}
-        rem = self
-        while not rem.is_zero:
-            re_, rc = rem.leading()
-            e = tuple(a - b for a, b in zip(re_, de))
-            if any(x < 0 for x in e):
-                return None
-            c = rc / dc
-            quo[e] = c
-            rem = rem - ParamPoly(self.ctx, {e: c}) * divisor
-        return ParamPoly(self.ctx, quo)
+        quo = _p_divexact(self.terms, divisor.terms)
+        return None if quo is None else ParamPoly(self.ctx, quo)
 
     def reduce_by(self, divisors: Sequence["ParamPoly"]) -> "ParamPoly":
         """Multivariate division remainder modulo the divisors."""

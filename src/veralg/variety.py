@@ -17,14 +17,12 @@ from __future__ import annotations
 
 import itertools
 import re
-from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .freealg import (
     Element,
     GeneratorSet,
     Monomial,
-    ParamElement,
     enumerate_monomials,
     monomials_of_multidegree,
     parse_element,
@@ -206,9 +204,6 @@ class VarietyPresentation:
     def key(self):
         return self._key
 
-    def extended(self, extra: Sequence[IdentityScheme], name: str, power_family: bool = False):
-        return VarietyPresentation(name, self.schemes + tuple(extra), power_family)
-
     def multilinear(self) -> tuple:
         cached = _POLARIZE_MEMO.get(self._key)
         if cached is None:
@@ -323,6 +318,11 @@ class RowReducer:
         self.pivots = {}  # pivot column -> row dict, row[pivot] == 1
 
     def reduce(self, row: dict) -> dict:
+        """The row modulo the span: every pivot column eliminated.
+
+        Row values may be any exact type the pivot values multiply into:
+        Fractions, Scalars, or ParamPolys with unknowns in them.
+        """
         r = dict(row)
         out = {}
         while r:
@@ -336,7 +336,7 @@ class RowReducer:
                 if k == c:
                     continue
                 s = r.get(k, 0) - coef * v
-                if s == 0:
+                if not s:
                     r.pop(k, None)
                 else:
                     r[k] = s
@@ -359,7 +359,7 @@ class RowReducer:
                 if k == c:
                     continue
                 s = pr.get(k, 0) - coef * v
-                if s == 0:
+                if not s:
                     pr.pop(k, None)
                 else:
                     pr[k] = s
@@ -491,23 +491,7 @@ class TruncatedAlgebra:
                     s = acc.get(b)
                     t = c.scale_fraction(f)
                     acc[b] = t if s is None else s + t
-        return Element(el.gens, el.field, acc)
-
-    def normal_form_param(self, el: ParamElement) -> ParamElement:
-        acc = {}
-        for m, p in el.terms.items():
-            if m.degree > self.bound:
-                continue
-            rw = self.rewrite.get(m)
-            if rw is None:
-                s = acc.get(m)
-                acc[m] = p if s is None else s + p
-            else:
-                for b, f in rw:
-                    s = acc.get(b)
-                    t = p.scale_fraction(f)
-                    acc[b] = t if s is None else s + t
-        return ParamElement(el.gens, el.ctx, acc)
+        return Element(el.gens, el.domain, acc)
 
     def multiply(self, u: Element, v: Element) -> Element:
         return self.normal_form((u * v).truncate(self.bound))

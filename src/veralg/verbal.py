@@ -104,16 +104,14 @@ def word_transform(alg, system: VerbalSystem, m: Monomial) -> Element:
     else:
         left = word_transform(alg, system, m.left)
         right = word_transform(alg, system, m.right)
-        lr = alg.normal_form((left * right).truncate(alg.bound))
-        rl = alg.normal_form((right * left).truncate(alg.bound))
-        out = lr.scale(system.a) + rl.scale(system.b)
+        out = alg.normal_form(system.product(left, right).truncate(alg.bound))
     memo[key] = out
     return out
 
 
 def sigma_apply(alg, system: VerbalSystem, el: Element) -> Element:
     """sigma on an element: phi-twisted coefficients, transformed monomials."""
-    if el.field != system.field:
+    if el.domain != system.field:
         raise ValueError("element and system live over different fields")
     out = Element.zero(alg.gens, system.field)
     for m, c in el.terms.items():
@@ -122,13 +120,12 @@ def sigma_apply(alg, system: VerbalSystem, el: Element) -> Element:
 
 
 def _derived_eval(alg, system, m: Monomial, images: Sequence[Element]) -> Element:
+    """The tree of m evaluated in the new product at the given images."""
     if m.is_leaf:
         return images[m.index]
     left = _derived_eval(alg, system, m.left, images)
     right = _derived_eval(alg, system, m.right, images)
-    lr = alg.normal_form((left * right).truncate(alg.bound))
-    rl = alg.normal_form((right * left).truncate(alg.bound))
-    return lr.scale(system.a) + rl.scale(system.b)
+    return alg.normal_form(system.product(left, right).truncate(alg.bound))
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,6 @@ from veralg.freealg import (
     Element,
     Endomorphism,
     GeneratorSet,
-    ParamElement,
-    SymbolicEndomorphism,
     enumerate_monomials,
     monomials_of_multidegree,
     parse_element,
@@ -183,20 +181,20 @@ class TestEndomorphism:
 
 class TestSymbolicEndomorphism:
     def test_generic_linear_names(self):
-        alpha = SymbolicEndomorphism.generic_linear(G, F, extra=("rho",))
-        assert alpha.ctx.names == ("a11", "a12", "a21", "a22", "rho")
+        alpha = Endomorphism.generic_linear(G, F, extra=("rho",))
+        assert alpha.domain.names == ("a11", "a12", "a21", "a22", "rho")
 
     def test_generic_linear_images(self):
-        alpha = SymbolicEndomorphism.generic_linear(G, F)
-        ctx = alpha.ctx
+        alpha = Endomorphism.generic_linear(G, F)
+        ctx = alpha.domain
         img = alpha.images[1]  # image of x2
         assert img.coefficient(G.gen("x1")) == ParamPoly.variable(ctx, "a12")
         assert img.coefficient(G.gen("x2")) == ParamPoly.variable(ctx, "a22")
 
     def test_specialize_commutes_with_apply(self):
         rng = random.Random(47)
-        alpha = SymbolicEndomorphism.generic_linear(G, F)
-        ctx = alpha.ctx
+        alpha = Endomorphism.generic_linear(G, F)
+        ctx = alpha.domain
         for _ in range(6):
             asgn = {n: _rand_scalar(rng) for n in ctx.names}
             el = _rand_element(rng, 3)
@@ -205,11 +203,10 @@ class TestSymbolicEndomorphism:
             assert sym == conc
 
     def test_param_element_roundtrip(self):
-        alpha = SymbolicEndomorphism.generic_linear(G, F)
-        ctx = alpha.ctx
+        alpha = Endomorphism.generic_linear(G, F)
+        ctx = alpha.domain
         el = parse_element("t1 * (x1 x2)", G, F)
         image = alpha.apply(el)
-        lifted = ParamElement.from_element(el, ctx)
-        assert not image.is_zero and not lifted.is_zero
+        assert not image.is_zero
         coeff = image.coefficient(parse_monomial("(x1 x1)", G))
         assert coeff == ParamPoly.parse("t1*a11*a12", ctx)

@@ -14,9 +14,11 @@ from veralg.scalars import (
     FieldSpec,
     Scalar,
     _grlex,
+    _p_add,
     _p_divexact,
     _p_gcd,
     _p_mul,
+    _p_neg,
     parse_scalar,
 )
 
@@ -112,6 +114,33 @@ class TestGcdContract:
     @given(wide_polys, wide_polys)
     def test_symmetric(self, p, q):
         assert _p_gcd(p, q) == _p_gcd(q, p)
+
+
+def _lift(p):
+    return {e: Scalar.from_fraction(F, c) for e, c in p.items()}
+
+
+def _drop(p):
+    return None if p is None else {e: c.as_fraction() for e, c in p.items()}
+
+
+class TestHelpersOnScalarValues:
+    """The raw helpers give the same result on Fraction and Scalar values."""
+
+    @PROPS
+    @given(wide_polys, wide_polys)
+    def test_add_and_mul(self, p, q):
+        assert _drop(_p_add(_lift(p), _lift(q))) == _p_add(p, q)
+        assert _drop(_p_mul(_lift(p), _lift(q))) == _p_mul(p, q)
+        assert _p_add(_lift(p), _p_neg(_lift(p))) == {}
+
+    @PROPS
+    @given(wide_polys, nonzero_wide_polys, wide_polys)
+    def test_divexact(self, p, d, r):
+        prod = _p_mul(p, d)
+        assert _drop(_p_divexact(_lift(prod), _lift(d))) == _p_divexact(prod, d) == p
+        other = _p_add(prod, r)
+        assert _drop(_p_divexact(_lift(other), _lift(d))) == _p_divexact(other, d)
 
 
 class TestEncoding:
