@@ -7,9 +7,9 @@ falsify (run a falsifier from a job file or pinned example), and repro
 (run pinned examples against their recorded outcomes).
 
 Exit codes: 0 when the requested computation reached a verdict, 1 when it
-was inconclusive or a reproduction mismatched, 2 on usage errors.  The
-environment variable VF_MAX_DEG caps every accepted degree bound
-(default 8).
+was inconclusive or a reproduction mismatched, 2 on usage errors and bad
+input (such as a division by zero in an expression).  The environment
+variable VF_MAX_DEG caps every accepted degree bound (default 8).
 """
 
 from __future__ import annotations
@@ -21,11 +21,14 @@ import sys
 
 from . import cases
 from .freealg import GeneratorSet
-from .scalars import FieldSpec
+from .scalars import FieldSpec, ZeroInversion
 from .variety import build_truncated, builtin_variety, builtin_variety_names
 from .verbal import VerbalSystem, check_op2, inner_witness
 
 DEFAULT_DEGREE_CAP = 8
+
+# job kind -> the keys it needs beyond the common ones
+JOB_KINDS = {"equation-ideal": ("generator", "tail"), "smallest-closed": ("word",)}
 
 
 class UsageError(Exception):
@@ -54,6 +57,12 @@ def _capped(value: int, what: str) -> int:
     return value
 
 
+def _generators(count: int, what: str) -> GeneratorSet:
+    if count < 1:
+        raise UsageError(f"{what} must be at least 1")
+    return GeneratorSet.default(count)
+
+
 def _field(args) -> FieldSpec:
     names = tuple(n for n in args.field.split(",") if n)
     return FieldSpec(names)
@@ -72,7 +81,15 @@ def _load_job(args) -> dict:
     for key in ("kind", "field", "variety", "gens", "bound", "system"):
         if key not in job:
             raise UsageError(f"job is missing the {key!r} field")
+    if job["kind"] not in JOB_KINDS:
+        raise UsageError(
+            f"unknown job kind {job['kind']!r}; choose from {', '.join(JOB_KINDS)}"
+        )
+    for key in JOB_KINDS[job["kind"]]:
+        if key not in job:
+            raise UsageError(f"{job['kind']} job is missing the {key!r} field")
     _capped(int(job["bound"]), "bound")
+    _generators(int(job["gens"]), "gens")
     return job
 
 
@@ -85,7 +102,7 @@ def _emit(args, payload: dict, text: str) -> None:
 
 def cmd_basis(args) -> int:
     bound = _capped(args.max_deg, "--max-deg")
-    gens = GeneratorSet.default(args.gens)
+    gens = _generators(args.gens, "--gens")
     alg = build_truncated(builtin_variety(args.variety), gens, bound)
     dims = alg.dims()
     listing = {
@@ -116,7 +133,7 @@ def cmd_op2(args) -> int:
     if args.max_deg is not None:
         bound = _capped(args.max_deg, "--max-deg")
     report = check_op2(
-        builtin_variety(args.variety), system, GeneratorSet.default(args.gens), bound
+        builtin_variety(args.variety), system, _generators(args.gens, "--gens"), bound
     )
     d = report.as_dict()
     lines = [
@@ -140,7 +157,7 @@ def cmd_inner(args) -> int:
     system = _system(args, field)
     bound = _capped(args.max_deg, "--max-deg")
     alg = build_truncated(
-        builtin_variety(args.variety), GeneratorSet.default(args.gens), bound
+        builtin_variety(args.variety), _generators(args.gens, "--gens"), bound
     )
     report = inner_witness(alg, system)
     d = report.as_dict()
@@ -312,7 +329,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (KeyError, ValueError, OSError) as exc:
+    except (KeyError, ValueError, OSError, ZeroInversion) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

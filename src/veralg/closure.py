@@ -8,8 +8,10 @@ candidate space is checked to land inside T under alpha.  A candidate that
 always lands in T but is missing from the transformed ideal certifies that
 the two quotient algebras impose genuinely different closures.
 
-Everything is exact: coefficients are rational functions, case splits track
-their assumptions, and each certificate records enough to be replayed.
+Everything is exact: coefficients are rational functions, and case splits
+track their assumptions.  A certificate records the verdict, the equations,
+the case tree and the witness, but not yet the names of the field's
+transcendentals, so it cannot be replayed from the certificate alone.
 """
 
 from __future__ import annotations
@@ -462,7 +464,7 @@ def closure_sampled(alg, ideal: TruncatedIdeal, endos: Sequence[Endomorphism]) -
 
 @dataclass(frozen=True)
 class Certificate:
-    """A replayable record of a falsification attempt."""
+    """The record of a falsification attempt: verdict, case tree, witness."""
 
     kind: str
     verdict: str

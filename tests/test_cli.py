@@ -281,6 +281,50 @@ class TestRepro:
         assert code == 2
 
 
+class TestInputErrors:
+    """Bad input exits 2 with a single error line instead of a traceback."""
+
+    @staticmethod
+    def single_error(err):
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+        return lines[0]
+
+    @staticmethod
+    def job_file(tmp_path, name, **changes):
+        job = cases.load_job(name)
+        job.update(changes)
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(job))
+        return str(path)
+
+    def test_division_by_zero_in_coefficient(self, capsys):
+        code, _, err = run(capsys, ["op2", "--variety", "lie", "--a", "1/0"])
+        assert code == 2
+        assert "division by zero" in self.single_error(err)
+
+    def test_division_by_zero_in_hint(self, capsys, tmp_path):
+        path = self.job_file(tmp_path, "aut_1_3_4", hints=["1/0"])
+        code, _, err = run(capsys, ["falsify", "--spec", path])
+        assert code == 2
+        assert "division by zero" in self.single_error(err)
+
+    def test_zero_generators(self, capsys):
+        code, _, err = run(
+            capsys, ["basis", "--variety", "lie", "--gens", "0", "--max-deg", "3"]
+        )
+        assert code == 2
+        assert "--gens must be at least 1" in self.single_error(err)
+
+    def test_unknown_job_kind(self, capsys, tmp_path):
+        path = self.job_file(tmp_path, "aut_1_3_4", kind="nosuch")
+        code, _, err = run(capsys, ["falsify", "--spec", path])
+        assert code == 2
+        line = self.single_error(err)
+        assert "unknown job kind 'nosuch'" in line
+        assert "equation-ideal" in line and "smallest-closed" in line
+
+
 class TestUsage:
     def test_no_subcommand(self, capsys):
         assert run(capsys, [])[0] == 2

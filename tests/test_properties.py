@@ -8,6 +8,8 @@ not installed.
 from fractions import Fraction
 
 import pytest
+
+pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from veralg.scalars import (
