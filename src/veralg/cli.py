@@ -8,8 +8,9 @@ falsify (run a falsifier from a job file or pinned example), and repro
 
 Exit codes: 0 when the requested computation reached a verdict, 1 when it
 was inconclusive or a reproduction mismatched, 2 on usage errors and bad
-input (such as a division by zero in an expression).  The environment
-variable VF_MAX_DEG caps every accepted degree bound (default 8).
+input (such as a division by zero in an expression), and 3 on an internal
+error, whose traceback goes to stderr.  The environment variable VF_MAX_DEG
+caps every accepted degree bound (default 8).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from . import cases
 from .freealg import GeneratorSet
@@ -332,6 +334,10 @@ def main(argv=None) -> int:
     except (KeyError, ValueError, OSError, ZeroInversion) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        # a crash must not read as a verdict (0) or as inconclusive (1)
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

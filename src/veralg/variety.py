@@ -413,7 +413,6 @@ class TruncatedAlgebra:
         "rewrite",
         "_basis_index",
         "_sigma_memo",
-        "_op2_memo",
     )
 
     def __init__(self, variety, gens, bound, components, rewrite):
@@ -424,7 +423,6 @@ class TruncatedAlgebra:
         self.rewrite = rewrite  # pivot monomial -> ((basis monomial, coeff), ...)
         self._basis_index = None
         self._sigma_memo = {}
-        self._op2_memo = {}
 
     def key(self):
         return (self.variety.key(), self.gens.names, self.bound)
@@ -530,17 +528,28 @@ _BUILD_MEMO = {}
 
 
 def build_truncated(
-    variety: VarietyPresentation, gens: GeneratorSet, bound: int
+    variety: VarietyPresentation,
+    gens: GeneratorSet,
+    bound: int,
+    *,
+    multilinear: bool = False,
 ) -> TruncatedAlgebra:
     """The truncated relatively-free algebra of a variety on given generators.
 
     The result is field-agnostic: rewrite coefficients are rational, and
     normal forms accept elements over any scalar field.  Builds are memoised
-    on (variety laws, generator names, bound).
+    on (variety laws, generator names, bound, mode).
+
+    With ``multilinear=True`` only the multidegrees whose entries are all at
+    most 1 are built.  Identity instances are taken only from substitutions
+    whose monomials have disjoint supports, and pivots are multiplied only by
+    monomials disjoint from them.  Every instance or product that lands in a
+    0/1 multidegree is made of such pieces, so the components built equal
+    the full build's.
     """
     if bound < 1:
         raise ValueError("the degree bound must be at least 1")
-    memo_key = (variety.key(), gens.names, bound)
+    memo_key = (variety.key(), gens.names, bound, multilinear)
     cached = _BUILD_MEMO.get(memo_key)
     if cached is not None:
         return cached
@@ -549,20 +558,35 @@ def build_truncated(
     rows = {}  # multidegree -> list of index rows
     mono_lists = {}
     index = {}
+    pools = {}  # degree -> the monomials a slot or a multiplier may take
     for d in range(1, bound + 1):
         for md in _multidegrees(gens.size, d):
-            ms = monomials_of_multidegree(gens, md)
+            if multilinear:
+                if max(md) > 1:
+                    continue
+                ms = _split_products(gens, md, mono_lists)
+            else:
+                ms = monomials_of_multidegree(gens, md)
             mono_lists[md] = ms
             index[md] = {m: i for i, m in enumerate(ms)}
             rows[md] = []
+        if multilinear:
+            pools[d] = tuple(
+                m for md in mono_lists if sum(md) == d for m in mono_lists[md]
+            )
+        else:
+            pools[d] = enumerate_monomials(gens, d)
 
     for s in schemes:
         if s.arity > bound:
             continue
         for total in range(s.arity, bound + 1):
             for degs in _compositions(s.arity, total):
-                pools = [enumerate_monomials(gens, d) for d in degs]
-                for combo in itertools.product(*pools):
+                for combo in itertools.product(*(pools[d] for d in degs)):
+                    if multilinear and len(
+                        {g for m in combo for g in m.word}
+                    ) < total:
+                        continue
                     inst = s.substitute(combo, gens)
                     if not inst:
                         continue
@@ -571,31 +595,34 @@ def build_truncated(
                     rows[md].append({idx[m]: f for m, f in inst.items()})
 
     reducers = {}
-    for d in range(1, bound + 1):
-        for md in _multidegrees(gens.size, d):
-            red = RowReducer()
-            reducers[md] = red
-            for row in rows[md]:
-                red.insert(row)
-            if d == bound or not red.pivots:
-                continue
-            monos = mono_lists[md]
-            pivot_elements = [
-                tuple((monos[k], v) for k, v in prow.items())
-                for prow in red.pivots.values()
-            ]
-            for pel in pivot_elements:
-                for k in range(1, bound - d + 1):
-                    for u in enumerate_monomials(gens, k):
-                        left = {}
-                        right = {}
-                        for m, v in pel:
-                            left[gens.pair(u, m)] = v
-                            right[gens.pair(m, u)] = v
-                        for prod in (left, right):
-                            pmd = next(iter(prod)).multidegree
-                            idx = index[pmd]
-                            rows[pmd].append({idx[m]: v for m, v in prod.items()})
+    for md in mono_lists:
+        d = sum(md)
+        red = RowReducer()
+        reducers[md] = red
+        for row in rows[md]:
+            red.insert(row)
+        if d == bound or not red.pivots:
+            continue
+        monos = mono_lists[md]
+        support = {i for i, e in enumerate(md) if e}
+        pivot_elements = [
+            tuple((monos[k], v) for k, v in prow.items())
+            for prow in red.pivots.values()
+        ]
+        for pel in pivot_elements:
+            for k in range(1, bound - d + 1):
+                for u in pools[k]:
+                    if multilinear and not support.isdisjoint(u.word):
+                        continue
+                    left = {}
+                    right = {}
+                    for m, v in pel:
+                        left[gens.pair(u, m)] = v
+                        right[gens.pair(m, u)] = v
+                    for prod in (left, right):
+                        pmd = next(iter(prod)).multidegree
+                        idx = index[pmd]
+                        rows[pmd].append({idx[m]: v for m, v in prod.items()})
 
     components = {}
     rewrite = {}
@@ -613,3 +640,24 @@ def build_truncated(
     out = TruncatedAlgebra(variety, gens, bound, components, rewrite)
     _BUILD_MEMO[memo_key] = out
     return out
+
+
+def _split_products(gens: GeneratorSet, mdeg: tuple, built: dict) -> tuple:
+    """The monomials of a 0/1 multidegree, in canonical order.
+
+    Each is a product of monomials on two complementary parts of the
+    support, looked up in `built`, which must hold every lower 0/1
+    multidegree.  Unlike monomials_of_multidegree this never creates the
+    monomials of other multidegrees.
+    """
+    degree = sum(mdeg)
+    if degree == 1:
+        return (gens.generator(mdeg.index(1)),)
+    out = []
+    for lmd, lefts in built.items():
+        if sum(lmd) >= degree or any(l > e for l, e in zip(lmd, mdeg)):
+            continue
+        rights = built[tuple(e - l for e, l in zip(mdeg, lmd))]
+        out.extend(gens.pair(u, v) for u in lefts for v in rights)
+    out.sort(key=lambda m: m.sort_key)
+    return tuple(out)

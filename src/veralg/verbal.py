@@ -128,6 +128,42 @@ def _derived_eval(alg, system, m: Monomial, images: Sequence[Element]) -> Elemen
     return alg.normal_form(system.product(left, right).truncate(alg.bound))
 
 
+def _scheme_value(alg, system, scheme, images: Sequence[Element]) -> Element:
+    """A multilinear law at the given images, in the new product."""
+    value = Element.zero(alg.gens, system.field)
+    for m, c in scheme.element.terms.items():
+        part = _derived_eval(alg, system, m, images)
+        value = value + part.scale(c.as_fraction())
+    return value
+
+
+def _law_value(variety, system, scheme) -> Element:
+    """The law at the free generators of F_V(arity), in the new product."""
+    k = scheme.arity
+    free = build_truncated(variety, GeneratorSet.default(k), k, multilinear=True)
+    ys = [
+        Element.from_monomial(free.gens, system.field, free.gens.generator(i))
+        for i in range(k)
+    ]
+    return _scheme_value(free, system, scheme, ys)
+
+
+def _failing_tuple(alg, system, scheme) -> Optional[tuple]:
+    """The first tuple of basis monomials of alg on which the law fails."""
+    for total in range(scheme.arity, alg.bound + 1):
+        for degs in _compositions(scheme.arity, total):
+            pools = [alg.basis_of_degree(d) for d in degs]
+            if not all(pools):
+                continue
+            for combo in itertools.product(*pools):
+                images = [
+                    Element.from_monomial(alg.gens, system.field, m) for m in combo
+                ]
+                if not _scheme_value(alg, system, scheme, images).is_zero:
+                    return tuple(m.encode() for m in combo)
+    return None
+
+
 @dataclass(frozen=True)
 class Op2Report:
     """Outcome of an admissibility check for an operation change."""
@@ -171,14 +207,20 @@ def check_op2(
 ) -> Op2Report:
     """Is the new product an operation of the variety, with sigma invertible?
 
-    Three conditions are verified on the truncated relatively-free algebra.
     The two-sided word a(x1 x2) + b(x2 x1) is only a genuine two-parameter
     family when x1 x2 and x2 x1 are independent in the algebra; when that
     component is one-dimensional the second term folds into the first, and
-    only the representative with b = 0 is admitted (form check).  On top of
-    that, every identity of the variety must still hold for the new product,
-    and sigma must restrict to an invertible map on each multihomogeneous
-    component.
+    only the representative with b = 0 is admitted (form check).  Both this
+    and the invertibility of sigma on each multihomogeneous component are
+    verified on the truncated relatively-free algebra on `gens`.
+
+    The laws are decided at the free generators instead.  The new product is
+    a verbal operation, so it commutes with homomorphisms: a multilinear law
+    of arity k (at most `bound`) holds for it in every algebra of the
+    variety exactly when it vanishes at y1..yk in the multilinear part of
+    F_V(k).  For a law that fails, the witness in `identity_failures` is for
+    display only: the first tuple of basis monomials of the truncation on
+    which the law fails, or the slot names y1..yk when there is none.
     """
     if gens is None:
         gens = GeneratorSet.default(2)
@@ -197,32 +239,11 @@ def check_op2(
     for scheme in variety.multilinear():
         if scheme.arity > bound:
             continue
-        found = None
-        for total in range(scheme.arity, bound + 1):
-            if found:
-                break
-            for degs in _compositions(scheme.arity, total):
-                pools = [alg.basis_of_degree(d) for d in degs]
-                if not all(pools):
-                    continue
-                for combo in itertools.product(*pools):
-                    images = [
-                        Element.from_monomial(gens, system.field, m) for m in combo
-                    ]
-                    value = Element.zero(gens, system.field)
-                    for m, c in scheme.element.terms.items():
-                        part = _derived_eval(alg, system, m, images)
-                        value = value + part.scale(c.as_fraction())
-                    if not value.is_zero:
-                        found = (
-                            scheme.encode(),
-                            tuple(m.encode() for m in combo),
-                        )
-                        break
-                if found:
-                    break
-        if found:
-            failures.append(found)
+        if not _law_value(variety, system, scheme).is_zero:
+            witness = _failing_tuple(alg, system, scheme)
+            if witness is None:
+                witness = scheme.ygens.names
+            failures.append((scheme.encode(), witness))
 
     singular = []
     for d in range(1, bound + 1):

@@ -325,6 +325,19 @@ class TestInputErrors:
         assert "equation-ideal" in line and "smallest-closed" in line
 
 
+class TestInternalError:
+    def test_crash_exits_three_with_traceback(self, capsys, monkeypatch):
+        def crash(args):
+            raise RuntimeError("internal failure")
+
+        monkeypatch.setattr(cli, "cmd_basis", crash)
+        code, out, err = run(capsys, ["basis", "--variety", "lie", "--max-deg", "3"])
+        assert code == 3
+        assert out == ""
+        assert "Traceback" in err
+        assert "RuntimeError: internal failure" in err
+
+
 class TestUsage:
     def test_no_subcommand(self, capsys):
         assert run(capsys, [])[0] == 2

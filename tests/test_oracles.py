@@ -1,21 +1,29 @@
 """Replaced algorithms kept as oracles for the code that replaced them.
 
 Each ``_old_*`` function is a verbatim copy of an earlier implementation:
-the pivot-by-pivot residue loops (one per coefficient type) and the sigma
-step that took two normal forms per product.  The current code must agree
-with them exactly.
+the pivot-by-pivot residue loops (one per coefficient type), the sigma
+step that took two normal forms per product, and the admissibility check
+that searched every tuple of basis monomials for a failing law.  The
+current code must agree with them exactly.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from veralg.cases import OP2_GRID
 from veralg.closure import ideal_build
 from veralg.freealg import Element, Endomorphism, GeneratorSet, parse_element
-from veralg.scalars import FieldSpec, ParamContext, ParamPoly, Scalar
-from veralg.variety import build_truncated, builtin_variety
-from veralg.verbal import VerbalSystem, word_transform
+from veralg.scalars import FieldAutomorphism, FieldSpec, ParamContext, ParamPoly, Scalar
+from veralg.variety import (
+    _compositions,
+    build_truncated,
+    builtin_variety,
+    builtin_variety_names,
+)
+from veralg.verbal import VerbalSystem, _derived_eval, check_op2, word_transform
 
 F = FieldSpec(("t1", "t2"))
 G = GeneratorSet.default(2)
@@ -72,6 +80,41 @@ def _old_word_transform(alg, system, m, memo):
         out = lr.scale(system.a) + rl.scale(system.b)
     memo[m] = out
     return out
+
+
+def _old_identity_failures(variety, system, gens, bound):
+    alg = build_truncated(variety, gens, bound)
+    failures = []
+    for scheme in variety.multilinear():
+        if scheme.arity > bound:
+            continue
+        found = None
+        for total in range(scheme.arity, bound + 1):
+            if found:
+                break
+            for degs in _compositions(scheme.arity, total):
+                pools = [alg.basis_of_degree(d) for d in degs]
+                if not all(pools):
+                    continue
+                for combo in itertools.product(*pools):
+                    images = [
+                        Element.from_monomial(gens, system.field, m) for m in combo
+                    ]
+                    value = Element.zero(gens, system.field)
+                    for m, c in scheme.element.terms.items():
+                        part = _derived_eval(alg, system, m, images)
+                        value = value + part.scale(c.as_fraction())
+                    if not value.is_zero:
+                        found = (
+                            scheme.encode(),
+                            tuple(m.encode() for m in combo),
+                        )
+                        break
+                if found:
+                    break
+        if found:
+            failures.append(found)
+    return tuple(failures)
 
 
 def _rand_scalar(rng):
@@ -145,3 +188,52 @@ def test_symbolic_normal_form_commutes_with_evaluation(variety, bound):
             assert alg.normal_form(el).evaluate(values) == alg.normal_form(
                 el.evaluate(values)
             )
+
+
+def _assert_identity_check_matches_old(variety, system, gens, bound=None):
+    report = check_op2(variety, system, gens, bound)
+    old = _old_identity_failures(variety, system, gens, report.bound)
+    assert report.identity_ok == (not old)
+    assert report.identity_failures == old
+
+
+# the old search spends about 5 s on the whole PowerAssociative row
+OP2_CELLS = tuple(
+    (name, a, b)
+    for name in builtin_variety_names()
+    for a, b in OP2_GRID
+    if name != "PowerAssociative" or (a, b) in ((1, 0), (1, 1))
+)
+
+
+@pytest.mark.parametrize("variety,a,b", OP2_CELLS)
+def test_identity_check_matches_tuple_search(variety, a, b):
+    system = VerbalSystem.parse(F, "id", str(a), str(b))
+    _assert_identity_check_matches_old(builtin_variety(variety), system, G)
+
+
+# three generators; bound 5 where the truncation is cheap, the default else
+SEEDED_OP2 = (
+    ("commutative", 5),
+    ("anticommutative", 5),
+    ("lie", 5),
+    ("jordan", None),
+    ("alternative", None),
+)
+
+
+def _rand_term(rng):
+    # one term c * t1^i * t2^j: sigma's powers of it stay single terms
+    c = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randrange(1, 3))
+    return Scalar(F, {(rng.randrange(2), rng.randrange(2)): c}, {(0, 0): Fraction(1)})
+
+
+@pytest.mark.parametrize("variety,bound", SEEDED_OP2)
+def test_identity_check_matches_tuple_search_seeded(variety, bound):
+    rng = random.Random(f"op2/{variety}")
+    swap = FieldAutomorphism.parse("swap", F)
+    for b in (Scalar.zero(F), _rand_term(rng)):
+        system = VerbalSystem(swap, _rand_term(rng), b)
+        _assert_identity_check_matches_old(
+            builtin_variety(variety), system, GeneratorSet.default(3), bound
+        )

@@ -398,6 +398,31 @@ class TestBuildMemo:
         with pytest.raises(ValueError):
             build_truncated(builtin_variety("lie"), G2, 0)
 
+    def test_mode_distinguishes(self):
+        full = build_truncated(builtin_variety("lie"), G2, 2)
+        ml = build_truncated(builtin_variety("lie"), G2, 2, multilinear=True)
+        assert ml is not full
+        assert (2, 0) in full.components and (2, 0) not in ml.components
+
+
+class TestMultilinearBuild:
+    """The multilinear build is the full build cut down to 0/1 multidegrees."""
+
+    @pytest.mark.parametrize("name", builtin_variety_names())
+    @pytest.mark.parametrize("k", (2, 3, 4))
+    def test_matches_full_build(self, name, k):
+        gens = GeneratorSet.default(k)
+        ml = build_truncated(builtin_variety(name), gens, k, multilinear=True)
+        full = build_truncated(builtin_variety(name), gens, k)
+        assert set(ml.components) == {
+            md for md in full.components if max(md) <= 1
+        }
+        for md, (monos, basis) in ml.components.items():
+            assert full.components[md] == (monos, basis), md
+            for m in monos:
+                assert ml.rewrite.get(m) == full.rewrite.get(m), m.encode()
+        assert set(ml.rewrite) <= set(full.rewrite)
+
 
 def _random_element(rng, monos):
     terms = {}

@@ -184,6 +184,18 @@ class TestCheckOp2:
         report = check_op2(builtin_variety("alternative"), _sys(Q, "id", "0", "1"))
         assert report.bound == 3
 
+    def test_one_generator_alternative(self):
+        # the one-generated truncation is commutative and associative, so
+        # the laws are decided at the free generators instead of inside it
+        for a, b in ((1, 1), (2, 1), (1, 2)):
+            report = check_op2(
+                builtin_variety("alternative"), _sys(Q, "id", str(a), str(b)), G1
+            )
+            assert not report.identity_ok and not report.admissible, (a, b)
+            assert report.invertible
+            for _, witness in report.identity_failures:
+                assert witness == ("y1", "y2", "y3")
+
     def test_as_dict_round_trip(self):
         import json
 
