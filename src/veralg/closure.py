@@ -168,6 +168,13 @@ def sf_image(alg, ideal: TruncatedIdeal, system: VerbalSystem, report=None) -> T
     t = _single_homogeneous_generator(ideal)
     if ideal.field != system.field:
         raise PreconditionError("ideal and system fields differ")
+    _admissible(alg, system, report)
+    st = sigma_apply(alg, system, t)
+    return ideal_build(alg, system.field, (st,), ideal.tail)
+
+
+def _admissible(alg, system: VerbalSystem, report=None):
+    """The change's check_op2 report; PreconditionError unless admissible."""
     if report is None:
         report = check_op2(alg.variety, system, alg.gens, alg.bound)
     if not report.admissible:
@@ -175,8 +182,7 @@ def sf_image(alg, ideal: TruncatedIdeal, system: VerbalSystem, report=None) -> T
             "operation change is not admissible for this variety: "
             + json.dumps(report.as_dict())
         )
-    st = sigma_apply(alg, system, t)
-    return ideal_build(alg, system.field, (st,), ideal.tail)
+    return report
 
 
 @dataclass(frozen=True)
@@ -578,9 +584,10 @@ def falsify_smallest_closed(alg, system: VerbalSystem, word: Monomial) -> Certif
     The span of alpha(word) over all linear alpha is computed exactly from
     the generic alpha; when sigma(word) falls outside it, the transformed
     word generates a strictly different closed set, and the verdict is
-    "not_geometrically_equivalent" with sigma(word) as witness.
+    "not_geometrically_equivalent" with sigma(word) as witness.  A change
+    that is not admissible is refused, as for the equation-ideal falsifier.
     """
-    report = check_op2(alg.variety, system, alg.gens, alg.bound)
+    report = _admissible(alg, system)
     element = Element.from_monomial(alg.gens, system.field, word)
     alpha = Endomorphism.generic_linear(alg.gens, system.field)
     applied = alg.normal_form(alpha.apply(element, alg.bound))

@@ -10,9 +10,11 @@ of the calculus, not a display choice.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import sub
 from typing import Mapping, Optional, Sequence
 
 from .scalars import (
@@ -196,9 +198,22 @@ def enumerate_monomials(gens: GeneratorSet, degree: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def monomials_of_multidegree(gens: GeneratorSet, mdeg: tuple) -> tuple:
-    return tuple(
-        m for m in enumerate_monomials(gens, sum(mdeg)) if m.multidegree == mdeg
-    )
+    """All monomials of the given multidegree, in canonical order.
+
+    Each is a product (u v) with u of a proper nonzero sub-multidegree l and
+    v of mdeg - l, so no monomial of another multidegree is ever created.
+    """
+    degree = sum(mdeg)
+    if degree == 1:
+        return (gens.generator(mdeg.index(1)),)
+    out = []
+    for lmd in itertools.product(*(range(e + 1) for e in mdeg)):
+        if 0 < sum(lmd) < degree:
+            rights = monomials_of_multidegree(gens, tuple(map(sub, mdeg, lmd)))
+            lefts = monomials_of_multidegree(gens, lmd)
+            out.extend(gens.pair(u, v) for u in lefts for v in rights)
+    out.sort(key=lambda m: m.sort_key)
+    return tuple(out)
 
 
 class Element:

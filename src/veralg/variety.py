@@ -16,6 +16,7 @@ same ideal of consequences and makes monomial substitution exhaustive.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from typing import Optional, Sequence
 
@@ -23,7 +24,6 @@ from .freealg import (
     Element,
     GeneratorSet,
     Monomial,
-    enumerate_monomials,
     monomials_of_multidegree,
     parse_element,
 )
@@ -424,9 +424,6 @@ class TruncatedAlgebra:
         self._basis_index = None
         self._sigma_memo = {}
 
-    def key(self):
-        return (self.variety.key(), self.gens.names, self.bound)
-
     # -- basis views
 
     def multidegrees(self, degree: int) -> tuple:
@@ -540,12 +537,13 @@ def build_truncated(
     normal forms accept elements over any scalar field.  Builds are memoised
     on (variety laws, generator names, bound, mode).
 
-    With ``multilinear=True`` only the multidegrees whose entries are all at
-    most 1 are built.  Identity instances are taken only from substitutions
-    whose monomials have disjoint supports, and pivots are multiplied only by
-    monomials disjoint from them.  Every instance or product that lands in a
-    0/1 multidegree is made of such pieces, so the components built equal
-    the full build's.
+    Every multidegree up to the bound is built, or with ``multilinear=True``
+    only those whose entries are all at most 1.  A built multidegree's
+    monomials are the products over its sub-multidegrees.  An identity
+    instance or a pivot times a monomial lands in the multidegree its pieces
+    add up to, and is formed only when that multidegree is built.  Since the
+    pieces of anything landing in a built multidegree are built too, each
+    component equals the full build's.
     """
     if bound < 1:
         raise ValueError("the degree bound must be at least 1")
@@ -558,24 +556,20 @@ def build_truncated(
     rows = {}  # multidegree -> list of index rows
     mono_lists = {}
     index = {}
-    pools = {}  # degree -> the monomials a slot or a multiplier may take
+    mdeg_of = {}  # built monomial -> its multidegree
+    pools = {}  # degree -> the built monomials, in canonical order
     for d in range(1, bound + 1):
+        pool = []
         for md in _multidegrees(gens.size, d):
-            if multilinear:
-                if max(md) > 1:
-                    continue
-                ms = _split_products(gens, md, mono_lists)
-            else:
-                ms = monomials_of_multidegree(gens, md)
+            if multilinear and max(md) > 1:
+                continue
+            ms = monomials_of_multidegree(gens, md)
             mono_lists[md] = ms
             index[md] = {m: i for i, m in enumerate(ms)}
             rows[md] = []
-        if multilinear:
-            pools[d] = tuple(
-                m for md in mono_lists if sum(md) == d for m in mono_lists[md]
-            )
-        else:
-            pools[d] = enumerate_monomials(gens, d)
+            mdeg_of.update(dict.fromkeys(ms, md))
+            pool.extend(ms)
+        pools[d] = sorted(pool, key=lambda m: m.sort_key)
 
     for s in schemes:
         if s.arity > bound:
@@ -583,16 +577,13 @@ def build_truncated(
         for total in range(s.arity, bound + 1):
             for degs in _compositions(s.arity, total):
                 for combo in itertools.product(*(pools[d] for d in degs)):
-                    if multilinear and len(
-                        {g for m in combo for g in m.word}
-                    ) < total:
+                    md = tuple(map(sum, zip(*(mdeg_of[m] for m in combo))))
+                    idx = index.get(md)
+                    if idx is None:
                         continue
                     inst = s.substitute(combo, gens)
-                    if not inst:
-                        continue
-                    md = next(iter(inst)).multidegree
-                    idx = index[md]
-                    rows[md].append({idx[m]: f for m, f in inst.items()})
+                    if inst:
+                        rows[md].append({idx[m]: f for m, f in inst.items()})
 
     reducers = {}
     for md in mono_lists:
@@ -604,7 +595,6 @@ def build_truncated(
         if d == bound or not red.pivots:
             continue
         monos = mono_lists[md]
-        support = {i for i, e in enumerate(md) if e}
         pivot_elements = [
             tuple((monos[k], v) for k, v in prow.items())
             for prow in red.pivots.values()
@@ -612,17 +602,16 @@ def build_truncated(
         for pel in pivot_elements:
             for k in range(1, bound - d + 1):
                 for u in pools[k]:
-                    if multilinear and not support.isdisjoint(u.word):
+                    pmd = tuple(map(operator.add, md, mdeg_of[u]))
+                    idx = index.get(pmd)
+                    if idx is None:
                         continue
                     left = {}
                     right = {}
                     for m, v in pel:
-                        left[gens.pair(u, m)] = v
-                        right[gens.pair(m, u)] = v
-                    for prod in (left, right):
-                        pmd = next(iter(prod)).multidegree
-                        idx = index[pmd]
-                        rows[pmd].append({idx[m]: v for m, v in prod.items()})
+                        left[idx[gens.pair(u, m)]] = v
+                        right[idx[gens.pair(m, u)]] = v
+                    rows[pmd].extend((left, right))
 
     components = {}
     rewrite = {}
@@ -641,23 +630,3 @@ def build_truncated(
     _BUILD_MEMO[memo_key] = out
     return out
 
-
-def _split_products(gens: GeneratorSet, mdeg: tuple, built: dict) -> tuple:
-    """The monomials of a 0/1 multidegree, in canonical order.
-
-    Each is a product of monomials on two complementary parts of the
-    support, looked up in `built`, which must hold every lower 0/1
-    multidegree.  Unlike monomials_of_multidegree this never creates the
-    monomials of other multidegrees.
-    """
-    degree = sum(mdeg)
-    if degree == 1:
-        return (gens.generator(mdeg.index(1)),)
-    out = []
-    for lmd, lefts in built.items():
-        if sum(lmd) >= degree or any(l > e for l, e in zip(lmd, mdeg)):
-            continue
-        rights = built[tuple(e - l for e, l in zip(mdeg, lmd))]
-        out.extend(gens.pair(u, v) for u in lefts for v in rights)
-    out.sort(key=lambda m: m.sort_key)
-    return tuple(out)

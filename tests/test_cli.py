@@ -324,6 +324,17 @@ class TestInputErrors:
         assert "unknown job kind 'nosuch'" in line
         assert "equation-ideal" in line and "smallest-closed" in line
 
+    def test_inadmissible_smallest_closed(self, capsys, tmp_path):
+        # a = b = 1 is singular on AllLinear: refused, as for equation ideals
+        path = self.job_file(
+            tmp_path, "s_4", variety="alllinear", word="((x1 x1) x2)",
+            system={"phi": "id", "a": "1", "b": "1"},
+        )
+        code, out, err = run(capsys, ["falsify", "--spec", path])
+        assert code == 2
+        assert out == ""
+        assert "not admissible" in self.single_error(err)
+
 
 class TestInternalError:
     def test_crash_exits_three_with_traceback(self, capsys, monkeypatch):

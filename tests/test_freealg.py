@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import comb
@@ -70,6 +71,17 @@ class TestMonomials:
         ms = monomials_of_multidegree(G, (2, 1))
         assert len(ms) == catalan(2) * 3  # 2 shapes, 3 words
         assert all(m.multidegree == (2, 1) for m in ms)
+        # oracle: the degree's monomials filtered by multidegree, same order
+        for n, top in ((1, 6), (2, 5), (3, 4)):
+            gens = GeneratorSet.default(n)
+            for d in range(1, top + 1):
+                for md in itertools.product(range(d + 1), repeat=n):
+                    if sum(md) == d:
+                        want = tuple(
+                            m for m in enumerate_monomials(gens, d)
+                            if m.multidegree == md
+                        )
+                        assert monomials_of_multidegree(gens, md) == want, md
 
     def test_encode_round_trip(self):
         rng = random.Random(5)

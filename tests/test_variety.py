@@ -8,6 +8,7 @@ makes the former associative; the latter matches the reversible-element
 count in the free associative algebra).
 """
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -15,6 +16,7 @@ from math import comb
 
 import pytest
 
+from veralg import freealg
 from veralg.freealg import (
     Element,
     GeneratorSet,
@@ -422,6 +424,67 @@ class TestMultilinearBuild:
             for m in monos:
                 assert ml.rewrite.get(m) == full.rewrite.get(m), m.encode()
         assert set(ml.rewrite) <= set(full.rewrite)
+
+    @pytest.mark.parametrize("name", ("Jordan", "PowerAssociative"))
+    def test_interns_only_multilinear_monomials(self, name):
+        # products outside the 0/1 multidegrees are skipped before they
+        # are formed, so no other monomial over these generators exists
+        # (no other test uses these names)
+        gens = GeneratorSet(("z1", "z2", "z3", "z4"))
+        build_truncated(builtin_variety(name), gens, 4, multilinear=True)
+        built = [
+            m for key, m in freealg._INTERN.items() if key[0] == gens.names
+        ]
+        assert len(built) > 4
+        assert all(max(m.multidegree) <= 1 for m in built)
+
+
+def _build_digest(alg):
+    lines = [m.encode() for m in alg.all_basis()]
+    for m in sorted(alg.rewrite, key=lambda m: m.sort_key):
+        row = " ".join(f"{c} {b.encode()}" for b, c in alg.rewrite[m])
+        lines.append(f"{m.encode()} = {row}")
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# sha256 of each full build's basis listing and rewrite rows: a change to
+# how the build works must leave every one of them as it is
+PINNED_BUILDS = {
+    ("AllLinear", 2, 5):
+        "4d7db1fe50a46fccc7bc4f209a41afba1aa6166e292ab88cfaf338c54e1cf280",
+    ("Commutative", 2, 5):
+        "2a7d674d7205f824a69ffd2f67f72846c947f294729d356a548b8966c1a728ce",
+    ("Anticommutative", 2, 5):
+        "62385b1f6607fd98b9f578afcd222829617d28497f5155615214576b824d8ab0",
+    ("Lie", 2, 5):
+        "b153b8b79ec3ac04ccc42b2c6e5d84580f0cbd848f8b069e029dc0580c6b7853",
+    ("Jordan", 2, 5):
+        "9b571e2ec20d01dbfd124694c4f75d6e875d7e9748358e95ab8ccc6cfcc5ad92",
+    ("Alternative", 2, 5):
+        "46ed992819ffa6abd8f897f8dccefeb1580415bcb421f4746a5ae2773b3f77bc",
+    ("PowerAssociative", 2, 5):
+        "e5ce143b16121fbf18166ffeba4728beca0f643f93b40f627f7725772fa189f2",
+    ("AllLinear", 3, 4):
+        "ea7dcd4d36bb9a1e8a0e397da6bbcf03cd1dbf58a359775a60b2db54a0af8e7e",
+    ("Commutative", 3, 4):
+        "469609560804f827fafd4dbd9d33c5faadba4ab03e46f0a60308a498a888a675",
+    ("Anticommutative", 3, 4):
+        "4550adc46ecc09e50572f8d266f0d43575d11260a7d48b8a6ee270dea89b9abf",
+    ("Lie", 3, 4):
+        "88a1ca8d5da73e4cf05c9b356bde319937c05c073791479c1ebc82fff30fa489",
+    ("Jordan", 3, 4):
+        "04a6a9cd08be0fc9650e16f7445f7c6d3a4962b1e944610a1684163c6e3d41ec",
+    ("Alternative", 3, 4):
+        "352ed17fd90b13050437b9a2749fb07dd97363f6b3113446df203ec0fdf38b96",
+    ("PowerAssociative", 3, 4):
+        "7866168c179d2c0545103f6128a0cf53bdd422b3465b45eead9e11dd04546918",
+}
+
+
+@pytest.mark.parametrize("name, k, bound", sorted(PINNED_BUILDS))
+def test_full_build_is_pinned(name, k, bound):
+    alg = build_truncated(builtin_variety(name), GeneratorSet.default(k), bound)
+    assert _build_digest(alg) == PINNED_BUILDS[name, k, bound]
 
 
 def _random_element(rng, monos):
