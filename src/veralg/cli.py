@@ -10,13 +10,16 @@ Exit codes: 0 when the requested computation reached a verdict, 1 when it
 was inconclusive or a reproduction mismatched, 2 on usage errors and bad
 input (such as a division by zero in an expression), and 3 on an internal
 error, whose traceback goes to stderr.  The environment variable VF_MAX_DEG
-caps every accepted degree bound (default 8).
+caps every accepted degree bound (default 8), and a generator count is
+refused, before anything is built, when it gives more free monomials up to
+the bound than 2 generators give up to the cap.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import traceback
@@ -25,7 +28,7 @@ from . import cases
 from .freealg import GeneratorSet
 from .scalars import FieldSpec, ZeroInversion
 from .variety import build_truncated, builtin_variety, builtin_variety_names
-from .verbal import VerbalSystem, check_op2, inner_witness
+from .verbal import VerbalSystem, check_op2, default_op2_bound, inner_witness
 
 DEFAULT_DEGREE_CAP = 8
 
@@ -59,9 +62,21 @@ def _capped(value: int, what: str) -> int:
     return value
 
 
-def _generators(count: int, what: str) -> GeneratorSet:
+def _monomial_count(gens: int, bound: int) -> int:
+    """Free-magma monomials on `gens` generators of degree 1 to `bound`."""
+    return sum(gens**d * math.comb(2 * d - 2, d - 1) // d for d in range(1, bound + 1))
+
+
+def _generators(count: int, what: str, bound: int) -> GeneratorSet:
     if count < 1:
         raise UsageError(f"{what} must be at least 1")
+    cap = _degree_cap()
+    if _monomial_count(count, bound) > _monomial_count(2, cap):
+        raise UsageError(
+            f"{what} {count} at degree bound {bound} gives more free monomials"
+            f" than 2 generators at the degree cap {cap}"
+            " (set VF_MAX_DEG to raise it)"
+        )
     return GeneratorSet.default(count)
 
 
@@ -90,8 +105,7 @@ def _load_job(args) -> dict:
     for key in JOB_KINDS[job["kind"]]:
         if key not in job:
             raise UsageError(f"{job['kind']} job is missing the {key!r} field")
-    _capped(int(job["bound"]), "bound")
-    _generators(int(job["gens"]), "gens")
+    _generators(int(job["gens"]), "gens", _capped(int(job["bound"]), "bound"))
     return job
 
 
@@ -104,7 +118,7 @@ def _emit(args, payload: dict, text: str) -> None:
 
 def cmd_basis(args) -> int:
     bound = _capped(args.max_deg, "--max-deg")
-    gens = _generators(args.gens, "--gens")
+    gens = _generators(args.gens, "--gens", bound)
     alg = build_truncated(builtin_variety(args.variety), gens, bound)
     dims = alg.dims()
     listing = {
@@ -131,12 +145,12 @@ def cmd_basis(args) -> int:
 def cmd_op2(args) -> int:
     field = _field(args)
     system = _system(args, field)
-    bound = None
-    if args.max_deg is not None:
+    variety = builtin_variety(args.variety)
+    if args.max_deg is None:
+        bound = default_op2_bound(variety)
+    else:
         bound = _capped(args.max_deg, "--max-deg")
-    report = check_op2(
-        builtin_variety(args.variety), system, _generators(args.gens, "--gens"), bound
-    )
+    report = check_op2(variety, system, _generators(args.gens, "--gens", bound), bound)
     d = report.as_dict()
     lines = [
         f"variety {d['variety']}, operation change phi={d['phi']}"
@@ -159,7 +173,7 @@ def cmd_inner(args) -> int:
     system = _system(args, field)
     bound = _capped(args.max_deg, "--max-deg")
     alg = build_truncated(
-        builtin_variety(args.variety), _generators(args.gens, "--gens"), bound
+        builtin_variety(args.variety), _generators(args.gens, "--gens", bound), bound
     )
     report = inner_witness(alg, system)
     d = report.as_dict()

@@ -8,6 +8,17 @@ of consequences degree by degree and row-reducing each multihomogeneous
 component; the surviving earliest monomials form the basis and every other
 monomial gets a rewrite rule.
 
+Each degree is built from the one below it.  A monomial (l r) maps to
+phi((l r)) = nf(l) nf(r), a combination of products (b b') of basis
+monomials already built.  The rows of a component are phi of the identity
+instances at tuples of basis monomials, and c - phi(c) for every other
+monomial c.  The first rows give the new consequences of the laws; the
+second give everything that follows from lower degrees, since they span the
+products of monomials with the ideal below.  Together they span the same
+component as the instances at all monomials and all products of lower
+rewrite rules with monomials, so the reduced echelon form, and with it the
+basis and the rewrite rules, is the same.
+
 Identity schemes need not be multilinear: over a field of characteristic
 zero every scheme is replaced by its full polarisation, which generates the
 same ideal of consequences and makes monomial substitution exhaustive.
@@ -16,8 +27,8 @@ same ideal of consequences and makes monomial substitution exhaustive.
 from __future__ import annotations
 
 import itertools
-import operator
 import re
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from .freealg import (
@@ -47,7 +58,7 @@ RATIONALS = FieldSpec(())  # the prime field: no transcendentals
 class IdentityScheme:
     """A polynomial law on slot variables y1..y<arity>, required to vanish."""
 
-    __slots__ = ("arity", "ygens", "element", "_key")
+    __slots__ = ("arity", "ygens", "element", "_terms", "_key")
 
     def __init__(self, arity: int, element: Element):
         if element.is_zero:
@@ -55,6 +66,7 @@ class IdentityScheme:
         self.arity = arity
         self.ygens = element.gens
         self.element = element
+        self._terms = tuple((m, c.as_fraction()) for m, c in element.terms.items())
         self._key = (
             arity,
             tuple(
@@ -83,9 +95,9 @@ class IdentityScheme:
         if len(images) != self.arity:
             raise ValueError("one image per slot variable is required")
         out = {}
-        for m, c in self.element.terms.items():
+        for m, c in self._terms:
             g = _graft(m, images, gens)
-            f = out.get(g, 0) + c.as_fraction()
+            f = out.get(g, 0) + c
             if f:
                 out[g] = f
             else:
@@ -318,21 +330,18 @@ class RowReducer:
         self.pivots = {}  # pivot column -> row dict, row[pivot] == 1
 
     def reduce(self, row: dict) -> dict:
-        """The row modulo the span: every pivot column eliminated.
+        """The row modulo the span, largest column first: every pivot
+        column eliminated.
 
         Row values may be any exact type the pivot values multiply into:
         Fractions, Scalars, or ParamPolys with unknowns in them.
         """
         r = dict(row)
-        out = {}
-        while r:
-            c = max(r)
-            p = self.pivots.get(c)
-            if p is None:
-                out[c] = r.pop(c)
-                continue
+        # no pivot row holds another pivot column, so eliminating one pivot
+        # leaves the row's other pivot entries as they are
+        for c in sorted((c for c in r if c in self.pivots), reverse=True):
             coef = r.pop(c)
-            for k, v in p.items():
+            for k, v in self.pivots[c].items():
                 if k == c:
                     continue
                 s = r.get(k, 0) - coef * v
@@ -340,7 +349,7 @@ class RowReducer:
                     r.pop(k, None)
                 else:
                     r[k] = s
-        return out
+        return {k: r[k] for k in sorted(r, reverse=True)}
 
     def insert(self, row: dict) -> bool:
         """Reduce and add the row; False when it was already in the span."""
@@ -522,6 +531,7 @@ class TruncatedAlgebra:
 
 
 _BUILD_MEMO = {}
+_ONE = Fraction(1)
 
 
 def build_truncated(
@@ -538,12 +548,28 @@ def build_truncated(
     on (variety laws, generator names, bound, mode).
 
     Every multidegree up to the bound is built, or with ``multilinear=True``
-    only those whose entries are all at most 1.  A built multidegree's
-    monomials are the products over its sub-multidegrees.  An identity
-    instance or a pivot times a monomial lands in the multidegree its pieces
-    add up to, and is formed only when that multidegree is built.  Since the
-    pieces of anything landing in a built multidegree are built too, each
-    component equals the full build's.
+    only those whose entries are all at most 1.  Degrees are built in
+    increasing order.  In degree d, a monomial c = (l r) has
+    phi(c) = nf(l) nf(r), expanded over the pair columns (b b') of basis
+    monomials b, b' already built; phi fixes every pair column.  The rows of
+    a multidegree are
+
+    - phi of every identity instance at a tuple of basis fillers whose
+      multidegrees add up to it (a tuple is skipped before it is
+      substituted when that multidegree is not built), and
+    - c - phi(c) for every other monomial c.
+
+    Their span is the full build's ideal component.  The rows c - phi(c)
+    span the kernel of phi, which consists of the products with the ideal
+    in lower degrees.  Modulo that kernel an instance at any fillers is a
+    combination of instances at basis fillers, since the schemes are
+    multilinear.  A reduced row echelon form is unique for its row space and
+    column order, so the basis and every rewrite row are the ones the full
+    space of monomials would give.
+
+    The monomials c are taken in canonical order, and no row holds c before
+    its own.  So when c - phi(c), reduced, has no column later than c, it is
+    already the reduced pivot row of c and is stored without elimination.
     """
     if bound < 1:
         raise ValueError("the degree bound must be at least 1")
@@ -553,80 +579,121 @@ def build_truncated(
         return cached
 
     schemes = variety.multilinear()
-    rows = {}  # multidegree -> list of index rows
-    mono_lists = {}
-    index = {}
-    mdeg_of = {}  # built monomial -> its multidegree
-    pools = {}  # degree -> the built monomials, in canonical order
-    for d in range(1, bound + 1):
-        pool = []
-        for md in _multidegrees(gens.size, d):
-            if multilinear and max(md) > 1:
-                continue
-            ms = monomials_of_multidegree(gens, md)
-            mono_lists[md] = ms
-            index[md] = {m: i for i, m in enumerate(ms)}
-            rows[md] = []
-            mdeg_of.update(dict.fromkeys(ms, md))
-            pool.extend(ms)
-        pools[d] = sorted(pool, key=lambda m: m.sort_key)
-
-    for s in schemes:
-        if s.arity > bound:
-            continue
-        for total in range(s.arity, bound + 1):
-            for degs in _compositions(s.arity, total):
-                for combo in itertools.product(*(pools[d] for d in degs)):
-                    md = tuple(map(sum, zip(*(mdeg_of[m] for m in combo))))
-                    idx = index.get(md)
-                    if idx is None:
-                        continue
-                    inst = s.substitute(combo, gens)
-                    if inst:
-                        rows[md].append({idx[m]: f for m, f in inst.items()})
-
-    reducers = {}
-    for md in mono_lists:
-        d = sum(md)
-        red = RowReducer()
-        reducers[md] = red
-        for row in rows[md]:
-            red.insert(row)
-        if d == bound or not red.pivots:
-            continue
-        monos = mono_lists[md]
-        pivot_elements = [
-            tuple((monos[k], v) for k, v in prow.items())
-            for prow in red.pivots.values()
-        ]
-        for pel in pivot_elements:
-            for k in range(1, bound - d + 1):
-                for u in pools[k]:
-                    pmd = tuple(map(operator.add, md, mdeg_of[u]))
-                    idx = index.get(pmd)
-                    if idx is None:
-                        continue
-                    left = {}
-                    right = {}
-                    for m, v in pel:
-                        left[idx[gens.pair(u, m)]] = v
-                        right[idx[gens.pair(m, u)]] = v
-                    rows[pmd].extend((left, right))
-
     components = {}
     rewrite = {}
-    for md, monos in mono_lists.items():
-        red = reducers[md]
-        basis = tuple(
-            monos[i] for i in range(len(monos)) if i not in red.pivots
-        )
-        components[md] = (monos, basis)
-        for c, prow in red.pivots.items():
-            rewrite[monos[c]] = tuple(
-                (monos[k], -v) for k, v in sorted(prow.items()) if k != c
-            )
+    generators = tuple(gens.generator(i) for i in range(gens.size))
+    # degree -> its basis monomials in canonical order; in degree 1 the
+    # generators stand in until their components are built
+    fillers = {1: generators}
+    mdeg_of = {g: g.multidegree for g in generators}
+    # Normal forms below the bound are numbered: a basis monomial has its own
+    # number, and monomials that rewrite to the same combination share one.
+    form_of = {}  # monomial below the bound -> the number of its normal form
+    forms = []  # number -> ((number of a basis monomial, coefficient), ...)
+    basic = set()  # the numbers of basis monomials
+    numbered = {}  # normal form of a rewritten monomial -> its number
+    for d in range(1, bound + 1):
+        mss = {
+            md: monomials_of_multidegree(gens, md)
+            for md in _multidegrees(gens.size, d)
+            if not multilinear or max(md) <= 1
+        }
+        # (number of nf(l), number of nf(r)) for each monomial (l r)
+        splits = {}
+        pair_col = {}  # pair of basis numbers -> column of their product
+        if d > 1:
+            for md, ms in mss.items():
+                keys = [(form_of[m.left], form_of[m.right]) for m in ms]
+                splits[md] = keys
+                for c, (i, j) in enumerate(keys):
+                    if i in basic and j in basic:
+                        pair_col[i, j] = c
+
+        def phi(terms):
+            """phi of the sum of f (l r) over ((nf(l), nf(r)) numbers, f)."""
+            acc = {}
+            for (i, j), f in terms:
+                for bi, x in forms[i]:
+                    fx = x if f is _ONE else f * x
+                    for bj, y in forms[j]:
+                        v = fx if y is _ONE else fx * y
+                        k = pair_col[bi, bj]
+                        s = acc.get(k)
+                        acc[k] = v if s is None else s + v
+            return {k: v for k, v in acc.items() if v}
+
+        rows = {md: [] for md in mss}
+        for s in schemes:
+            if s.arity > d or (s.arity == 1 and d > 1):
+                # a law of arity 1 kills degree 1, and with it every product
+                continue
+            for degs in _compositions(s.arity, d):
+                for combo in itertools.product(*(fillers[k] for k in degs)):
+                    md = tuple(map(sum, zip(*(mdeg_of[m] for m in combo))))
+                    if md in rows:
+                        inst = s.substitute(combo, gens)
+                        if inst:
+                            rows[md].append(inst)
+
+        degree_basis = []
+        for md, ms in mss.items():
+            red = RowReducer()
+            for inst in rows[md]:
+                if d == 1:
+                    red.insert({ms.index(m): f for m, f in inst.items()})
+                else:
+                    red.insert(phi(
+                        ((form_of[m.left], form_of[m.right]), f)
+                        for m, f in inst.items()
+                    ))
+            # number pair -> reduce(phi(c)), valid until the next insert, with
+            # the rewrite row it gives a directly placed pivot
+            reduced = {}
+            for c, key in enumerate(splits.get(md, ())):
+                if key[0] in basic and key[1] in basic:
+                    continue
+                hit = reduced.get(key)
+                if hit is None:
+                    r = red.reduce(phi(((key, _ONE),)))
+                    hit = reduced[key] = (
+                        r,
+                        {k: -v for k, v in r.items()},
+                        tuple((ms[k], v) for k, v in sorted(r.items())),
+                    )
+                r, row, rw = hit
+                if not r or max(r) < c:
+                    # no pivot row holds c yet: this is what insert would
+                    # store, and no later insert touches it
+                    red.pivots[c] = {**row, c: _ONE}
+                    rewrite[ms[c]] = rw
+                else:
+                    red.insert({**row, c: _ONE})
+                    reduced.clear()
+            pivots = red.pivots
+            basis = tuple(ms[i] for i in range(len(ms)) if i not in pivots)
+            components[md] = (ms, basis)
+            degree_basis.extend(basis)
+            for c, prow in pivots.items():
+                if ms[c] not in rewrite:
+                    rewrite[ms[c]] = tuple(
+                        (ms[k], -v) for k, v in sorted(prow.items()) if k != c
+                    )
+            if d < bound:
+                for b in basis:
+                    form_of[b] = len(forms)
+                    basic.add(len(forms))
+                    forms.append(((len(forms), _ONE),))
+                    mdeg_of[b] = md
+                for c in pivots:
+                    form = tuple((form_of[b], f) for b, f in rewrite[ms[c]])
+                    number = numbered.get(form)
+                    if number is None:
+                        number = numbered[form] = len(forms)
+                        forms.append(form)
+                    form_of[ms[c]] = number
+        degree_basis.sort(key=lambda m: m.sort_key)
+        fillers[d] = tuple(degree_basis)
 
     out = TruncatedAlgebra(variety, gens, bound, components, rewrite)
     _BUILD_MEMO[memo_key] = out
     return out
-

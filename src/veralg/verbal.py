@@ -199,6 +199,11 @@ class Op2Report:
         }
 
 
+def default_op2_bound(variety: VarietyPresentation) -> int:
+    """The bound `check_op2` uses when given none: the laws' largest degree."""
+    return max([2, *(s.element.max_degree() for s in variety.schemes)])
+
+
 def check_op2(
     variety: VarietyPresentation,
     system: VerbalSystem,
@@ -225,8 +230,7 @@ def check_op2(
     if gens is None:
         gens = GeneratorSet.default(2)
     if bound is None:
-        degrees = [s.element.max_degree() for s in variety.schemes]
-        bound = max([2, *degrees])
+        bound = default_op2_bound(variety)
     alg = build_truncated(variety, gens, bound)
 
     form_ok = True

@@ -316,6 +316,39 @@ class TestInputErrors:
         assert code == 2
         assert "--gens must be at least 1" in self.single_error(err)
 
+    def test_generator_guard_refuses_before_building(self, capsys, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("the guard must refuse before any build")
+
+        monkeypatch.setattr(cli, "build_truncated", no_build)
+        monkeypatch.setattr(cli, "check_op2", no_build)
+        # 50 generators at bound 3 (op2's default for Lie) make 252,550
+        # monomials, against 129,958 for 2 generators at the default cap 8
+        for argv in (
+            ["basis", "--variety", "lie", "--gens", "50", "--max-deg", "3"],
+            ["op2", "--variety", "lie", "--gens", "50"],
+            ["inner", "--variety", "lie", "--gens", "50", "--max-deg", "3"],
+        ):
+            code, _, err = run(capsys, argv)
+            assert code == 2
+            assert "--gens 50 at degree bound 3" in self.single_error(err)
+
+    def test_generator_guard_on_jobs(self, capsys, tmp_path):
+        path = self.job_file(tmp_path, "aut_1_3_4", gens=4, bound=8)
+        code, _, err = run(capsys, ["falsify", "--spec", path])
+        assert code == 2
+        assert "gens 4 at degree bound 8" in self.single_error(err)
+
+    def test_generator_guard_follows_the_cap(self, capsys, monkeypatch):
+        # 3 generators at bound 6 (34,491 monomials) fit under 2 at cap 8
+        # (129,958); 3 at bound 7 (323,175) fit only under cap 9 (862,118)
+        monkeypatch.setenv("VF_MAX_DEG", "9")
+        assert cli._generators(3, "--gens", 7).size == 3
+        monkeypatch.setenv("VF_MAX_DEG", "8")
+        assert cli._generators(3, "--gens", 6).size == 3
+        with pytest.raises(cli.UsageError):
+            cli._generators(3, "--gens", 7)
+
     def test_unknown_job_kind(self, capsys, tmp_path):
         path = self.job_file(tmp_path, "aut_1_3_4", kind="nosuch")
         code, _, err = run(capsys, ["falsify", "--spec", path])

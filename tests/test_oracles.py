@@ -2,12 +2,15 @@
 
 Each ``_old_*`` function is a verbatim copy of an earlier implementation:
 the pivot-by-pivot residue loops (one per coefficient type), the sigma
-step that took two normal forms per product, and the admissibility check
-that searched every tuple of basis monomials for a failing law.  The
-current code must agree with them exactly.
+step that took two normal forms per product, the admissibility check
+that searched every tuple of basis monomials for a failing law, the
+row reduction that took the largest remaining column each step, and the
+build that row-reduced every free-magma monomial of each multidegree.
+The current code must agree with them exactly.
 """
 
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -15,10 +18,20 @@ import pytest
 
 from veralg.cases import OP2_GRID
 from veralg.closure import ideal_build
-from veralg.freealg import Element, Endomorphism, GeneratorSet, parse_element
+from veralg.freealg import (
+    Element,
+    Endomorphism,
+    GeneratorSet,
+    monomials_of_multidegree,
+    parse_element,
+)
 from veralg.scalars import FieldAutomorphism, FieldSpec, ParamContext, ParamPoly, Scalar
 from veralg.variety import (
+    IdentityScheme,
+    RowReducer,
+    VarietyPresentation,
     _compositions,
+    _multidegrees,
     build_truncated,
     builtin_variety,
     builtin_variety_names,
@@ -237,3 +250,171 @@ def test_identity_check_matches_tuple_search_seeded(variety, bound):
         _assert_identity_check_matches_old(
             builtin_variety(variety), system, GeneratorSet.default(3), bound
         )
+
+
+def _old_reduce(pivots, row):
+    r = dict(row)
+    out = {}
+    while r:
+        c = max(r)
+        p = pivots.get(c)
+        if p is None:
+            out[c] = r.pop(c)
+            continue
+        coef = r.pop(c)
+        for k, v in p.items():
+            if k == c:
+                continue
+            s = r.get(k, 0) - coef * v
+            if not s:
+                r.pop(k, None)
+            else:
+                r[k] = s
+    return out
+
+
+def test_reduce_matches_largest_column_loop():
+    rng = random.Random(5003)
+    for _ in range(40):
+        cols = rng.randrange(2, 12)
+        red = RowReducer()
+
+        def rand_row():
+            picked = rng.sample(range(cols), rng.randrange(1, cols + 1))
+            values = (Fraction(rng.randrange(-3, 4), rng.randrange(1, 3)) for _ in picked)
+            return {c: v for c, v in zip(picked, values) if v}
+
+        for _ in range(rng.randrange(1, cols)):
+            red.insert(rand_row())
+        for _ in range(5):
+            row = rand_row()
+            got = red.reduce(row)
+            # same entries in the same order
+            assert list(got.items()) == list(_old_reduce(red.pivots, row).items())
+
+
+def _old_build(variety, gens, bound, multilinear=False):
+    """The build before degree-by-degree products: (components, rewrite)."""
+    schemes = variety.multilinear()
+    rows = {}  # multidegree -> list of index rows
+    mono_lists = {}
+    index = {}
+    mdeg_of = {}  # built monomial -> its multidegree
+    pools = {}  # degree -> the built monomials, in canonical order
+    for d in range(1, bound + 1):
+        pool = []
+        for md in _multidegrees(gens.size, d):
+            if multilinear and max(md) > 1:
+                continue
+            ms = monomials_of_multidegree(gens, md)
+            mono_lists[md] = ms
+            index[md] = {m: i for i, m in enumerate(ms)}
+            rows[md] = []
+            mdeg_of.update(dict.fromkeys(ms, md))
+            pool.extend(ms)
+        pools[d] = sorted(pool, key=lambda m: m.sort_key)
+
+    for s in schemes:
+        if s.arity > bound:
+            continue
+        for total in range(s.arity, bound + 1):
+            for degs in _compositions(s.arity, total):
+                for combo in itertools.product(*(pools[d] for d in degs)):
+                    md = tuple(map(sum, zip(*(mdeg_of[m] for m in combo))))
+                    idx = index.get(md)
+                    if idx is None:
+                        continue
+                    inst = s.substitute(combo, gens)
+                    if inst:
+                        rows[md].append({idx[m]: f for m, f in inst.items()})
+
+    reducers = {}
+    for md in mono_lists:
+        d = sum(md)
+        red = RowReducer()
+        reducers[md] = red
+        for row in rows[md]:
+            red.insert(row)
+        if d == bound or not red.pivots:
+            continue
+        monos = mono_lists[md]
+        pivot_elements = [
+            tuple((monos[k], v) for k, v in prow.items())
+            for prow in red.pivots.values()
+        ]
+        for pel in pivot_elements:
+            for k in range(1, bound - d + 1):
+                for u in pools[k]:
+                    pmd = tuple(map(operator.add, md, mdeg_of[u]))
+                    idx = index.get(pmd)
+                    if idx is None:
+                        continue
+                    left = {}
+                    right = {}
+                    for m, v in pel:
+                        left[idx[gens.pair(u, m)]] = v
+                        right[idx[gens.pair(m, u)]] = v
+                    rows[pmd].extend((left, right))
+
+    components = {}
+    rewrite = {}
+    for md, monos in mono_lists.items():
+        red = reducers[md]
+        basis = tuple(
+            monos[i] for i in range(len(monos)) if i not in red.pivots
+        )
+        components[md] = (monos, basis)
+        for c, prow in red.pivots.items():
+            rewrite[monos[c]] = tuple(
+                (monos[k], -v) for k, v in sorted(prow.items()) if k != c
+            )
+    return components, rewrite
+
+
+def _assert_build_matches_old(variety, k, bound, multilinear=False):
+    gens = GeneratorSet.default(k)
+    alg = build_truncated(variety, gens, bound, multilinear=multilinear)
+    components, rewrite = _old_build(variety, gens, bound, multilinear)
+    assert alg.components == components
+    assert alg.rewrite == rewrite
+    return alg
+
+
+@pytest.mark.parametrize("name", builtin_variety_names())
+@pytest.mark.parametrize("k,bound", ((1, 6), (2, 5), (3, 4)))
+def test_build_matches_old(name, k, bound):
+    _assert_build_matches_old(builtin_variety(name), k, bound)
+
+
+@pytest.mark.parametrize("name", builtin_variety_names())
+@pytest.mark.parametrize("k", (2, 3, 4))
+def test_multilinear_build_matches_old(name, k):
+    _assert_build_matches_old(builtin_variety(name), k, k, multilinear=True)
+
+
+# laws under which a basis monomial can have a rewritten child, so that
+# c - phi(c) reduces to a row whose pivot is a later product column
+CUSTOM_LAWS = (
+    "((y1 y2) (y3 y4)) - (y1 (y2 (y3 y4)))",
+    "(y1 ((y2 y3) y4)) - ((y1 y2) (y3 y4))",
+    "(y1 (y2 y3)) - ((y1 y2) y3) + (y2 (y1 y3))",
+)
+
+
+def _custom_variety(law):
+    return VarietyPresentation(law, (IdentityScheme.from_string(law),))
+
+
+@pytest.mark.parametrize("law", CUSTOM_LAWS)
+@pytest.mark.parametrize("k,bound", ((1, 8), (2, 6)))
+def test_custom_law_build_matches_old(law, k, bound):
+    _assert_build_matches_old(_custom_variety(law), k, bound)
+
+
+def test_basis_monomial_with_rewritten_child():
+    alg = _assert_build_matches_old(_custom_variety(CUSTOM_LAWS[0]), 1, 8)
+    assert any(
+        m.left in alg.rewrite or m.right in alg.rewrite
+        for m in alg.all_basis()
+        if not m.is_leaf
+    )

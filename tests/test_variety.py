@@ -229,9 +229,9 @@ class TestDimensions:
         assert alg.dims() == {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6}
 
     def test_lie_witt_formula(self):
-        alg = build_truncated(builtin_variety("lie"), G2, 5)
-        assert alg.dims() == {d: _witt(2, d) for d in range(1, 6)}
-        assert alg.dims() == {1: 2, 2: 1, 3: 2, 4: 3, 5: 6}
+        alg = build_truncated(builtin_variety("lie"), G2, 7)
+        assert alg.dims() == {d: _witt(2, d) for d in range(1, 8)}
+        assert alg.dims() == {1: 2, 2: 1, 3: 2, 4: 3, 5: 6, 6: 9, 7: 18}
 
     def test_lie_multidegree_split(self):
         alg = build_truncated(builtin_variety("lie"), G2, 5)
@@ -249,6 +249,10 @@ class TestDimensions:
         # Artin: two-generated alternative algebras are associative
         alg = build_truncated(builtin_variety("alternative"), G2, 4)
         assert alg.dims() == {1: 2, 2: 4, 3: 8, 4: 16}
+
+    def test_alternative_two_generators_bound_six(self):
+        alg = build_truncated(builtin_variety("alternative"), G2, 6)
+        assert alg.dims() == {d: 2**d for d in range(1, 7)}
 
     def test_jordan_two_generators(self):
         alg = build_truncated(builtin_variety("jordan"), G2, 4)
