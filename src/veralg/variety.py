@@ -646,8 +646,8 @@ def build_truncated(
                         ((form_of[m.left], form_of[m.right]), f)
                         for m, f in inst.items()
                     ))
-            # number pair -> reduce(phi(c)), valid until the next insert, with
-            # the rewrite row it gives a directly placed pivot
+            # number pair -> -reduce(phi(c)), valid until the next insert,
+            # with the rewrite row it gives a directly placed pivot
             reduced = {}
             for c, key in enumerate(splits.get(md, ())):
                 if key[0] in basic and key[1] in basic:
@@ -656,12 +656,11 @@ def build_truncated(
                 if hit is None:
                     r = red.reduce(phi(((key, _ONE),)))
                     hit = reduced[key] = (
-                        r,
                         {k: -v for k, v in r.items()},
                         tuple((ms[k], v) for k, v in sorted(r.items())),
                     )
-                r, row, rw = hit
-                if not r or max(r) < c:
+                row, rw = hit
+                if not row or max(row) < c:
                     # no pivot row holds c yet: this is what insert would
                     # store, and no later insert touches it
                     red.pivots[c] = {**row, c: _ONE}

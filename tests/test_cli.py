@@ -339,7 +339,7 @@ class TestInputErrors:
         assert code == 2
         assert "gens 4 at degree bound 8" in self.single_error(err)
 
-    def test_generator_guard_follows_the_cap(self, capsys, monkeypatch):
+    def test_generator_guard_follows_the_cap(self, monkeypatch):
         # 3 generators at bound 6 (34,491 monomials) fit under 2 at cap 8
         # (129,958); 3 at bound 7 (323,175) fit only under cap 9 (862,118)
         monkeypatch.setenv("VF_MAX_DEG", "9")
