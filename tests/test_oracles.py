@@ -418,3 +418,11 @@ def test_basis_monomial_with_rewritten_child():
         for m in alg.all_basis()
         if not m.is_leaf
     )
+
+
+@pytest.mark.parametrize("multilinear", (False, True))
+def test_arity_one_law_build_matches_old(multilinear):
+    # the law polarises into (y1 y2) and y1; the part of arity 1 kills
+    # degree 1, and with it every product
+    alg = _assert_build_matches_old(_custom_variety("(y1 y2) - y1"), 2, 4, multilinear)
+    assert not alg.all_basis()
