@@ -330,18 +330,21 @@ class RowReducer:
         self.pivots = {}  # pivot column -> row dict, row[pivot] == 1
 
     def reduce(self, row: dict) -> dict:
-        """The row modulo the span, largest column first: every pivot
-        column eliminated.
+        """The row modulo the span: every pivot column eliminated.
 
         Row values may be any exact type the pivot values multiply into:
         Fractions, Scalars, or ParamPolys with unknowns in them.
         """
         r = dict(row)
-        # no pivot row holds another pivot column, so eliminating one pivot
-        # leaves the row's other pivot entries as they are
-        for c in sorted((c for c in r if c in self.pivots), reverse=True):
+        out = {}
+        while r:
+            c = max(r)
+            p = self.pivots.get(c)
+            if p is None:
+                out[c] = r.pop(c)
+                continue
             coef = r.pop(c)
-            for k, v in self.pivots[c].items():
+            for k, v in p.items():
                 if k == c:
                     continue
                 s = r.get(k, 0) - coef * v
@@ -349,7 +352,7 @@ class RowReducer:
                     r.pop(k, None)
                 else:
                     r[k] = s
-        return {k: r[k] for k in sorted(r, reverse=True)}
+        return out
 
     def insert(self, row: dict) -> bool:
         """Reduce and add the row; False when it was already in the span."""

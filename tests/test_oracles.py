@@ -3,8 +3,7 @@
 Each ``_old_*`` function is a verbatim copy of an earlier implementation:
 the pivot-by-pivot residue loops (one per coefficient type), the sigma
 step that took two normal forms per product, the admissibility check
-that searched every tuple of basis monomials for a failing law, the
-row reduction that took the largest remaining column each step, and the
+that searched every tuple of basis monomials for a failing law, and the
 build that row-reduced every free-magma monomial of each multidegree.
 The current code must agree with them exactly.
 """
@@ -250,47 +249,6 @@ def test_identity_check_matches_tuple_search_seeded(variety, bound):
         _assert_identity_check_matches_old(
             builtin_variety(variety), system, GeneratorSet.default(3), bound
         )
-
-
-def _old_reduce(pivots, row):
-    r = dict(row)
-    out = {}
-    while r:
-        c = max(r)
-        p = pivots.get(c)
-        if p is None:
-            out[c] = r.pop(c)
-            continue
-        coef = r.pop(c)
-        for k, v in p.items():
-            if k == c:
-                continue
-            s = r.get(k, 0) - coef * v
-            if not s:
-                r.pop(k, None)
-            else:
-                r[k] = s
-    return out
-
-
-def test_reduce_matches_largest_column_loop():
-    rng = random.Random(5003)
-    for _ in range(40):
-        cols = rng.randrange(2, 12)
-        red = RowReducer()
-
-        def rand_row():
-            picked = rng.sample(range(cols), rng.randrange(1, cols + 1))
-            values = (Fraction(rng.randrange(-3, 4), rng.randrange(1, 3)) for _ in picked)
-            return {c: v for c, v in zip(picked, values) if v}
-
-        for _ in range(rng.randrange(1, cols)):
-            red.insert(rand_row())
-        for _ in range(5):
-            row = rand_row()
-            got = red.reduce(row)
-            # same entries in the same order
-            assert list(got.items()) == list(_old_reduce(red.pivots, row).items())
 
 
 def _old_build(variety, gens, bound, multilinear=False):
