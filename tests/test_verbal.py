@@ -1,13 +1,22 @@
 """Tests for operation changes: admissibility, scaling, inner witnesses."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from veralg.cases import OP2_GRID
 from veralg.freealg import Element, GeneratorSet, enumerate_monomials, parse_monomial
 from veralg.scalars import FieldSpec, Scalar, parse_scalar
-from veralg.variety import build_truncated, builtin_variety, builtin_variety_names
+from veralg.variety import (
+    IdentityScheme,
+    VarietyPresentation,
+    build_truncated,
+    builtin_variety,
+    builtin_variety_names,
+)
 from veralg.verbal import (
     PreconditionError,
     VerbalSystem,
@@ -202,6 +211,73 @@ class TestCheckOp2:
         report = check_op2(builtin_variety("lie"), _sys(Q, "id", "1", "1"))
         blob = json.dumps(report.as_dict())
         assert '"admissible": false' in blob
+
+
+# sha256 of the JSON of check_op2(...).as_dict() over OP2_GRID (phi = id,
+# field Q(t1, t2), the default bound), for 1, 2 and 3 generators: a change
+# to any verdict, bound or witness shows here
+OP2_DIGESTS = {
+    "AllLinear": (
+        "e5bb4cc266d220f4697928ca0b752722ac35513ac20f25267e3a12e080b4ea81",
+        "4df5d0f1f2fc3e3f1bafebe8f43f8d27124ad15484c4bd7f20c6115e01a922f4",
+        "5a57a896fdea8db46047b5f76b02f54031a276a8bb086af89018b321ee0f7b78",
+    ),
+    "Commutative": (
+        "ff42c279a68d477fea7215caeb300d0a81fe2b64408686d1a1ef97581dae2991",
+        "3977678856870d23606e4db4ffc8d2589ec0f903d0454e52c28aad3adf762e7b",
+        "5304371854c4ff894864521eb748ce5c41418f6a895ab2910ba48b782f7292b2",
+    ),
+    "Anticommutative": (
+        "59daf8b5f80fbd6aa692a295a68b1e4a3269e51d527a104b027f9d4894433550",
+        "e99970708eb1e4254e33a003bb06d446f6600f75b934e26e2367170c4237fc10",
+        "a71e48c7b043c853ba00518c49fe620b4b7d283953b8d5ba559f935d06faa434",
+    ),
+    "Lie": (
+        "960e2b7650442768b8b3ddd210e090ee9f043e2888967f613aea157c5211ed99",
+        "e0d3bcd76a70d104413f34e1314152bd702221f4f487cf79e4edcabc07a0d077",
+        "cf814b08c485f48b9abc4b90d9ed1048540d1083ef6f8cc8cb6f7b5c82c0cb3f",
+    ),
+    "Jordan": (
+        "a203cc588ffcbafb0bf714c3b9f795d9e129094ddf526cdd7e82b27ecb3d09e4",
+        "8fcab59c4a62e364d2e90107a90643c8e4e45a6bfff627360bcfccb861cee1e4",
+        "210aae94f76f2cf09c3b20a4886e1a0260a94fc9ff436ad0ba640266fc990fb6",
+    ),
+    "Alternative": (
+        "9f76c3796c4b6694685f7efabd4701997247aaa9e998c670474f2584e52f195c",
+        "cf36c28af80854dbdbdc0ad712e0c89d5a5df3c02bc2c22dbc128e457dbed2bc",
+        "8dce4c206800ac560dba63d527021a16257e0c7cf5f11731ea49e87fd48430d4",
+    ),
+    "PowerAssociative": (
+        "75943b36a47cea857f2e980cc329d6072bb42c8907dad1926623d862da30c83e",
+        "2f3106d8dbcf9b315f2b321b9aa1175e80fa880992ed618b40813c629a9517be",
+        "6c7a6c084ca2ac729e896d0a9d6ec8d2a767b20026c62944d296a03425be8cc4",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", builtin_variety_names())
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_op2_grid_pinned(name, k):
+    reports = [
+        check_op2(
+            builtin_variety(name),
+            _sys(F2, "id", str(a), str(b)),
+            GeneratorSet.default(k),
+        ).as_dict()
+        for a, b in OP2_GRID
+    ]
+    blob = json.dumps(reports, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == OP2_DIGESTS[name][k - 1]
+
+
+@pytest.mark.parametrize("phi,a,b", (("id", "1", "-1"), ("swap", "t1", "-t1")))
+def test_witness_past_degree_one(phi, a, b):
+    # in the new product the law at (x1, x1, x1) is b (a + b) ((x1 x1) x1),
+    # which vanishes when a + b = 0: the first failing tuple has degree 4
+    law = "(y1 (y2 y3))"
+    variety = VarietyPresentation(law, (IdentityScheme.from_string(law),))
+    report = check_op2(variety, _sys(F2, phi, a, b), G1, 5)
+    assert report.identity_failures == ((law, ("x1", "x1", "(x1 x1)")),)
 
 
 class TestScalingCheck:
