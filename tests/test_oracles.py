@@ -3,9 +3,10 @@
 Each ``_old_*`` function is a verbatim copy of an earlier implementation:
 the pivot-by-pivot residue loops (one per coefficient type), the sigma
 step that took two normal forms per product, the admissibility check
-that searched every tuple of basis monomials for a failing law, and the
-build that row-reduced every free-magma monomial of each multidegree.
-The current code must agree with them exactly.
+that searched every tuple of basis monomials for a failing law, the
+build that row-reduced every free-magma monomial of each multidegree, and
+the polynomial gcd whose primitive parts kept a constant factor.  The
+current code must agree with them exactly.
 """
 
 import itertools
@@ -24,7 +25,21 @@ from veralg.freealg import (
     monomials_of_multidegree,
     parse_element,
 )
-from veralg.scalars import FieldAutomorphism, FieldSpec, ParamContext, ParamPoly, Scalar
+from veralg.scalars import (
+    FieldAutomorphism,
+    FieldSpec,
+    ParamContext,
+    ParamPoly,
+    Scalar,
+    _join_last,
+    _p_divexact,
+    _p_gcd,
+    _p_is_const,
+    _p_monic,
+    _p_mul,
+    _split_last,
+    _uni_prem,
+)
 from veralg.variety import (
     IdentityScheme,
     RowReducer,
@@ -384,3 +399,58 @@ def test_arity_one_law_build_matches_old(multilinear):
     # degree 1, and with it every product
     alg = _assert_build_matches_old(_custom_variety("(y1 y2) - y1"), 2, 4, multilinear)
     assert not alg.all_basis()
+
+
+def _old_content(coeffs):
+    g = {}
+    for q in coeffs:
+        g = _old_p_gcd(g, q)
+    return g
+
+
+def _old_uni_pp(coeffs):
+    c = _old_content(coeffs.values())
+    if _p_is_const(c):
+        return coeffs
+    return {d: _p_divexact(q, c) for d, q in coeffs.items()}
+
+
+def _old_p_gcd(p, q):
+    if not p:
+        return _p_monic(q)
+    if not q:
+        return _p_monic(p)
+    if _p_is_const(p) or _p_is_const(q):
+        m = len(next(iter(p)))
+        return {(0,) * m: Fraction(1)}
+    fs, gs = _split_last(p), _split_last(q)
+    c = _old_p_gcd(_old_content(fs.values()), _old_content(gs.values()))
+    f, g = _old_uni_pp(fs), _old_uni_pp(gs)
+    if max(f) < max(g):
+        f, g = g, f
+    while g:
+        r = _uni_prem(f, g)
+        if r:
+            r = _old_uni_pp(r)
+        f, g = g, r
+    f = _old_uni_pp(f)
+    return _p_monic(_join_last({d: _p_mul(q_, c) for d, q_ in f.items()}))
+
+
+def _rand_poly(rng, nvars):
+    out = {}
+    for _ in range(rng.randrange(1, 4)):
+        e = tuple(rng.randrange(3) for _ in range(nvars))
+        c = Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+@pytest.mark.parametrize("nvars", (1, 2, 3))
+def test_gcd_matches_old(nvars):
+    # small inputs with a common factor, on which the old gcd finishes
+    rng = random.Random(f"gcd/{nvars}")
+    for _ in range(30):
+        p, q, r = (_rand_poly(rng, nvars) for _ in range(3))
+        for a, b in ((p, q), (_p_mul(p, r), _p_mul(q, r))):
+            assert _p_gcd(a, b) == _old_p_gcd(a, b)

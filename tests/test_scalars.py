@@ -11,6 +11,7 @@ from veralg.scalars import (
     ParamPoly,
     Scalar,
     ZeroInversion,
+    _p_gcd,
     factor_for_branching,
     parampoly_reduce,
     parse_parampoly,
@@ -90,6 +91,28 @@ class TestScalar:
             lhs = Scalar(F, _mulp(a, c), _mulp(b, c))
             rhs = Scalar(F, a, b)
             assert lhs == rhs
+
+    def test_runaway_gcd(self):
+        # a gcd met while solving perfbench's RUNAWAY_JOB: 27 terms of
+        # degree 9 against 18 of degree 7; it did not finish while the
+        # primitive parts kept a constant factor from step to step
+        p = s(
+            "4*t1^7*t2^2 + 4*t1^6*t2^3 - 8*t1^7*t2 - 12*t1^6*t2^2"
+            " - 16*t1^5*t2^3 - 8*t1^4*t2^4 + 4*t1^7 + 12*t1^6*t2"
+            " + 32*t1^5*t2^2 + 28*t1^4*t2^3 + 20*t1^3*t2^4 + 4*t1^2*t2^5"
+            " - 4*t1^6 - 16*t1^5*t2 - 32*t1^4*t2^2 - 40*t1^3*t2^3"
+            " - 20*t1^2*t2^4 - 8*t1*t2^5 + 12*t1^4*t2 + 20*t1^3*t2^2"
+            " + 28*t1^2*t2^3 + 16*t1*t2^4 + 4*t2^5 - 12*t1^2*t2^2"
+            " - 8*t1*t2^3 - 8*t2^4 + 4*t2^3"
+        ).num
+        q = s(
+            "t1^3*t2^4 + t1^2*t2^5 - 2*t1^4*t2^2 - 2*t1^3*t2^3 - 2*t1^2*t2^4"
+            " - 2*t1*t2^5 + t1^5 + t1^4*t2 + 4*t1^3*t2^2 + 4*t1^2*t2^3"
+            " + t1*t2^4 + t2^5 - 2*t1^4 - 2*t1^3*t2 - 2*t1^2*t2^2"
+            " - 2*t1*t2^3 + t1^3 + t1^2*t2"
+        ).num
+        assert (len(p), len(q)) == (27, 18)
+        assert _p_gcd(p, q) == s("t1 - 1").num
 
     def test_encode_round_trip(self):
         rng = random.Random(7)
