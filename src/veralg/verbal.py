@@ -100,7 +100,7 @@ def word_transform(alg, system: VerbalSystem, m: Monomial) -> Element:
     if m.degree > alg.bound:
         out = Element.zero(alg.gens, system.field)
     elif m.is_leaf:
-        out = Element.from_monomial(alg.gens, system.field, m)
+        out = alg.normal_form(Element.from_monomial(alg.gens, system.field, m))
     else:
         left = word_transform(alg, system, m.left)
         right = word_transform(alg, system, m.right)
@@ -138,14 +138,17 @@ def _scheme_value(alg, system, scheme, images: Sequence[Element]) -> Element:
 
 
 def _law_value(variety, system, scheme) -> Element:
-    """The law at the free generators of F_V(arity), in the new product."""
+    """The law at the free generators of F_V(arity), in the new product.
+
+    The result is in normal form.
+    """
     k = scheme.arity
     free = build_truncated(variety, GeneratorSet.default(k), k, multilinear=True)
     ys = [
         Element.from_monomial(free.gens, system.field, free.gens.generator(i))
         for i in range(k)
     ]
-    return _scheme_value(free, system, scheme, ys)
+    return free.normal_form(_scheme_value(free, system, scheme, ys))
 
 
 def _failing_tuple(alg, system, scheme) -> Optional[tuple]:

@@ -94,6 +94,12 @@ class TestWordTransform:
         m = parse_monomial("(x1 (x1 x2))", G2)
         assert word_transform(alg, w, m) is word_transform(alg, w, m)
 
+    def test_generator_in_normal_form(self):
+        trivial = VarietyPresentation("Trivial", [IdentityScheme.from_string("y1")])
+        alg = build_truncated(trivial, G2, 3)
+        w = _sys(Q, "id", "2", "0")
+        assert word_transform(alg, w, parse_monomial("x1", G2)).is_zero
+
     def test_above_bound_vanishes(self):
         alg = build_truncated(builtin_variety("commutative"), G2, 3)
         w = _sys(Q, "id", "1", "1")
@@ -204,6 +210,14 @@ class TestCheckOp2:
             assert report.invertible
             for _, witness in report.identity_failures:
                 assert witness == ("y1", "y2", "y3")
+
+    def test_arity_one_law(self):
+        # the law y1 makes every algebra of the variety zero, so every
+        # product, the changed one too, satisfies it
+        trivial = VarietyPresentation("Trivial", [IdentityScheme.from_string("y1")])
+        report = check_op2(trivial, _sys(Q, "id", "2", "0"))
+        assert report.identity_ok and report.admissible
+        assert report.identity_failures == ()
 
     def test_as_dict_round_trip(self):
         import json
