@@ -208,8 +208,8 @@ class VarietyPresentation:
     def __init__(self, name: str, schemes: Sequence[IdentityScheme], power_family: bool = False):
         self.name = name
         self.schemes = tuple(schemes)
-        # one-generated subalgebras are associative and commutative, so
-        # every bracketing of a power collapses to the straight power
+        # one-generated subalgebras are commutative, so on them the changed
+        # product a(uv) + b(vu) is (a + b)(uv)
         self.power_family = power_family
         self._key = tuple(s.key() for s in self.schemes)
 

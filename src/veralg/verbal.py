@@ -285,7 +285,7 @@ def scaling_check(alg, system: VerbalSystem, m: Monomial) -> Scalar:
 
     Available when b = 0 (factor a, any monomial), or when the monomial uses
     a single generator and one-generated subalgebras of the variety are
-    commutative and associative (factor a + b).
+    commutative (factor a + b).
     """
     if m.degree > alg.bound:
         raise PreconditionError("monomial degree exceeds the truncation bound")
@@ -296,8 +296,7 @@ def scaling_check(alg, system: VerbalSystem, m: Monomial) -> Scalar:
     else:
         raise PreconditionError(
             "no scaling rule: need b = 0, or a one-generated monomial in a "
-            "variety whose one-generated subalgebras are associative and "
-            "commutative"
+            "variety whose one-generated subalgebras are commutative"
         )
     nf = alg.normal_form(Element.from_monomial(alg.gens, system.field, m))
     expected = nf.scale(factor ** (m.degree - 1))

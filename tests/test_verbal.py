@@ -308,6 +308,16 @@ class TestScalingCheck:
         m = parse_monomial("((x1 x1) (x1 x1))", G1)
         assert scaling_check(alg, w, m).encode() == "a + b"
 
+    def test_commutative_one_generator_not_associative(self):
+        # F_Comm(1) has two independent monomials in degree 4, so its
+        # one-generated subalgebra is not associative; the rule needs only
+        # commutativity
+        alg = build_truncated(builtin_variety("commutative"), G1, 4)
+        assert alg.dims()[4] == 2
+        w = VerbalSystem.parse(AB, "id", "a", "b")
+        m = parse_monomial("((x1 x1) (x1 x1))", G1)
+        assert scaling_check(alg, w, m).encode() == "a + b"
+
     def test_commutative_concrete(self):
         alg = build_truncated(builtin_variety("commutative"), G2, 4)
         w = _sys(Q, "id", "2", "1")
