@@ -94,15 +94,7 @@ class IdentityScheme:
         """The instance at a tuple of monomials, as {monomial: coefficient}."""
         if len(images) != self.arity:
             raise ValueError("one image per slot variable is required")
-        out = {}
-        for m, c in self._terms:
-            g = _graft(m, images, gens)
-            f = out.get(g, 0) + c
-            if f:
-                out[g] = f
-            else:
-                out.pop(g, None)
-        return out
+        return _substitute(self._terms, images, gens)
 
     def key(self):
         return self._key
@@ -130,6 +122,23 @@ def _graft(m: Monomial, images: Sequence[Monomial], gens: GeneratorSet) -> Monom
     if m.is_leaf:
         return images[m.index]
     return gens.pair(_graft(m.left, images, gens), _graft(m.right, images, gens))
+
+
+def _substitute(terms, images: Sequence[Monomial], gens: GeneratorSet) -> dict:
+    """The sum of c * m(images) over the pairs (m, c), as {monomial: c}.
+
+    The coefficients may be Fractions or Scalars.
+    """
+    out = {}
+    for m, c in terms:
+        g = _graft(m, images, gens)
+        s = out.get(g)
+        f = c if s is None else s + c
+        if f:
+            out[g] = f
+        else:
+            out.pop(g, None)
+    return out
 
 
 def _relabel(m: Monomial, labels: Sequence[int], gens: GeneratorSet) -> Monomial:
@@ -503,28 +512,30 @@ class TruncatedAlgebra:
     def multiply(self, u: Element, v: Element) -> Element:
         return self.normal_form((u * v).truncate(self.bound))
 
+    def failing_tuple(self, law: Element) -> Optional[tuple]:
+        """The first tuple of basis monomials at which a multilinear law fails.
+
+        The law is an element on slot generators, one per argument, with
+        coefficients in any field.  Tuples are tried by total degree, then
+        by the degrees of their entries, then in basis order; each is
+        substituted into the law and reduced to normal form.  None when the
+        law vanishes on every tuple up to the bound.
+        """
+        arity = law.gens.size
+        terms = law.terms.items()
+        pools = {d: self.basis_of_degree(d) for d in range(1, self.bound + 1)}
+        for total in range(arity, self.bound + 1):
+            for degs in _compositions(arity, total):
+                for combo in itertools.product(*(pools[d] for d in degs)):
+                    inst = _substitute(terms, combo, self.gens)
+                    value = self.normal_form(Element(self.gens, law.domain, inst))
+                    if not value.is_zero:
+                        return combo
+        return None
+
     def check_identity(self, scheme: IdentityScheme) -> bool:
         """Does the scheme vanish on this algebra (up to the truncation)?"""
-        basis = self.all_basis()
-        for s in polarize(scheme):
-            slots = [
-                [m for m in basis if m.degree <= self.bound - s.arity + 1]
-            ] * s.arity
-            for combo in itertools.product(*slots):
-                if sum(m.degree for m in combo) > self.bound:
-                    continue
-                inst = s.substitute(combo, self.gens)
-                el = Element(
-                    self.gens,
-                    RATIONALS,
-                    {
-                        m: Scalar.from_fraction(RATIONALS, f)
-                        for m, f in inst.items()
-                    },
-                )
-                if not self.normal_form(el).is_zero:
-                    return False
-        return True
+        return all(self.failing_tuple(s.element) is None for s in polarize(scheme))
 
     def __repr__(self):
         return (

@@ -15,7 +15,6 @@ and is sigma a dilation in disguise (:func:`inner_witness`).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -27,7 +26,7 @@ from .scalars import (
     Scalar,
     parse_scalar,
 )
-from .variety import RowReducer, VarietyPresentation, _compositions, build_truncated
+from .variety import RowReducer, VarietyPresentation, build_truncated
 
 __all__ = [
     "InnerReport",
@@ -128,15 +127,6 @@ def _derived_eval(alg, system, m: Monomial, images: Sequence[Element]) -> Elemen
     return alg.normal_form(system.product(left, right).truncate(alg.bound))
 
 
-def _scheme_value(alg, system, scheme, images: Sequence[Element]) -> Element:
-    """A multilinear law at the given images, in the new product."""
-    value = Element.zero(alg.gens, system.field)
-    for m, c in scheme.element.terms.items():
-        part = _derived_eval(alg, system, m, images)
-        value = value + part.scale(c.as_fraction())
-    return value
-
-
 def _law_value(variety, system, scheme) -> Element:
     """The law at the free generators of F_V(arity), in the new product.
 
@@ -148,23 +138,10 @@ def _law_value(variety, system, scheme) -> Element:
         Element.from_monomial(free.gens, system.field, free.gens.generator(i))
         for i in range(k)
     ]
-    return free.normal_form(_scheme_value(free, system, scheme, ys))
-
-
-def _failing_tuple(alg, system, scheme) -> Optional[tuple]:
-    """The first tuple of basis monomials of alg on which the law fails."""
-    for total in range(scheme.arity, alg.bound + 1):
-        for degs in _compositions(scheme.arity, total):
-            pools = [alg.basis_of_degree(d) for d in degs]
-            if not all(pools):
-                continue
-            for combo in itertools.product(*pools):
-                images = [
-                    Element.from_monomial(alg.gens, system.field, m) for m in combo
-                ]
-                if not _scheme_value(alg, system, scheme, images).is_zero:
-                    return tuple(m.encode() for m in combo)
-    return None
+    value = Element.zero(free.gens, system.field)
+    for m, c in scheme.element.terms.items():
+        value = value + _derived_eval(free, system, m, ys).scale(c.as_fraction())
+    return free.normal_form(value)
 
 
 @dataclass(frozen=True)
@@ -227,8 +204,12 @@ def check_op2(
     of arity k (at most `bound`) holds for it in every algebra of the
     variety exactly when it vanishes at y1..yk in the multilinear part of
     F_V(k).  For a law that fails, the witness in `identity_failures` is for
-    display only: the first tuple of basis monomials of the truncation on
-    which the law fails, or the slot names y1..yk when there is none.
+    display only: the first tuple of basis monomials of the truncation that,
+    substituted into the law's value at the free generators, gives a nonzero
+    normal form, or the slot names y1..yk when there is none.  Evaluating in
+    the new product commutes with substitution, and the laws' consequences
+    are closed under it, so this is the first tuple at which the law fails
+    in the new product.
     """
     if gens is None:
         gens = GeneratorSet.default(2)
@@ -246,10 +227,13 @@ def check_op2(
     for scheme in variety.multilinear():
         if scheme.arity > bound:
             continue
-        if not _law_value(variety, system, scheme).is_zero:
-            witness = _failing_tuple(alg, system, scheme)
-            if witness is None:
+        value = _law_value(variety, system, scheme)
+        if not value.is_zero:
+            combo = alg.failing_tuple(value)
+            if combo is None:
                 witness = scheme.ygens.names
+            else:
+                witness = tuple(m.encode() for m in combo)
             failures.append((scheme.encode(), witness))
 
     singular = []

@@ -5,7 +5,8 @@ the pivot-by-pivot residue loops (one per coefficient type), the sigma
 step that took two normal forms per product, the admissibility check
 that searched every tuple of basis monomials for a failing law, the
 build that row-reduced every free-magma monomial of each multidegree, and
-the polynomial gcd whose primitive parts kept a constant factor.  The
+the polynomial gcd whose primitive parts kept a constant factor, and the
+identity check that ran its own loop over tuples of basis monomials.  The
 current code must agree with them exactly.
 """
 
@@ -41,6 +42,7 @@ from veralg.scalars import (
     _uni_prem,
 )
 from veralg.variety import (
+    RATIONALS,
     IdentityScheme,
     RowReducer,
     VarietyPresentation,
@@ -49,6 +51,7 @@ from veralg.variety import (
     build_truncated,
     builtin_variety,
     builtin_variety_names,
+    polarize,
 )
 from veralg.verbal import VerbalSystem, _derived_eval, check_op2, word_transform
 
@@ -454,3 +457,39 @@ def test_gcd_matches_old(nvars):
         p, q, r = (_rand_poly(rng, nvars) for _ in range(3))
         for a, b in ((p, q), (_p_mul(p, r), _p_mul(q, r))):
             assert _p_gcd(a, b) == _old_p_gcd(a, b)
+
+
+def _old_check_identity(alg, scheme):
+    basis = alg.all_basis()
+    for s in polarize(scheme):
+        slots = [
+            [m for m in basis if m.degree <= alg.bound - s.arity + 1]
+        ] * s.arity
+        for combo in itertools.product(*slots):
+            if sum(m.degree for m in combo) > alg.bound:
+                continue
+            inst = s.substitute(combo, alg.gens)
+            el = Element(
+                alg.gens,
+                RATIONALS,
+                {
+                    m: Scalar.from_fraction(RATIONALS, f)
+                    for m, f in inst.items()
+                },
+            )
+            if not alg.normal_form(el).is_zero:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("name", builtin_variety_names())
+def test_check_identity_matches_old(name):
+    alg = build_truncated(builtin_variety(name), G, 4)
+    schemes = {s for v in builtin_variety_names() for s in builtin_variety(v).schemes}
+    schemes.update(IdentityScheme.from_string(law) for law in CUSTOM_LAWS)
+    verdicts = {}
+    for scheme in sorted(schemes, key=IdentityScheme.encode):
+        verdicts[scheme] = alg.check_identity(scheme)
+        assert verdicts[scheme] == _old_check_identity(alg, scheme), scheme
+    assert all(verdicts[s] for s in alg.variety.schemes)
+    assert not all(verdicts.values())

@@ -339,6 +339,30 @@ class TestNormalForm:
             IdentityScheme.from_string("(((y1 y1) y2) y1) - ((y1 y1) (y2 y1))")
         )
 
+    def test_failing_tuple(self):
+        lie = build_truncated(builtin_variety("lie"), G2, 4)
+        (law,) = polarize(IdentityScheme.from_string("(y1 y2) - (y2 y1)"))
+        # (x1 x1) vanishes in Lie, so the first failing tuple is (x1, x2)
+        assert lie.failing_tuple(law.element) == (
+            parse_monomial("x1", G2),
+            parse_monomial("x2", G2),
+        )
+        (jacobi,) = polarize(builtin_variety("lie").schemes[1])
+        assert lie.failing_tuple(jacobi.element) is None
+
+    def test_failing_tuple_other_field(self):
+        # a law with coefficients in Q(t1, t2) fails unless t1 = t2
+        field = FieldSpec(("t1", "t2"))
+        jordan = build_truncated(builtin_variety("jordan"), G2, 4)
+        ys = GeneratorSet(("y1", "y2"))
+        law = parse_element("t1 * (y1 y2) - t2 * (y2 y1)", ys, field)
+        assert jordan.failing_tuple(law) == (
+            parse_monomial("x1", G2),
+            parse_monomial("x1", G2),
+        )
+        same = parse_element("t1 * (y1 y2) - t1 * (y2 y1)", ys, field)
+        assert jordan.failing_tuple(same) is None
+
     def test_normal_form_other_field(self):
         # rewrite rules are rational, so they apply over any scalar field
         field = FieldSpec(("t1", "t2"))
