@@ -150,16 +150,13 @@ def _content(coeffs):
 
 
 def _uni_pp(coeffs):
-    """The primitive part, scaled so that its leading coefficient is 1.
-
-    Without the scaling, a constant factor left by each pseudo-remainder
-    carries into the next one and the rationals grow without bound.
-    """
+    """The primitive part, scaled so that its leading coefficient is 1."""
     c = _content(coeffs.values())
     if not _p_is_const(c):
         coeffs = {d: _p_divexact(q, c) for d, q in coeffs.items()}
+    # unscaled, the constant left by each pseudo-remainder compounds
     _, lc = _p_lead(coeffs[max(coeffs)])
-    return {d: _p_scale(q, 1 / lc) for d, q in coeffs.items()}
+    return coeffs if lc == 1 else {d: _p_scale(q, 1 / lc) for d, q in coeffs.items()}
 
 
 def _uni_prem(f, g):

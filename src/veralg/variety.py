@@ -125,10 +125,7 @@ def _graft(m: Monomial, images: Sequence[Monomial], gens: GeneratorSet) -> Monom
 
 
 def _substitute(terms, images: Sequence[Monomial], gens: GeneratorSet) -> dict:
-    """The sum of c * m(images) over the pairs (m, c), as {monomial: c}.
-
-    The coefficients may be Fractions or Scalars.
-    """
+    """The sum of c * m(images) over pairs (m, c), c a Fraction or Scalar."""
     out = {}
     for m, c in terms:
         g = _graft(m, images, gens)
@@ -522,12 +519,11 @@ class TruncatedAlgebra:
         law vanishes on every tuple up to the bound.
         """
         arity = law.gens.size
-        terms = law.terms.items()
         pools = {d: self.basis_of_degree(d) for d in range(1, self.bound + 1)}
         for total in range(arity, self.bound + 1):
             for degs in _compositions(arity, total):
                 for combo in itertools.product(*(pools[d] for d in degs)):
-                    inst = _substitute(terms, combo, self.gens)
+                    inst = _substitute(law.terms.items(), combo, self.gens)
                     value = self.normal_form(Element(self.gens, law.domain, inst))
                     if not value.is_zero:
                         return combo

@@ -128,10 +128,7 @@ def _derived_eval(alg, system, m: Monomial, images: Sequence[Element]) -> Elemen
 
 
 def _law_value(variety, system, scheme) -> Element:
-    """The law at the free generators of F_V(arity), in the new product.
-
-    The result is in normal form.
-    """
+    """The law at the free generators of F_V(arity) in the new product, reduced."""
     k = scheme.arity
     free = build_truncated(variety, GeneratorSet.default(k), k, multilinear=True)
     ys = [
@@ -204,12 +201,10 @@ def check_op2(
     of arity k (at most `bound`) holds for it in every algebra of the
     variety exactly when it vanishes at y1..yk in the multilinear part of
     F_V(k).  For a law that fails, the witness in `identity_failures` is for
-    display only: the first tuple of basis monomials of the truncation that,
-    substituted into the law's value at the free generators, gives a nonzero
-    normal form, or the slot names y1..yk when there is none.  Evaluating in
-    the new product commutes with substitution, and the laws' consequences
-    are closed under it, so this is the first tuple at which the law fails
-    in the new product.
+    display only: the first tuple of basis monomials of the truncation whose
+    substitution into that value has a nonzero normal form (the new product
+    commutes with substitution, so the law fails there), or the slot names
+    y1..yk when there is none.
     """
     if gens is None:
         gens = GeneratorSet.default(2)
