@@ -32,6 +32,8 @@ F2 = FieldSpec(("t1", "t2"))
 AB = FieldSpec(("a", "b"))
 G1 = GeneratorSet.default(1)
 G2 = GeneratorSet.default(2)
+# the law y1 makes every algebra of the variety zero
+TRIVIAL = VarietyPresentation("Trivial", [IdentityScheme.from_string("y1")])
 
 
 def _sys(field, phi, a, b):
@@ -95,8 +97,7 @@ class TestWordTransform:
         assert word_transform(alg, w, m) is word_transform(alg, w, m)
 
     def test_generator_in_normal_form(self):
-        trivial = VarietyPresentation("Trivial", [IdentityScheme.from_string("y1")])
-        alg = build_truncated(trivial, G2, 3)
+        alg = build_truncated(TRIVIAL, G2, 3)
         w = _sys(Q, "id", "2", "0")
         assert word_transform(alg, w, parse_monomial("x1", G2)).is_zero
 
@@ -212,10 +213,8 @@ class TestCheckOp2:
                 assert witness == ("y1", "y2", "y3")
 
     def test_arity_one_law(self):
-        # the law y1 makes every algebra of the variety zero, so every
-        # product, the changed one too, satisfies it
-        trivial = VarietyPresentation("Trivial", [IdentityScheme.from_string("y1")])
-        report = check_op2(trivial, _sys(Q, "id", "2", "0"))
+        # every product, the changed one too, satisfies the law y1 there
+        report = check_op2(TRIVIAL, _sys(Q, "id", "2", "0"))
         assert report.identity_ok and report.admissible
         assert report.identity_failures == ()
 
