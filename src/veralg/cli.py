@@ -342,10 +342,7 @@ def main(argv=None) -> int:
         return 2 if exc.code else 0
     try:
         return args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (KeyError, ValueError, OSError, ZeroInversion) as exc:
+    except (UsageError, KeyError, ValueError, OSError, ZeroInversion) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:

@@ -229,9 +229,11 @@ class Branch:
     """A node of the case tree over the constraint equations.
 
     substitutions and nonvanishing are cumulative along the path from the
-    root; residuals are the remaining equations, already reduced.  A
-    "solved" leaf keeps its residuals as reduction rules (equations that
-    hold on the case but do not isolate any unknown).
+    root.  substitutions are in elimination order: no image mentions its own
+    unknown or an earlier one, which is the order ``parampoly_reduce``
+    applies them in.  residuals are the remaining equations, already
+    reduced.  A "solved" leaf keeps its residuals as reduction rules
+    (equations that hold on the case but do not isolate any unknown).
     """
 
     substitutions: tuple

@@ -38,7 +38,7 @@ class ZeroInversion(ArithmeticError):
 
 
 class CyclicSubstitution(ValueError):
-    """Raised when substitution rules form a dependency cycle."""
+    """Raised when an image mentions an unknown substituted at or before it."""
 
 
 # ---------------------------------------------------------------------------
@@ -827,46 +827,30 @@ def _signed_coeff(c: Scalar):
 # Reduction modulo branch data.
 
 
-def _substitution_order(subs: Mapping[str, ParamPoly]):
-    """Names in dependency-respecting order; cycles are an error."""
-    deps = {n: set(p.variables()) & set(subs) for n, p in subs.items()}
-    order, state = [], {}
-
-    def visit(n):
-        if state.get(n) == 2:
-            return
-        if state.get(n) == 1:
-            raise CyclicSubstitution(f"substitution cycle through {n!r}")
-        state[n] = 1
-        for m in deps[n]:
-            visit(m)
-        state[n] = 2
-        order.append(n)
-
-    for n in subs:
-        visit(n)
-    return order  # every name after the names its image mentions
-
-
 def parampoly_reduce(
     p: ParamPoly,
     substitutions: Optional[Mapping[str, ParamPoly]] = None,
     vanishing: Sequence[ParamPoly] = (),
 ) -> ParamPoly:
-    """Reduce p by acyclic substitutions, then modulo a vanishing set.
+    """Reduce p by ordered substitutions, then modulo a vanishing set.
 
-    The result contains no substituted unknown and no term divisible by the
+    Each image may mention only unknowns substituted after it, as in the
+    elimination order of ``solve_cases``; so one pass in order leaves no
+    substituted unknown.  The result contains no term divisible by the
     leading monomial of any (substituted) vanishing polynomial; applying the
     same reduction again is the identity.
     """
-    subs = dict(substitutions or {})
-    if subs:
-        resolved = {}
-        for n in _substitution_order(subs):
-            img = subs[n]
-            resolved[n] = img.substitute(resolved) if resolved else img
-        p = p.substitute(resolved)
-        vanishing = [v.substitute(resolved) for v in vanishing]
+    done = set()
+    for name, image in (substitutions or {}).items():
+        done.add(name)
+        early = done.intersection(image.variables())
+        if early:
+            raise CyclicSubstitution(
+                f"the image of {name!r} mentions {min(early)!r},"
+                " which is substituted at or before it"
+            )
+        p = p.substitute({name: image})
+        vanishing = [v.substitute({name: image}) for v in vanishing]
     divisors = [v for v in vanishing if not v.is_zero]
     if divisors:
         p = p.reduce_by(divisors)

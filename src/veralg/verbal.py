@@ -71,9 +71,6 @@ class VerbalSystem:
             parse_scalar(b, field),
         )
 
-    def key(self):
-        return (self.phi.encode(), self.a, self.b)
-
     def product(self, u: Element, v: Element) -> Element:
         """The derived product a(uv) + b(vu) in the free algebra."""
         return (u * v).scale(self.a) + (v * u).scale(self.b)
@@ -92,7 +89,7 @@ def word_transform(alg, system: VerbalSystem, m: Monomial) -> Element:
     The result is in normal form; degrees above the truncation vanish.
     """
     memo = alg._sigma_memo
-    key = (system.key(), m)
+    key = (system.a, system.b, m)  # phi never enters sigma on words
     hit = memo.get(key)
     if hit is not None:
         return hit

@@ -6,11 +6,13 @@ defining data (generator, operation change, variety) and cross-checked
 against an independent expansion of the generic linear map.
 """
 
+import hashlib
 import json
 import random
 
 import pytest
 
+from veralg import cases
 from veralg.closure import (
     Certificate,
     closure_sampled,
@@ -531,3 +533,58 @@ class TestCertificateSerialization:
         blob = json.loads(cert.to_json())
         assert blob["kind"] == "smallest-closed"
         assert blob["details"]["witness"] == "(x2 (x2 x1))"
+
+
+# Corpus job 86 of perfbench's sweep and perfbench's RUNAWAY_JOB, the two
+# equation-ideal jobs with the longest case-tree reductions, written out
+# here with their verdicts and the sha256 of
+# json.dumps(cert.as_dict(), sort_keys=True).
+SLOW_JOBS = {
+    "commutative_3_3": (
+        {
+            "kind": "equation-ideal",
+            "field": ["t1", "t2"],
+            "variety": "commutative",
+            "gens": 3,
+            "bound": 3,
+            "system": {"phi": "swap", "a": "1/2", "b": "0"},
+            "generator": "(t2^2 - t1) * (x2 (x1 x3)) + (t2^2 - t1) * (x1 (x1 x2))"
+            " + (t1*t2) * (x2 (x1 x1))",
+            "tail": 4,
+            "candidates": [
+                "(x2 (x1 x1))", "(x2 (x1 x2))", "(x3 (x1 x3))", "(x3 (x1 x2))",
+            ],
+            "hints": [],
+        },
+        "inconclusive",
+        "2d205cb051d32eb0c1c311d1c20b38bb36d95fb1850070ffed1dac13520e3718",
+    ),
+    "commutative_2_3": (
+        {
+            "kind": "equation-ideal",
+            "field": ["t1", "t2"],
+            "variety": "commutative",
+            "gens": 2,
+            "bound": 3,
+            "system": {"phi": "swap", "a": "2", "b": "0"},
+            "generator": "(t1*t2) * (x2 (x1 x1)) + (t2^2 - t1) * (x1 (x1 x2))"
+            " + ((t1 + t2)/(t1 - 1)) * (x1 (x1 x1))",
+            "tail": 4,
+            "candidates": [
+                "(x2 (x1 x1))", "(x1 (x1 x1))", "(x1 (x2 x2))", "(x1 (x1 x2))",
+            ],
+            "hints": ["a11*a22 - a12*a21"],
+        },
+        "no_falsification",
+        "79213a52a6ba21dbf6306ba567c87d21e44a98baac13a751c134449eaa5cf558",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SLOW_JOBS))
+def test_formerly_slow_certificate_pinned(name):
+    job, verdict, digest = SLOW_JOBS[name]
+    cert = cases.falsify_job(job)
+    assert cert.verdict == verdict
+    text = json.dumps(cert.as_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -5,9 +5,10 @@ the pivot-by-pivot residue loops (one per coefficient type), the sigma
 step that took two normal forms per product, the admissibility check
 that searched every tuple of basis monomials for a failing law, the
 build that row-reduced every free-magma monomial of each multidegree, and
-the polynomial gcd whose primitive parts kept a constant factor, and the
-identity check that ran its own loop over tuples of basis monomials.  The
-current code must agree with them exactly.
+the polynomial gcd whose primitive parts kept a constant factor, the
+identity check that ran its own loop over tuples of basis monomials, and
+the reducer that sorted and resolved its substitutions on every call.
+The current code must agree with them exactly.
 """
 
 import itertools
@@ -17,8 +18,9 @@ from fractions import Fraction
 
 import pytest
 
+from veralg import cases
 from veralg.cases import OP2_GRID
-from veralg.closure import ideal_build
+from veralg.closure import coordinates, gen_constraints, ideal_build, solve_cases
 from veralg.freealg import (
     Element,
     Endomorphism,
@@ -27,6 +29,7 @@ from veralg.freealg import (
     parse_element,
 )
 from veralg.scalars import (
+    CyclicSubstitution,
     FieldAutomorphism,
     FieldSpec,
     ParamContext,
@@ -40,6 +43,7 @@ from veralg.scalars import (
     _p_mul,
     _split_last,
     _uni_prem,
+    parampoly_reduce,
 )
 from veralg.variety import (
     RATIONALS,
@@ -493,3 +497,99 @@ def test_check_identity_matches_old(name):
         assert verdicts[scheme] == _old_check_identity(alg, scheme), scheme
     assert all(verdicts[s] for s in alg.variety.schemes)
     assert not all(verdicts.values())
+
+
+def _old_substitution_order(subs):
+    """Names in dependency-respecting order; cycles are an error."""
+    deps = {n: set(p.variables()) & set(subs) for n, p in subs.items()}
+    order, state = [], {}
+
+    def visit(n):
+        if state.get(n) == 2:
+            return
+        if state.get(n) == 1:
+            raise CyclicSubstitution(f"substitution cycle through {n!r}")
+        state[n] = 1
+        for m in deps[n]:
+            visit(m)
+        state[n] = 2
+        order.append(n)
+
+    for n in subs:
+        visit(n)
+    return order  # every name after the names its image mentions
+
+
+def _old_parampoly_reduce(p, substitutions=None, vanishing=()):
+    """Reduce p by acyclic substitutions, then modulo a vanishing set.
+
+    The result contains no substituted unknown and no term divisible by the
+    leading monomial of any (substituted) vanishing polynomial; applying the
+    same reduction again is the identity.
+    """
+    subs = dict(substitutions or {})
+    if subs:
+        resolved = {}
+        for n in _old_substitution_order(subs):
+            img = subs[n]
+            resolved[n] = img.substitute(resolved) if resolved else img
+        p = p.substitute(resolved)
+        vanishing = [v.substitute(resolved) for v in vanishing]
+    divisors = [v for v in vanishing if not v.is_zero]
+    if divisors:
+        p = p.reduce_by(divisors)
+    return p
+
+
+@pytest.mark.parametrize("name", ("aut_1_3_4", "aut_2_5", "aut_6"))
+def test_reduce_matches_old_on_case_trees(name):
+    job = cases.load_job(name)
+    alg, field, gens, system = cases.job_context(job)
+    t = parse_element(job["generator"], gens, field)
+    ideal = ideal_build(alg, field, (t,), int(job["tail"]))
+    cons = gen_constraints(alg, ideal, system)
+    hints = [ParamPoly.parse(h, cons.ctx) for h in job.get("hints", ())]
+    tree = solve_cases(cons.equations, cons.ctx, hints)
+    candidates = [parse_element(c, gens, field) for c in job["candidates"]]
+    residues = [
+        ideal.residue(coordinates(alg, cons.alpha.apply(v, alg.bound)))
+        for v in candidates
+    ]
+    compared = 0
+    for leaf in tree.leaves():
+        subs = dict(leaf.substitutions)
+        for q in cons.equations:
+            assert parampoly_reduce(q, subs) == _old_parampoly_reduce(q, subs)
+        if leaf.status != "solved":
+            continue
+        rules = list(leaf.residuals)
+        for residue in residues:
+            for q in residue.values():
+                want = _old_parampoly_reduce(q, subs, rules)
+                assert parampoly_reduce(q, subs, rules) == want
+                compared += 1
+    assert compared
+
+
+def _rand_chain_poly(rng, ctx, names):
+    out = ParamPoly.zero(ctx)
+    for _ in range(rng.randrange(1, 4)):
+        e = tuple(rng.randrange(2) if n in names else 0 for n in ctx.names)
+        out = out + ParamPoly(ctx, {e: _rand_scalar(rng)})
+    return out
+
+
+def test_reduce_matches_old_on_seeded_chains():
+    # the k-th image mentions none of the first k names, as in solve_cases
+    ctx = ParamContext(F, ("rho", "a11", "a12", "a21", "a22"))
+    det = ParamPoly.parse("a11*a22 - a12*a21", ctx)
+    rng = random.Random("reduce-chains")
+    for _ in range(60):
+        order = rng.sample(ctx.names, rng.randrange(1, 4))
+        subs = {
+            n: _rand_chain_poly(rng, ctx, set(ctx.names) - set(order[: i + 1]))
+            for i, n in enumerate(order)
+        }
+        q = _rand_chain_poly(rng, ctx, set(ctx.names))
+        want = _old_parampoly_reduce(q, subs, [det])
+        assert parampoly_reduce(q, subs, [det]) == want

@@ -268,6 +268,13 @@ class TestParampolyReduce:
         with pytest.raises(CyclicSubstitution):
             parampoly_reduce(p("rho"), substitutions={"rho": p("rho + 1")})
 
+    def test_out_of_order_rejected(self):
+        # a11's image mentions a12, which is substituted before it
+        with pytest.raises(CyclicSubstitution):
+            parampoly_reduce(
+                p("a11"), substitutions={"a12": p("a21"), "a11": p("a12 + 1")}
+            )
+
 
 def _rand_parampoly(rng):
     out = ParamPoly.zero(CTX)
