@@ -55,6 +55,11 @@ __all__ = [
 RATIONALS = FieldSpec(())  # the prime field: no transcendentals
 
 
+def _exact(v):
+    """A rational value as an int when it is integral, else unchanged."""
+    return v.numerator if type(v) is Fraction and v.denominator == 1 else v
+
+
 class IdentityScheme:
     """A polynomial law on slot variables y1..y<arity>, required to vanish."""
 
@@ -66,7 +71,9 @@ class IdentityScheme:
         self.arity = arity
         self.ygens = element.gens
         self.element = element
-        self._terms = tuple((m, c.as_fraction()) for m, c in element.terms.items())
+        self._terms = tuple(
+            (m, _exact(c.as_fraction())) for m, c in element.terms.items()
+        )
         self._key = (
             arity,
             tuple(
@@ -125,7 +132,7 @@ def _graft(m: Monomial, images: Sequence[Monomial], gens: GeneratorSet) -> Monom
 
 
 def _substitute(terms, images: Sequence[Monomial], gens: GeneratorSet) -> dict:
-    """The sum of c * m(images) over pairs (m, c), c a Fraction or Scalar."""
+    """The sum of c * m(images) over pairs (m, c), c rational or a Scalar."""
     out = {}
     for m, c in terms:
         g = _graft(m, images, gens)
@@ -328,6 +335,12 @@ class RowReducer:
     largest column and is kept fully back-eliminated, so the non-pivot
     (earliest independent) columns are exactly the surviving basis and every
     pivot row reads as: pivot monomial = combination of basis monomials.
+
+    On rational rows, of ints and Fractions, every value that ``reduce``
+    returns or ``insert`` stores is an int when it is integral and a
+    Fraction otherwise: most values of a build are integers, and int
+    arithmetic is several times cheaper.  A pivot is normalised exactly,
+    never by float division.
     """
 
     __slots__ = ("pivots",)
@@ -339,7 +352,7 @@ class RowReducer:
         """The row modulo the span: every pivot column eliminated.
 
         Row values may be any exact type the pivot values multiply into:
-        Fractions, Scalars, or ParamPolys with unknowns in them.
+        ints and Fractions, Scalars, or ParamPolys with unknowns in them.
         """
         r = dict(row)
         out = {}
@@ -347,7 +360,10 @@ class RowReducer:
             c = max(r)
             p = self.pivots.get(c)
             if p is None:
-                out[c] = r.pop(c)
+                v = r.pop(c)
+                if type(v) is Fraction and v.denominator == 1:
+                    v = v.numerator
+                out[c] = v
                 continue
             coef = r.pop(c)
             for k, v in p.items():
@@ -366,8 +382,16 @@ class RowReducer:
         if not r:
             return False
         c = max(r)
-        inv = 1 / r[c]
-        new = {k: v * inv for k, v in r.items()}
+        x = r[c]
+        rational = type(x) is int or type(x) is Fraction
+        if not rational:
+            inv = 1 / x
+            new = {k: v * inv for k, v in r.items()}
+        elif x == 1:
+            new = r
+        else:
+            inv = Fraction(1, x)
+            new = {k: _exact(v * inv) for k, v in r.items()}
         for pr in self.pivots.values():
             coef = pr.get(c)
             if coef is None:
@@ -379,6 +403,8 @@ class RowReducer:
                 s = pr.get(k, 0) - coef * v
                 if not s:
                     pr.pop(k, None)
+                elif rational and type(s) is Fraction and s.denominator == 1:
+                    pr[k] = s.numerator
                 else:
                     pr[k] = s
         self.pivots[c] = new
@@ -541,7 +567,7 @@ class TruncatedAlgebra:
 
 
 _BUILD_MEMO = {}
-_ONE = Fraction(1)
+_ONE = 1
 
 
 def build_truncated(
@@ -553,9 +579,10 @@ def build_truncated(
 ) -> TruncatedAlgebra:
     """The truncated relatively-free algebra of a variety on given generators.
 
-    The result is field-agnostic: rewrite coefficients are rational, and
-    normal forms accept elements over any scalar field.  Builds are memoised
-    on (variety laws, generator names, bound, mode).
+    The result is field-agnostic: rewrite coefficients are rational (an int
+    where integral, else a Fraction), and normal forms accept elements over
+    any scalar field.  Builds are memoised on (variety laws, generator
+    names, bound, mode).
 
     Every multidegree up to the bound is built, or with ``multilinear=True``
     only those whose entries are all at most 1.  Degrees are built in

@@ -6,8 +6,10 @@ step that took two normal forms per product, the admissibility check
 that searched every tuple of basis monomials for a failing law, the
 build that row-reduced every free-magma monomial of each multidegree, and
 the polynomial gcd whose primitive parts kept a constant factor, the
-identity check that ran its own loop over tuples of basis monomials, and
-the reducer that sorted and resolved its substitutions on every call.
+identity check that ran its own loop over tuples of basis monomials, the
+reducer that sorted and resolved its substitutions on every call, and the
+row reducer that kept every rational value a Fraction.  The old build and
+the rank oracle of the admissibility check run on the old row reducer.
 The current code must agree with them exactly.
 """
 
@@ -62,6 +64,80 @@ from veralg.verbal import VerbalSystem, _derived_eval, check_op2, word_transform
 F = FieldSpec(("t1", "t2"))
 G = GeneratorSet.default(2)
 CTX = ParamContext(F, ("u", "v"))
+
+
+class _OldRowReducer:
+    """Incremental reduced row echelon form over an exact coefficient type.
+
+    Rows are sparse dicts {column: value}.  Each pivot sits on its row's
+    largest column and is kept fully back-eliminated, so the non-pivot
+    (earliest independent) columns are exactly the surviving basis and every
+    pivot row reads as: pivot monomial = combination of basis monomials.
+    """
+
+    __slots__ = ("pivots",)
+
+    def __init__(self):
+        self.pivots = {}  # pivot column -> row dict, row[pivot] == 1
+
+    def reduce(self, row: dict) -> dict:
+        """The row modulo the span: every pivot column eliminated.
+
+        Row values may be any exact type the pivot values multiply into:
+        Fractions, Scalars, or ParamPolys with unknowns in them.
+        """
+        r = dict(row)
+        out = {}
+        while r:
+            c = max(r)
+            p = self.pivots.get(c)
+            if p is None:
+                out[c] = r.pop(c)
+                continue
+            coef = r.pop(c)
+            for k, v in p.items():
+                if k == c:
+                    continue
+                s = r.get(k, 0) - coef * v
+                if not s:
+                    r.pop(k, None)
+                else:
+                    r[k] = s
+        return out
+
+    def insert(self, row: dict) -> bool:
+        """Reduce and add the row; False when it was already in the span."""
+        r = self.reduce(row)
+        if not r:
+            return False
+        c = max(r)
+        inv = 1 / r[c]
+        new = {k: v * inv for k, v in r.items()}
+        for pr in self.pivots.values():
+            coef = pr.get(c)
+            if coef is None:
+                continue
+            del pr[c]
+            for k, v in new.items():
+                if k == c:
+                    continue
+                s = pr.get(k, 0) - coef * v
+                if not s:
+                    pr.pop(k, None)
+                else:
+                    pr[k] = s
+        self.pivots[c] = new
+        return True
+
+    def contains(self, row: dict) -> bool:
+        return not self.reduce(row)
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def equals(self, other: "_OldRowReducer") -> bool:
+        return self.pivots == other.pivots
 
 
 def _old_residue(ideal, coords):
@@ -224,11 +300,34 @@ def test_symbolic_normal_form_commutes_with_evaluation(variety, bound):
             )
 
 
+def _old_singular(alg, system):
+    """The multidegrees where sigma is singular, ranked by the old reducer."""
+    singular = []
+    for d in range(1, alg.bound + 1):
+        for md in alg.multidegrees(d):
+            basis = alg.basis_of_multidegree(md)
+            if not basis:
+                continue
+            index = {m: i for i, m in enumerate(basis)}
+            red = _OldRowReducer()
+            for m in basis:
+                img = word_transform(alg, system, m)
+                red.insert({
+                    index[b]: c if c.as_fraction() is None else c.as_fraction()
+                    for b, c in img.terms.items()
+                })
+            if red.rank < len(basis):
+                singular.append(md)
+    return tuple(singular)
+
+
 def _assert_identity_check_matches_old(variety, system, gens, bound=None):
     report = check_op2(variety, system, gens, bound)
     old = _old_identity_failures(variety, system, gens, report.bound)
     assert report.identity_ok == (not old)
     assert report.identity_failures == old
+    alg = build_truncated(variety, gens, report.bound)
+    assert report.singular_multidegrees == _old_singular(alg, system)
 
 
 # the old search spends about 5 s on the whole PowerAssociative row
@@ -306,12 +405,14 @@ def _old_build(variety, gens, bound, multilinear=False):
                         continue
                     inst = s.substitute(combo, gens)
                     if inst:
-                        rows[md].append({idx[m]: f for m, f in inst.items()})
+                        rows[md].append(
+                            {idx[m]: Fraction(f) for m, f in inst.items()}
+                        )
 
     reducers = {}
     for md in mono_lists:
         d = sum(md)
-        red = RowReducer()
+        red = _OldRowReducer()
         reducers[md] = red
         for row in rows[md]:
             red.insert(row)
@@ -349,6 +450,35 @@ def _old_build(variety, gens, bound, multilinear=False):
                 (monos[k], -v) for k, v in sorted(prow.items()) if k != c
             )
     return components, rewrite
+
+
+def _rand_rational(rng):
+    if rng.randrange(2):
+        return rng.randrange(-4, 5)
+    return Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
+
+
+def test_row_reducer_matches_old_on_seeded_rows():
+    # int and Fraction values; the old reducer gets them as Fractions
+    rng = random.Random("row-reducer")
+    for _ in range(200):
+        cols = rng.randrange(2, 9)
+        new, old = RowReducer(), _OldRowReducer()
+        for _ in range(rng.randrange(1, 10)):
+            row = {c: _rand_rational(rng) for c in range(cols) if rng.randrange(3)}
+            row = {c: v for c, v in row.items() if v}
+            as_fractions = {c: Fraction(v) for c, v in row.items()}
+            assert new.insert(row) == old.insert(as_fractions)
+        assert new.pivots == old.pivots
+        probe = {c: _rand_rational(rng) for c in range(cols)}
+        assert new.reduce(probe) == old.reduce(
+            {c: Fraction(v) for c, v in probe.items()}
+        )
+        for prow in new.pivots.values():
+            for v in prow.values():
+                assert type(v) is int or (
+                    type(v) is Fraction and v.denominator != 1
+                )
 
 
 def _assert_build_matches_old(variety, k, bound, multilinear=False):

@@ -205,6 +205,16 @@ class TestRowReducer:
                 if other_col != col:
                     assert col not in other_row
 
+    def test_int_rows_stay_exact(self):
+        # an int pivot is inverted as a Fraction, never by float division
+        red = RowReducer()
+        red.insert({0: 2, 1: 1})
+        red.insert({0: 1, 2: 2})
+        assert red.pivots == {1: {0: 2, 1: 1}, 2: {0: Fraction(1, 2), 2: 1}}
+        for row in red.pivots.values():
+            for v in row.values():
+                assert type(v) in (int, Fraction)
+
     def test_insert_reports_novelty(self):
         red = RowReducer()
         assert red.insert({0: Fraction(2)})
@@ -513,6 +523,17 @@ PINNED_BUILDS = {
 def test_full_build_is_pinned(name, k, bound):
     alg = build_truncated(builtin_variety(name), GeneratorSet.default(k), bound)
     assert _build_digest(alg) == PINNED_BUILDS[name, k, bound]
+
+
+@pytest.mark.parametrize(
+    "name, k, bound", sorted(PINNED_BUILDS) + [("Jordan", 2, 6)]
+)
+def test_rewrite_coefficients_are_exact(name, k, bound):
+    # an int when integral, else a Fraction; never a float
+    alg = build_truncated(builtin_variety(name), GeneratorSet.default(k), bound)
+    for row in alg.rewrite.values():
+        for _, c in row:
+            assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
 
 
 def _random_element(rng, monos):
