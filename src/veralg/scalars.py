@@ -231,6 +231,11 @@ class FieldSpec:
         return len(self.names)
 
     def index(self, name: str) -> int:
+        if name not in self.names:
+            have = ", ".join(self.names) or "none"
+            raise ValueError(
+                f"unknown transcendental {name!r}; the field has {have}"
+            )
         return self.names.index(name)
 
 
@@ -496,6 +501,11 @@ class FieldAutomorphism:
 
     @staticmethod
     def swap(field: FieldSpec, i: int = 0, j: int = 1) -> "FieldAutomorphism":
+        if not (0 <= i < field.size and 0 <= j < field.size):
+            raise ValueError(
+                f"swap needs transcendentals {i + 1} and {j + 1}, but the field"
+                f" has {field.size}"
+            )
         p = list(range(field.size))
         p[i], p[j] = p[j], p[i]
         return FieldAutomorphism(field, tuple(p))

@@ -457,6 +457,7 @@ class TruncatedAlgebra:
         "rewrite",
         "_basis_index",
         "_sigma_memo",
+        "_parts_memo",
     )
 
     def __init__(self, variety, gens, bound, components, rewrite):
@@ -467,6 +468,8 @@ class TruncatedAlgebra:
         self.rewrite = rewrite  # pivot monomial -> ((basis monomial, coeff), ...)
         self._basis_index = None
         self._sigma_memo = {}
+        # monomial, or a law of the free algebra -> its rational sigma parts
+        self._parts_memo = {}
 
     # -- basis views
 

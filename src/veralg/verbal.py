@@ -16,7 +16,8 @@ and is sigma a dilation in disguise (:func:`inner_witness`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from fractions import Fraction
+from typing import Optional
 
 from .freealg import Element, GeneratorSet, Monomial
 from .scalars import (
@@ -26,7 +27,7 @@ from .scalars import (
     Scalar,
     parse_scalar,
 )
-from .variety import RowReducer, VarietyPresentation, build_truncated
+from .variety import RowReducer, VarietyPresentation, _exact, build_truncated
 
 __all__ = [
     "InnerReport",
@@ -83,6 +84,78 @@ class VerbalSystem:
         return f"VerbalSystem(phi={e['phi']}, a={e['a']}, b={e['b']})"
 
 
+def _add_product(alg, acc: dict, p: dict, q: dict) -> None:
+    """Add the normal form of p q to acc; p, q and acc map monomials to rationals."""
+    pair = alg.gens.pair
+    rewrite = alg.rewrite
+    for u, x in p.items():
+        for v, y in q.items():
+            c = x * y
+            w = pair(u, v)
+            rw = rewrite.get(w)
+            if rw is None:
+                acc[w] = acc.get(w, 0) + c
+            else:
+                for b, f in rw:
+                    acc[b] = acc.get(b, 0) + c * f
+
+
+def _clean(acc: dict) -> dict:
+    return {m: _exact(v) for m, v in acc.items() if v}
+
+
+def _sigma_parts(alg, m: Monomial) -> tuple:
+    """sigma(m) split by the number of swapped nodes, in rational normal form.
+
+    Part j is a {basis monomial: int or Fraction} dict, and for m of degree
+    n, sigma(m) = sum over j of a^(n-1-j) b^j part_j: each of the n - 1
+    nodes of m's tree keeps its order with weight a or swaps it with
+    weight b.  Part 0 is the normal form of m itself.  The parts do not
+    depend on the system, so they are memoised per algebra.  Above the
+    truncation there are none.
+    """
+    memo = alg._parts_memo
+    hit = memo.get(m)
+    if hit is not None:
+        return hit
+    if m.degree > alg.bound:
+        out = ()
+    elif m.is_leaf:
+        out = (dict(alg.rewrite.get(m, ((m, 1),))),)
+    else:
+        left = _sigma_parts(alg, m.left)
+        right = _sigma_parts(alg, m.right)
+        acc = [{} for _ in range(m.degree)]
+        for i, pl in enumerate(left):
+            for k, pr in enumerate(right):
+                _add_product(alg, acc[i + k], pl, pr)
+                _add_product(alg, acc[i + k + 1], pr, pl)
+        out = tuple(_clean(part) for part in acc)
+    memo[m] = out
+    return out
+
+
+def _combine(gens, system: VerbalSystem, parts: tuple) -> Element:
+    """sum over j of a^(n-1-j) b^j parts[j], n = len(parts), as an Element."""
+    a, b = system.a, system.b
+    n = len(parts)
+    one = Scalar.one(system.field)
+    a_pow, b_pow = [one], [one]
+    for _ in range(1, n):
+        a_pow.append(a_pow[-1] * a)
+        b_pow.append(b_pow[-1] * b)
+    acc = {}
+    for j, part in enumerate(parts):
+        w = a_pow[n - 1 - j] * b_pow[j]
+        if not w:
+            continue
+        for m, c in part.items():
+            t = w.scale_fraction(c)
+            s = acc.get(m)
+            acc[m] = t if s is None else s + t
+    return Element(gens, system.field, acc)
+
+
 def word_transform(alg, system: VerbalSystem, m: Monomial) -> Element:
     """sigma on a single monomial: the tree of m evaluated in the new product.
 
@@ -91,18 +164,9 @@ def word_transform(alg, system: VerbalSystem, m: Monomial) -> Element:
     memo = alg._sigma_memo
     key = (system.a, system.b, m)  # phi never enters sigma on words
     hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if m.degree > alg.bound:
-        out = Element.zero(alg.gens, system.field)
-    elif m.is_leaf:
-        out = alg.normal_form(Element.from_monomial(alg.gens, system.field, m))
-    else:
-        left = word_transform(alg, system, m.left)
-        right = word_transform(alg, system, m.right)
-        out = alg.normal_form(system.product(left, right).truncate(alg.bound))
-    memo[key] = out
-    return out
+    if hit is None:
+        hit = memo[key] = _combine(alg.gens, system, _sigma_parts(alg, m))
+    return hit
 
 
 def sigma_apply(alg, system: VerbalSystem, el: Element) -> Element:
@@ -115,27 +179,25 @@ def sigma_apply(alg, system: VerbalSystem, el: Element) -> Element:
     return out
 
 
-def _derived_eval(alg, system, m: Monomial, images: Sequence[Element]) -> Element:
-    """The tree of m evaluated in the new product at the given images."""
-    if m.is_leaf:
-        return images[m.index]
-    left = _derived_eval(alg, system, m.left, images)
-    right = _derived_eval(alg, system, m.right, images)
-    return alg.normal_form(system.product(left, right).truncate(alg.bound))
-
-
 def _law_value(variety, system, scheme) -> Element:
-    """The law at the free generators of F_V(arity) in the new product, reduced."""
+    """The law at the free generators of F_V(arity) in the new product, reduced.
+
+    The parts of the law, the sums of its coefficients times the parts of
+    its terms, are memoised with the parts of the free algebra; every term
+    of a multilinear law of arity k has degree k.
+    """
     k = scheme.arity
     free = build_truncated(variety, GeneratorSet.default(k), k, multilinear=True)
-    ys = [
-        Element.from_monomial(free.gens, system.field, free.gens.generator(i))
-        for i in range(k)
-    ]
-    value = Element.zero(free.gens, system.field)
-    for m, c in scheme.element.terms.items():
-        value = value + _derived_eval(free, system, m, ys).scale(c.as_fraction())
-    return free.normal_form(value)
+    parts = free._parts_memo.get(scheme)
+    if parts is None:
+        ys = tuple(free.gens.generator(i) for i in range(k))
+        acc = [{} for _ in range(k)]
+        for m, c in scheme.substitute(ys, free.gens).items():
+            for total, part in zip(acc, _sigma_parts(free, m)):
+                for b, v in part.items():
+                    total[b] = total.get(b, 0) + c * v
+        parts = free._parts_memo[scheme] = tuple(_clean(t) for t in acc)
+    return _combine(free.gens, system, parts)
 
 
 @dataclass(frozen=True)
@@ -173,6 +235,24 @@ class Op2Report:
         }
 
 
+def _singular_at(alg, mdeg, ratio: Fraction) -> bool:
+    """Is sum over j of ratio^(n-1-j) M_j singular on the multidegree?"""
+    basis = alg.basis_of_multidegree(mdeg)
+    n = sum(mdeg)
+    index = {m: i for i, m in enumerate(basis)}
+    weights = [ratio ** (n - 1 - j) for j in range(n)]
+    red = RowReducer()
+    for m in basis:
+        row = {}
+        for w, part in zip(weights, _sigma_parts(alg, m)):
+            if w:
+                for b, v in part.items():
+                    i = index[b]
+                    row[i] = row.get(i, 0) + w * v
+        red.insert(_clean(row))
+    return red.rank < len(basis)
+
+
 def default_op2_bound(variety: VarietyPresentation) -> int:
     """The bound `check_op2` uses when given none: the laws' largest degree."""
     return max([2, *(s.element.max_degree() for s in variety.schemes)])
@@ -202,6 +282,17 @@ def check_op2(
     substitution into that value has a nonzero normal form (the new product
     commutes with substitution, so the law fails there), or the slot names
     y1..yk when there is none.
+
+    Invertibility is decided from the parts of sigma on words.  On a
+    multidegree of degree n with N basis monomials, the matrix of sigma is
+    sum over j of a^(n-1-j) b^j M_j, where M_j holds part j of sigma on each
+    basis monomial, and M_0 is the identity.  So when b = 0 it is a^(n-1)
+    times the identity, with a != 0, and otherwise its determinant is
+    b^(N(n-1)) p(a/b) for p(x) = det(sum x^(n-1-j) M_j), a monic polynomial
+    over Q.  A nonconstant rational function is transcendental over Q, so
+    p(a/b) != 0 unless a/b is rational.  Only then is a matrix ranked: the
+    rational matrix sum (a/b)^(n-1-j) M_j, on each multidegree of degree at
+    least 2 (sigma fixes the generators).
     """
     if gens is None:
         gens = GeneratorSet.default(2)
@@ -229,18 +320,12 @@ def check_op2(
             failures.append((scheme.encode(), witness))
 
     singular = []
-    for d in range(1, bound + 1):
-        for md in alg.multidegrees(d):
-            basis = alg.basis_of_multidegree(md)
-            if not basis:
-                continue
-            index = {m: i for i, m in enumerate(basis)}
-            red = RowReducer()
-            for m in basis:
-                img = word_transform(alg, system, m)
-                red.insert({index[b]: c for b, c in img.terms.items()})
-            if red.rank < len(basis):
-                singular.append(md)
+    ratio = None if system.b.is_zero else (system.a / system.b).as_fraction()
+    if ratio is not None:
+        for d in range(2, bound + 1):
+            for md in alg.multidegrees(d):
+                if _singular_at(alg, md, ratio):
+                    singular.append(md)
 
     return Op2Report(
         variety=variety.name,

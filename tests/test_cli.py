@@ -368,6 +368,26 @@ class TestInputErrors:
         assert out == ""
         assert "not admissible" in self.single_error(err)
 
+    @pytest.mark.parametrize("command", ("op2", "inner"))
+    def test_swap_needs_two_transcendentals(self, capsys, command):
+        argv = [command, "--variety", "lie", "--field", "t1", "--phi", "swap"]
+        code, _, err = run(capsys, argv + ["--a", "t1"])
+        assert code == 2
+        assert "swap needs transcendentals 1 and 2" in self.single_error(err)
+
+    def test_swap_needs_two_transcendentals_in_job(self, capsys, tmp_path):
+        path = self.job_file(tmp_path, "aut_1_3_4", field=["t1"])
+        code, _, err = run(capsys, ["falsify", "--spec", path])
+        assert code == 2
+        assert "swap needs transcendentals 1 and 2" in self.single_error(err)
+
+    def test_permutation_names_unknown_transcendental(self, capsys):
+        code, _, err = run(
+            capsys, ["op2", "--variety", "lie", "--phi", "perm:t3,t1"]
+        )
+        assert code == 2
+        assert "unknown transcendental 't3'" in self.single_error(err)
+
 
 class TestInternalError:
     def test_crash_exits_three_with_traceback(self, capsys, monkeypatch):

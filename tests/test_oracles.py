@@ -7,16 +7,20 @@ that searched every tuple of basis monomials for a failing law, the
 build that row-reduced every free-magma monomial of each multidegree, and
 the polynomial gcd whose primitive parts kept a constant factor, the
 identity check that ran its own loop over tuples of basis monomials, the
-reducer that sorted and resolved its substitutions on every call, and the
-row reducer that kept every rational value a Fraction.  The old build and
-the rank oracle of the admissibility check run on the old row reducer.
-The current code must agree with them exactly.
+reducer that sorted and resolved its substitutions on every call, the row
+reducer that kept every rational value a Fraction, and the evaluation of
+a law in the new product and the invertibility rank over Q(t), both
+replaced by the rational parts of sigma on words.  The old build and the
+rank oracle of the admissibility check run on the old row reducer; the
+rank oracle takes sigma from the two-normal-form step.  The current code
+must agree with them exactly.
 """
 
 import itertools
 import operator
 import random
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 
@@ -27,6 +31,7 @@ from veralg.freealg import (
     Element,
     Endomorphism,
     GeneratorSet,
+    Monomial,
     monomials_of_multidegree,
     parse_element,
 )
@@ -59,7 +64,7 @@ from veralg.variety import (
     builtin_variety_names,
     polarize,
 )
-from veralg.verbal import VerbalSystem, _derived_eval, check_op2, word_transform
+from veralg.verbal import VerbalSystem, check_op2, word_transform
 
 F = FieldSpec(("t1", "t2"))
 G = GeneratorSet.default(2)
@@ -192,6 +197,15 @@ def _old_word_transform(alg, system, m, memo):
     return out
 
 
+def _derived_eval(alg, system, m: Monomial, images: Sequence[Element]) -> Element:
+    """The tree of m evaluated in the new product at the given images."""
+    if m.is_leaf:
+        return images[m.index]
+    left = _derived_eval(alg, system, m.left, images)
+    right = _derived_eval(alg, system, m.right, images)
+    return alg.normal_form(system.product(left, right).truncate(alg.bound))
+
+
 def _old_identity_failures(variety, system, gens, bound):
     alg = build_truncated(variety, gens, bound)
     failures = []
@@ -303,6 +317,7 @@ def test_symbolic_normal_form_commutes_with_evaluation(variety, bound):
 def _old_singular(alg, system):
     """The multidegrees where sigma is singular, ranked by the old reducer."""
     singular = []
+    memo = {}
     for d in range(1, alg.bound + 1):
         for md in alg.multidegrees(d):
             basis = alg.basis_of_multidegree(md)
@@ -311,7 +326,7 @@ def _old_singular(alg, system):
             index = {m: i for i, m in enumerate(basis)}
             red = _OldRowReducer()
             for m in basis:
-                img = word_transform(alg, system, m)
+                img = _old_word_transform(alg, system, m, memo)
                 red.insert({
                     index[b]: c if c.as_fraction() is None else c.as_fraction()
                     for b, c in img.terms.items()
@@ -370,6 +385,31 @@ def test_identity_check_matches_tuple_search_seeded(variety, bound):
         _assert_identity_check_matches_old(
             builtin_variety(variety), system, GeneratorSet.default(3), bound
         )
+
+
+# the grid, a singular pair, and two pairs with a/b not rational, which
+# check_op2 no longer ranks; bounds where the old rank over Q(t1, t2) stays
+# under a second (AllLinear at bound 4 takes it about 4 s)
+RANK_SYSTEMS = OP2_GRID + ((2, -2), ("t1", "t2"), ("(t1 + 1)/t2", "t1 - t2"))
+RANK_BOUNDS = {
+    "AllLinear": 3,
+    "Commutative": 4,
+    "Anticommutative": 5,
+    "Lie": 5,
+    "Jordan": 4,
+    "Alternative": 4,
+    "PowerAssociative": 3,
+}
+
+
+@pytest.mark.parametrize("variety", builtin_variety_names())
+@pytest.mark.parametrize("a,b", RANK_SYSTEMS)
+def test_singular_multidegrees_match_old_rank(variety, a, b):
+    system = VerbalSystem.parse(F, "swap", str(a), str(b))
+    bound = RANK_BOUNDS[variety]
+    report = check_op2(builtin_variety(variety), system, G, bound)
+    alg = build_truncated(builtin_variety(variety), G, bound)
+    assert report.singular_multidegrees == _old_singular(alg, system)
 
 
 def _old_build(variety, gens, bound, multilinear=False):
@@ -513,6 +553,19 @@ CUSTOM_LAWS = (
 
 def _custom_variety(law):
     return VarietyPresentation(law, (IdentityScheme.from_string(law),))
+
+
+# these varieties are not closed under the opposite product, so a = 0 is
+# singular in them; under the third law a/b = -2 and -1/2 are singular on
+# different multidegrees, which tells a/b from b/a
+@pytest.mark.parametrize("law", CUSTOM_LAWS)
+@pytest.mark.parametrize("a,b", ((0, 1), (-2, 1), (-1, 2), (3, 1), ("t1", "t2")))
+def test_custom_law_singular_multidegrees_match_old_rank(law, a, b):
+    system = VerbalSystem.parse(F, "id", str(a), str(b))
+    variety = _custom_variety(law)
+    report = check_op2(variety, system, G, 4)
+    alg = build_truncated(variety, G, 4)
+    assert report.singular_multidegrees == _old_singular(alg, system)
 
 
 @pytest.mark.parametrize("law", CUSTOM_LAWS)

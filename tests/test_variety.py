@@ -35,6 +35,7 @@ from veralg.variety import (
     builtin_variety_names,
     polarize,
 )
+from veralg.verbal import _sigma_parts
 
 G1 = GeneratorSet.default(1)
 G2 = GeneratorSet.default(2)
@@ -534,6 +535,19 @@ def test_rewrite_coefficients_are_exact(name, k, bound):
     for row in alg.rewrite.values():
         for _, c in row:
             assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+@pytest.mark.parametrize("name, k, bound", sorted(PINNED_BUILDS))
+def test_sigma_part_zero_is_the_monomial(name, k, bound):
+    # the premise of check_op2's determinant argument: M_0 is the identity
+    alg = build_truncated(builtin_variety(name), GeneratorSet.default(k), bound)
+    for m in alg.all_basis():
+        parts = _sigma_parts(alg, m)
+        assert len(parts) == m.degree
+        assert parts[0] == {m: 1}, m.encode()
+        for part in parts:
+            for c in part.values():
+                assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
 
 
 def _random_element(rng, monos):

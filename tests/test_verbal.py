@@ -283,6 +283,21 @@ def test_op2_grid_pinned(name, k):
     assert hashlib.sha256(blob).hexdigest() == OP2_DIGESTS[name][k - 1]
 
 
+def test_rational_function_cell_pinned():
+    # a/b is not rational, so no rank is taken; the digest was recorded
+    # with the rank over Q(t1, t2), which takes about 20 s on this cell
+    report = check_op2(
+        builtin_variety("alllinear"),
+        _sys(F2, "swap", "(t1 + 1)/t2", "t1 - t2"),
+        GeneratorSet.default(3),
+        4,
+    )
+    blob = json.dumps(report.as_dict(), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "c02bfe7b249c077178a95b6c830422538da75b481dd098e94bdfa5a14f8a57cd"
+    )
+
+
 @pytest.mark.parametrize("phi,a,b", (("id", "1", "-1"), ("swap", "t1", "-t1")))
 def test_witness_past_degree_one(phi, a, b):
     # in the new product the law at (x1, x1, x1) is b (a + b) ((x1 x1) x1),
