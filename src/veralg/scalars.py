@@ -203,6 +203,14 @@ def _p_gcd(p, q):
     return _p_monic(_join_last({d: _p_mul(q_, c) for d, q_ in f.items()}))
 
 
+def _cancel(p, q):
+    """p and q divided by their gcd."""
+    g = _p_gcd(p, q)
+    if _p_is_const(g):
+        return p, q
+    return _p_divexact(p, g), _p_divexact(q, g)
+
+
 # ---------------------------------------------------------------------------
 # Fields and scalars.
 
@@ -368,7 +376,11 @@ class Scalar:
         f = self.as_fraction()
         if f is not None:
             return o.scale_fraction(f)
-        return Scalar(self.field, _p_mul(self.num, o.num), _p_mul(self.den, o.den))
+        # each factor is in lowest terms, so only a numerator and the other
+        # factor's denominator can share a factor
+        n1, d2 = _cancel(self.num, o.den)
+        n2, d1 = _cancel(o.num, self.den)
+        return Scalar._coprime(self.field, _p_mul(n1, n2), _p_mul(d1, d2))
 
     __rmul__ = __mul__
 
@@ -395,7 +407,16 @@ class Scalar:
     def inverse(self) -> "Scalar":
         if not self.num:
             raise ZeroInversion("inverting the zero scalar")
-        return Scalar(self.field, dict(self.den), dict(self.num))
+        return Scalar._coprime(self.field, dict(self.den), dict(self.num))
+
+    @staticmethod
+    def _coprime(field: FieldSpec, num, den) -> "Scalar":
+        """num/den for coprime num and den: only the scale is normalised."""
+        _, lc = _p_lead(den)
+        if lc != 1:
+            num = _p_scale(num, 1 / lc)
+            den = _p_scale(den, 1 / lc)
+        return Scalar(field, num, den, _canonical=True)
 
     def scale_fraction(self, value) -> "Scalar":
         """Fast multiply by a rational: no gcd pass is needed."""

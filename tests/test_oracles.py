@@ -646,6 +646,34 @@ def test_gcd_matches_old(nvars):
             assert _p_gcd(a, b) == _old_p_gcd(a, b)
 
 
+def _old_mul(x, y):
+    """The product of two non-rational Scalars, reduced by one full gcd."""
+    return Scalar(x.field, _p_mul(x.num, y.num), _p_mul(x.den, y.den))
+
+
+def _old_inverse(x):
+    return Scalar(x.field, dict(x.den), dict(x.num))
+
+
+def _rand_nonzero_poly(rng, nvars):
+    return _rand_poly(rng, nvars) or {(0,) * nvars: Fraction(1, 2)}
+
+
+@pytest.mark.parametrize("nvars", (1, 2))
+def test_scalar_product_matches_full_reduction(nvars):
+    # r and q are shared across the two factors, so both cross pairs cancel
+    rng = random.Random(f"mul/{nvars}")
+    field = FieldSpec(tuple(f"t{i + 1}" for i in range(nvars)))
+    for _ in range(30):
+        p, q, r, s, u, v = (_rand_nonzero_poly(rng, nvars) for _ in range(6))
+        x = Scalar(field, _p_mul(p, r), _p_mul(q, s))
+        y = Scalar(field, _p_mul(q, u), _p_mul(r, v))
+        for a, b in ((x, y), (y, x), (x, x.inverse()), (x, x)):
+            if a.as_fraction() is None and b.as_fraction() is None:
+                assert a * b == _old_mul(a, b)
+        assert x.inverse() == _old_inverse(x)
+
+
 def _old_check_identity(alg, scheme):
     basis = alg.all_basis()
     for s in polarize(scheme):
