@@ -211,6 +211,14 @@ def _cancel(p, q):
     return _p_divexact(p, g), _p_divexact(q, g)
 
 
+def _monic_den(num, den):
+    """num/den scaled so that den has leading coefficient 1."""
+    _, lc = _p_lead(den)
+    if lc == 1:
+        return num, den
+    return _p_scale(num, 1 / lc), _p_scale(den, 1 / lc)
+
+
 # ---------------------------------------------------------------------------
 # Fields and scalars.
 
@@ -266,14 +274,7 @@ class Scalar:
             if not num:
                 num, den = {}, {(0,) * m: Fraction(1)}
             else:
-                g = _p_gcd(num, den)
-                if not _p_is_const(g):
-                    num = _p_divexact(num, g)
-                    den = _p_divexact(den, g)
-                _, lc = _p_lead(den)
-                if lc != 1:
-                    num = _p_scale(num, 1 / lc)
-                    den = _p_scale(den, 1 / lc)
+                num, den = _monic_den(*_cancel(num, den))
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
@@ -380,7 +381,8 @@ class Scalar:
         # factor's denominator can share a factor
         n1, d2 = _cancel(self.num, o.den)
         n2, d1 = _cancel(o.num, self.den)
-        return Scalar._coprime(self.field, _p_mul(n1, n2), _p_mul(d1, d2))
+        num, den = _monic_den(_p_mul(n1, n2), _p_mul(d1, d2))
+        return Scalar(self.field, num, den, _canonical=True)
 
     __rmul__ = __mul__
 
@@ -407,16 +409,9 @@ class Scalar:
     def inverse(self) -> "Scalar":
         if not self.num:
             raise ZeroInversion("inverting the zero scalar")
-        return Scalar._coprime(self.field, dict(self.den), dict(self.num))
-
-    @staticmethod
-    def _coprime(field: FieldSpec, num, den) -> "Scalar":
-        """num/den for coprime num and den: only the scale is normalised."""
-        _, lc = _p_lead(den)
-        if lc != 1:
-            num = _p_scale(num, 1 / lc)
-            den = _p_scale(den, 1 / lc)
-        return Scalar(field, num, den, _canonical=True)
+        # num and den are coprime, so only the scale needs normalising
+        num, den = _monic_den(dict(self.den), dict(self.num))
+        return Scalar(self.field, num, den, _canonical=True)
 
     def scale_fraction(self, value) -> "Scalar":
         """Fast multiply by a rational: no gcd pass is needed."""
