@@ -231,9 +231,13 @@ class Branch:
     substitutions and nonvanishing are cumulative along the path from the
     root.  substitutions are in elimination order: no image mentions its own
     unknown or an earlier one, which is the order ``parampoly_reduce``
-    applies them in.  residuals are the remaining equations, already
-    reduced.  A "solved" leaf keeps its residuals as reduction rules
+    applies them in, one ``ParamPoly.substitute`` pass each; a branch
+    ``name = 0`` has the zero image.  residuals are the remaining equations,
+    already reduced.  A "solved" leaf keeps its residuals as reduction rules
     (equations that hold on the case but do not isolate any unknown).
+    Children share their parent's substitutions and hypotheses, and a
+    polynomial keeps its text once encoded, so ``as_dict`` computes the
+    text of each shared polynomial once.
     """
 
     substitutions: tuple
@@ -270,9 +274,18 @@ def _is_variable(p: ParamPoly) -> Optional[str]:
     return p.ctx.names[e.index(1)]
 
 
-def _normalized(p: ParamPoly) -> ParamPoly:
-    _, lc = p.leading()
-    return p.scale(lc.inverse())
+def _is_lone_monic(factors) -> bool:
+    """Is the equation its own only branch factor, made monic?
+
+    The factors are nonconstant and multiply to the equation up to a
+    scalar, so a factor equals the equation made monic exactly when it is
+    the only factor and its leading coefficient is 1.
+    """
+    return (
+        len(factors) == 1
+        and _is_variable(factors[0]) is None
+        and factors[0].leading()[1].is_one
+    )
 
 
 def _try_eliminate(equations, ctx):
@@ -355,12 +368,7 @@ def solve_cases(
                     subs, nonvan, (eq,), "contradiction",
                     "every factor is assumed nonzero", ()
                 )
-            trivial = (
-                len(active) == 1
-                and _is_variable(active[0]) is None
-                and active[0] == _normalized(eq)
-            )
-            if not trivial:
+            if not _is_lone_monic(factors):
                 chosen = (eq, active)
                 break
         if chosen is None:

@@ -32,6 +32,10 @@ __all__ = [
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
+# The largest |k| accepted in an input power x^k.  Powers are taken by
+# repeated multiplication, so this bounds the work one power can ask for.
+MAX_EXPONENT = 100
+
 
 class ZeroInversion(ArithmeticError):
     """Raised when a zero scalar would have to be inverted."""
@@ -542,7 +546,10 @@ class FieldAutomorphism:
             raise ValueError("scalar field mismatch")
         if self.is_identity:
             return s
-        return Scalar(self.field, self._permute(s.num), self._permute(s.den))
+        # a permutation of the transcendentals keeps num and den coprime, but
+        # it can change which monomial of den leads
+        num, den = _monic_den(self._permute(s.num), self._permute(s.den))
+        return Scalar(self.field, num, den, _canonical=True)
 
     def _permute(self, p):
         out = {}
@@ -603,13 +610,14 @@ class ParamContext:
 class ParamPoly:
     """A polynomial in the unknowns of a ParamContext with Scalar coefficients."""
 
-    __slots__ = ("ctx", "terms", "_hash")
+    __slots__ = ("ctx", "terms", "_hash", "_text")
 
     def __init__(self, ctx: ParamContext, terms: Mapping = ()):
         clean = {e: c for e, c in dict(terms).items() if not c.is_zero}
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_text", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ParamPoly is immutable")
@@ -733,22 +741,55 @@ class ParamPoly:
     # -- substitution and evaluation
 
     def substitute(self, mapping: Mapping[str, "ParamPoly"]) -> "ParamPoly":
-        """Replace unknowns by polynomials (simultaneously)."""
-        if not mapping or not any(n in mapping for n in self.variables()):
+        """Replace unknowns by polynomials (simultaneously).
+
+        One pass over the terms: each term's exponents of the mapped
+        unknowns are split off, replaced by the product of the images'
+        powers (each power computed once per call), and the result is added
+        into a single accumulator.  A zero image drops every term that
+        mentions its unknown.
+        """
+        if not mapping:
             return self
-        out = ParamPoly.zero(self.ctx)
+        mapped = []
+        for i, name in enumerate(self.ctx.names):
+            image = mapping.get(name)
+            if image is None or not any(e[i] for e in self.terms):
+                continue
+            if image.ctx != self.ctx:
+                raise ValueError("parameter context mismatch")
+            mapped.append((i, image.terms))
+        if not mapped:
+            return self
+        zero = [i for i, image in mapped if not image]
+        powers = {}
+        out = {}
         for e, c in self.terms.items():
-            term = ParamPoly.constant(self.ctx, c)
-            for i, k in enumerate(e):
+            if any(e[i] for i in zero):
+                continue
+            rest = list(e)
+            for i, _ in mapped:
+                rest[i] = 0
+            term = {tuple(rest): c}
+            for i, image in mapped:
+                k = e[i]
                 if not k:
                     continue
-                name = self.ctx.names[i]
-                base = mapping.get(name)
-                if base is None:
-                    base = ParamPoly.variable(self.ctx, name)
-                term = term * base**k
-            out = out + term
-        return out
+                power = powers.get((i, k))
+                if power is None:
+                    power = image
+                    for _ in range(k - 1):
+                        power = _p_mul(power, image)
+                    powers[(i, k)] = power
+                term = _p_mul(term, power)
+            for te, tc in term.items():
+                s = out.get(te)
+                s = tc if s is None else s + tc
+                if s:
+                    out[te] = s
+                else:
+                    out.pop(te, None)
+        return ParamPoly(self.ctx, out)
 
     def evaluate(self, assignment: Mapping[str, Scalar]) -> Scalar:
         """Evaluate at a full assignment of the occurring unknowns."""
@@ -809,6 +850,13 @@ class ParamPoly:
     # -- text form
 
     def encode(self) -> str:
+        text = self._text
+        if text is None:
+            text = self._encode()
+            object.__setattr__(self, "_text", text)
+        return text
+
+    def _encode(self) -> str:
         if not self.terms:
             return "0"
         parts = []
@@ -862,9 +910,11 @@ def parampoly_reduce(
 
     Each image may mention only unknowns substituted after it, as in the
     elimination order of ``solve_cases``; so one pass in order leaves no
-    substituted unknown.  The result contains no term divisible by the
-    leading monomial of any (substituted) vanishing polynomial; applying the
-    same reduction again is the identity.
+    substituted unknown.  Each substitution is one ``ParamPoly.substitute``
+    pass over the terms of p and of each vanishing polynomial; a zero image
+    only drops the terms that mention its unknown.  The result contains no
+    term divisible by the leading monomial of any (substituted) vanishing
+    polynomial; applying the same reduction again is the identity.
     """
     done = set()
     for name, image in (substitutions or {}).items():
@@ -1030,7 +1080,13 @@ class _ExprParser:
             kind, val = self.take()
             if kind != "int":
                 raise ValueError("exponent must be an integer")
-            return v ** (sign * int(val))
+            k = sign * int(val)
+            if abs(k) > MAX_EXPONENT:
+                raise ValueError(
+                    f"exponent {k} is out of range: its absolute value must be"
+                    f" at most MAX_EXPONENT = {MAX_EXPONENT}"
+                )
+            return v**k
         return v
 
     def atom(self):

@@ -381,6 +381,19 @@ class TestInputErrors:
         assert code == 2
         assert "swap needs transcendentals 1 and 2" in self.single_error(err)
 
+    def test_exponent_guard(self, capsys, tmp_path):
+        # powers are repeated products: unguarded, t1^1000000 ran over 15 s
+        for text in ("t1^101", "t1^-101", "t1^1000000"):
+            code, _, err = run(capsys, ["op2", "--variety", "lie", "--a", text])
+            assert code == 2
+            assert "MAX_EXPONENT = 100" in self.single_error(err)
+        code, _, _ = run(capsys, ["op2", "--variety", "lie", "--a", "t1^-100"])
+        assert code == 0
+        path = self.job_file(tmp_path, "aut_1_3_4", generator="t1^101 * (x1 x2)")
+        code, _, err = run(capsys, ["falsify", "--spec", path])
+        assert code == 2
+        assert "MAX_EXPONENT = 100" in self.single_error(err)
+
     def test_permutation_names_unknown_transcendental(self, capsys):
         code, _, err = run(
             capsys, ["op2", "--variety", "lie", "--phi", "perm:t3,t1"]

@@ -536,8 +536,8 @@ class TestCertificateSerialization:
 
 
 # Corpus job 86 of perfbench's sweep and perfbench's RUNAWAY_JOB, the two
-# equation-ideal jobs with the longest case-tree reductions, written out
-# here with their verdicts and the sha256 of
+# equation-ideal jobs with the longest case-tree reductions, and corpus job
+# 5, written out here with their verdicts and the sha256 of
 # json.dumps(cert.as_dict(), sort_keys=True).
 SLOW_JOBS = {
     "commutative_3_3": (
@@ -577,6 +577,27 @@ SLOW_JOBS = {
         },
         "no_falsification",
         "79213a52a6ba21dbf6306ba567c87d21e44a98baac13a751c134449eaa5cf558",
+    ),
+    # job 5 ran away until the gcd scaled each primitive part to leading
+    # coefficient 1
+    "jordan_2_3": (
+        {
+            "kind": "equation-ideal",
+            "field": ["t1", "t2"],
+            "variety": "jordan",
+            "gens": 2,
+            "bound": 3,
+            "system": {"phi": "swap", "a": "1", "b": "0"},
+            "generator": "(3/(t2 + 1)) * (x2 (x1 x2)) + ((t1 + t2)/(t1 - 1))"
+            " * (x2 (x1 x1)) + (t2^2 - t1) * (x2 (x2 x2))",
+            "tail": 4,
+            "candidates": [
+                "(x1 (x2 x2))", "(x2 (x2 x2))", "(x1 (x1 x2))", "(x2 (x1 x1))",
+            ],
+            "hints": ["a11*a22 - a12*a21"],
+        },
+        "no_falsification",
+        "a63f4bdf02005d50b606370c873505f7a9c1edebecfa718226784385e9222ca2",
     ),
 }
 

@@ -10,10 +10,12 @@ identity check that ran its own loop over tuples of basis monomials, the
 reducer that sorted and resolved its substitutions on every call, the row
 reducer that kept every rational value a Fraction, and the evaluation of
 a law in the new product and the invertibility rank over Q(t), both
-replaced by the rational parts of sigma on words.  The old build and the
-rank oracle of the admissibility check run on the old row reducer; the
-rank oracle takes sigma from the two-normal-form step.  The current code
-must agree with them exactly.
+replaced by the rational parts of sigma on words, the substitution that
+built a polynomial per term, the lone-factor test that compared with the
+equation made monic, and the field automorphism that reduced its image by
+a full gcd.  The old build and the rank oracle of the admissibility check
+run on the old row reducer; the rank oracle takes sigma from the
+two-normal-form step.  The current code must agree with them exactly.
 """
 
 import itertools
@@ -26,7 +28,14 @@ import pytest
 
 from veralg import cases
 from veralg.cases import OP2_GRID
-from veralg.closure import coordinates, gen_constraints, ideal_build, solve_cases
+from veralg.closure import (
+    _is_lone_monic,
+    _is_variable,
+    coordinates,
+    gen_constraints,
+    ideal_build,
+    solve_cases,
+)
 from veralg.freealg import (
     Element,
     Endomorphism,
@@ -50,6 +59,7 @@ from veralg.scalars import (
     _p_mul,
     _split_last,
     _uni_prem,
+    factor_for_branching,
     parampoly_reduce,
 )
 from veralg.variety import (
@@ -65,6 +75,8 @@ from veralg.variety import (
     polarize,
 )
 from veralg.verbal import VerbalSystem, check_op2, word_transform
+
+from test_closure import SLOW_JOBS
 
 F = FieldSpec(("t1", "t2"))
 G = GeneratorSet.default(2)
@@ -804,3 +816,147 @@ def test_reduce_matches_old_on_seeded_chains():
         q = _rand_chain_poly(rng, ctx, set(ctx.names))
         want = _old_parampoly_reduce(q, subs, [det])
         assert parampoly_reduce(q, subs, [det]) == want
+
+
+def _old_substitute(self, mapping):
+    """Replace unknowns by polynomials (simultaneously)."""
+    if not mapping or not any(n in mapping for n in self.variables()):
+        return self
+    out = ParamPoly.zero(self.ctx)
+    for e, c in self.terms.items():
+        term = ParamPoly.constant(self.ctx, c)
+        for i, k in enumerate(e):
+            if not k:
+                continue
+            name = self.ctx.names[i]
+            base = mapping.get(name)
+            if base is None:
+                base = ParamPoly.variable(self.ctx, name)
+            term = term * base**k
+        out = out + term
+    return out
+
+
+def _rand_field_scalar(rng, field):
+    if not field.size:
+        return Scalar.from_fraction(
+            field, Fraction(rng.randrange(-3, 4) or 1, rng.randrange(1, 4))
+        )
+    return _rand_scalar(rng)
+
+
+def _rand_poly_in(rng, ctx, names, terms):
+    out = ParamPoly.zero(ctx)
+    for _ in range(terms):
+        e = tuple(rng.randrange(3) if n in names else 0 for n in ctx.names)
+        out = out + ParamPoly(ctx, {e: _rand_field_scalar(rng, ctx.field)})
+    return out
+
+
+@pytest.mark.parametrize("field", (RATIONALS, F), ids=("Q", "Qt"))
+@pytest.mark.parametrize("count", (1, 2, 3, 4))
+def test_substitute_matches_old(count, field):
+    ctx = ParamContext(field, ("u", "v", "w", "z")[:count])
+    rng = random.Random(f"substitute/{count}/{field.size}")
+    seen = set()
+    for _ in range(60):
+        present = set(rng.sample(ctx.names, rng.randrange(1, count + 1)))
+        p = _rand_poly_in(rng, ctx, present, rng.randrange(1, 5))
+        mapping = {}
+        for name in rng.sample(ctx.names, rng.randrange(1, count + 1)):
+            kind = rng.choice(("zero", "constant", "polynomial"))
+            if kind == "zero":
+                image = ParamPoly.zero(ctx)
+            elif kind == "constant":
+                image = ParamPoly.constant(ctx, _rand_field_scalar(rng, field))
+            else:
+                image = _rand_poly_in(
+                    rng, ctx, set(ctx.names), rng.randrange(1, 3)
+                )
+                if name in image.variables():
+                    seen.add("own name")
+            mapping[name] = image
+            seen.add(kind if name in p.variables() else "absent")
+        if len(mapping) > 1:
+            seen.add("several")
+        got, want = p.substitute(mapping), _old_substitute(p, mapping)
+        assert got == want
+        assert got.encode() == want.encode()
+    # every kind of image, and names absent from the polynomial, occurred
+    assert {"zero", "constant", "polynomial", "absent"} <= seen
+    if count > 1:
+        assert {"own name", "several"} <= seen
+
+
+def _old_trivial(eq, active):
+    """The lone-factor test of solve_cases against the equation made monic."""
+    _, lc = eq.leading()
+    return (
+        len(active) == 1
+        and _is_variable(active[0]) is None
+        and active[0] == eq.scale(lc.inverse())
+    )
+
+
+def _case_tree(job):
+    alg, field, gens, system = cases.job_context(job)
+    t = parse_element(job["generator"], gens, field)
+    ideal = ideal_build(alg, field, (t,), int(job["tail"]))
+    cons = gen_constraints(alg, ideal, system)
+    hints = [ParamPoly.parse(h, cons.ctx) for h in job.get("hints", ())]
+    return solve_cases(cons.equations, cons.ctx, hints), hints
+
+
+def _nodes(branch):
+    yield branch
+    for child in branch.children:
+        yield from _nodes(child)
+
+
+def test_lone_monic_factor_matches_old_trivial_test():
+    outcomes = []
+    for name in ("aut_1_3_4", "aut_2_5", "aut_6") + tuple(sorted(SLOW_JOBS)):
+        job = SLOW_JOBS[name][0] if name in SLOW_JOBS else cases.load_job(name)
+        tree, hints = _case_tree(job)
+        # every residual of a split node, and of a solved leaf that keeps
+        # its residuals as rules
+        for node in _nodes(tree):
+            if node.status not in ("split", "solved"):
+                continue
+            subs = dict(node.substitutions)
+            nv_set = [parampoly_reduce(p, subs) for p in node.nonvanishing]
+            for eq in node.residuals:
+                factors = factor_for_branching(eq, hints)
+                uniq = []
+                for f in factors:
+                    if all(f != g for g in uniq):
+                        uniq.append(f)
+                active = [f for f in uniq if all(f != n for n in nv_set)]
+                if not active:
+                    continue
+                new = _is_lone_monic(factors)
+                assert new == _old_trivial(eq, active), (name, eq.encode())
+                outcomes.append(new)
+    assert True in outcomes and False in outcomes
+
+
+def _old_apply(phi, s):
+    """The permuted scalar, reduced by a full gcd."""
+    if phi.is_identity:
+        return s
+    return Scalar(phi.field, phi._permute(s.num), phi._permute(s.den))
+
+
+@pytest.mark.parametrize("nvars", (2, 3))
+def test_field_automorphism_matches_full_reduction(nvars):
+    rng = random.Random(f"apply/{nvars}")
+    field = FieldSpec(tuple(f"t{i + 1}" for i in range(nvars)))
+    perms = [FieldAutomorphism(field, p) for p in itertools.permutations(range(nvars))]
+    rescaled = 0
+    for _ in range(30):
+        x = Scalar(field, _rand_poly(rng, nvars), _rand_nonzero_poly(rng, nvars))
+        for phi in perms:
+            got = phi.apply(x)
+            assert got == _old_apply(phi, x)
+            rescaled += got.den != phi._permute(x.den)
+    assert rescaled  # some permutations moved the leading monomial of den

@@ -208,6 +208,16 @@ class TestParamPoly:
         q = p("a11*a22 - a12*a21")
         assert q.substitute({"a12": p("0")}) == p("a11*a22")
         assert q.substitute({"a11": p("a22"), "a22": p("a11")}) == q
+        assert q.substitute({"a11": p("a11 + a12")}) == p(
+            "a11*a22 + a12*a22 - a12*a21"
+        )
+        assert q.substitute({"rho": p("0")}) is q
+
+    def test_encode_is_kept(self):
+        q = p("t1*a11 - a12/2")
+        text = q.encode()
+        assert text == "t1*a11 - (1/2)*a12"
+        assert q.encode() is text
 
     def test_evaluate(self):
         q = p("t1*a11^2 + rho")
