@@ -744,13 +744,11 @@ class ParamPoly:
         """Replace unknowns by polynomials (simultaneously).
 
         One pass over the terms: each term's exponents of the mapped
-        unknowns are split off, replaced by the product of the images'
-        powers (each power computed once per call), and the result is added
-        into a single accumulator.  A zero image drops every term that
-        mentions its unknown.
+        unknowns are split off and replaced by the product of the images'
+        powers, each power computed once per call, and the result is added
+        into a single accumulator.  A zero image has empty powers, so it
+        drops every term that mentions its unknown.
         """
-        if not mapping:
-            return self
         mapped = []
         for i, name in enumerate(self.ctx.names):
             image = mapping.get(name)
@@ -761,12 +759,9 @@ class ParamPoly:
             mapped.append((i, image.terms))
         if not mapped:
             return self
-        zero = [i for i, image in mapped if not image]
         powers = {}
         out = {}
         for e, c in self.terms.items():
-            if any(e[i] for i in zero):
-                continue
             rest = list(e)
             for i, _ in mapped:
                 rest[i] = 0

@@ -914,10 +914,17 @@ def _nodes(branch):
 
 
 def test_lone_monic_factor_matches_old_trivial_test():
-    outcomes = []
+    trees = {}
     for name in ("aut_1_3_4", "aut_2_5", "aut_6") + tuple(sorted(SLOW_JOBS)):
         job = SLOW_JOBS[name][0] if name in SLOW_JOBS else cases.load_job(name)
-        tree, hints = _case_tree(job)
+        trees[name] = _case_tree(job)
+    # a repeated hint factor, and a lone hint whose leading coefficient is -1
+    ctx = ParamContext(F, ("a11", "a12", "a21", "a22"))
+    det = ParamPoly.parse("a11*a22 - a12*a21", ctx)
+    for name, eq, hint in (("det^2", det * det, det), ("-det", -det, -det)):
+        trees[name] = solve_cases([eq], ctx, [hint], max_depth=3), [hint]
+    outcomes = []
+    for name, (tree, hints) in trees.items():
         # every residual of a split node, and of a solved leaf that keeps
         # its residuals as rules
         for node in _nodes(tree):
