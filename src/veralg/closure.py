@@ -309,10 +309,15 @@ def solve_cases(
     hints: Sequence = (),
     max_depth: int = 12,
 ) -> Branch:
-    """Split the system into cases by elimination and factor branching."""
+    """Split the system into cases by elimination and factor branching.
+
+    Each hint is made monic (leading coefficient 1) once, here, so that an
+    equation equal to a hint up to a scalar is its own lone monic factor.
+    """
 
     hints = tuple(
-        ParamPoly.parse(h, ctx) if isinstance(h, str) else h for h in hints
+        (ParamPoly.parse(h, ctx) if isinstance(h, str) else h).monic()
+        for h in hints
     )
 
     def build(subs, nonvan, eqs, depth, note):
@@ -412,14 +417,31 @@ def solve_cases(
     return build((), (), list(equations), 0, "")
 
 
-def kernel_contains(alg, ideal: TruncatedIdeal, constraints: GenConstraints, branch: Branch, el: Element) -> bool:
-    """Does alpha(el) lie in the ideal for every alpha satisfying the case?"""
+def kernel_contains(
+    alg,
+    ideal: TruncatedIdeal,
+    constraints: GenConstraints,
+    leaves: Sequence[Branch],
+    el: Element,
+) -> bool:
+    """Does alpha(el) lie in the ideal for every alpha of every given case?
+
+    alpha(el) and its residue modulo the ideal depend only on el, so they
+    are computed once, and not at all when there are no leaves.  Each leaf
+    then reduces every coordinate of the residue by its substitutions and
+    rules (``parampoly_reduce``); the first leaf that leaves a nonzero
+    coordinate decides, and later leaves are not tried.
+    """
+    if not leaves:
+        return True
     residue = ideal.residue(coordinates(alg, constraints.alpha.apply(el, alg.bound)))
-    subs = dict(branch.substitutions)
-    rules = list(branch.residuals)
-    return all(
-        parampoly_reduce(q, subs, rules).is_zero for q in residue.values()
-    )
+    coords = list(residue.values())
+    for leaf in leaves:
+        subs = dict(leaf.substitutions)
+        rules = list(leaf.residuals)
+        if not all(parampoly_reduce(q, subs, rules).is_zero for q in coords):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -503,9 +525,6 @@ class Certificate:
             "details": self.details,
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent)
-
 
 def falsify_equation_ideal(
     alg,
@@ -520,8 +539,10 @@ def falsify_equation_ideal(
 
     Every linear alpha with alpha(sigma t) in T is covered by a case tree;
     candidates that land in T under all of them, but are missing from
-    sigma(T), witness that the quotients impose different closures.  The
-    verdict is "inconclusive" when a case resists the analysis,
+    sigma(T), witness that the quotients impose different closures.  Each
+    candidate is tested against all solved leaves in one
+    ``kernel_contains`` call, which computes alpha(v) and its residue once.
+    The verdict is "inconclusive" when a case resists the analysis,
     "no_falsification" when no candidate separates, and
     "not_geometrically_equivalent" with a witness otherwise.
     """
@@ -536,11 +557,10 @@ def falsify_equation_ideal(
     solved = [l for l in leaves if l.status == "solved"]
     stuck = [l for l in leaves if l.status == "stuck"]
 
-    kernel = {}
-    for v in candidates:
-        kernel[v.encode()] = all(
-            kernel_contains(alg, ideal, cons, leaf, v) for leaf in solved
-        )
+    kernel = {
+        v.encode(): kernel_contains(alg, ideal, cons, solved, v)
+        for v in candidates
+    }
 
     witness = None
     if not stuck:

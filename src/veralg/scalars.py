@@ -48,15 +48,46 @@ class CyclicSubstitution(ValueError):
 # ---------------------------------------------------------------------------
 # Raw polynomial layer.
 #
-# A polynomial in m commuting variables is a dict {exponent tuple: Fraction}
-# with no zero values; the zero polynomial is the empty dict.  Monomials are
-# ordered graded-lexicographically.  The arithmetic helpers only need +, -,
-# *, / and truthiness of the values, so ParamPoly runs them on Scalar values
-# (and Element's _p_add/_p_neg on monomial keys with either coefficient type).
+# A polynomial in m commuting variables is a dict {exponent tuple: value}
+# with no zero values; the zero polynomial is the empty dict.  A rational
+# value is an int where it is integral and a Fraction only where it is not;
+# sums and products may leave an integral Fraction, which compares and
+# hashes like the int.  Monomials are ordered graded-lexicographically.  The
+# arithmetic helpers only need +, -, *, truthiness and the exact division
+# _div of the values, so ParamPoly runs them on Scalar values (and Element's
+# _p_add/_p_neg on monomial keys with either coefficient type).
 
 
 def _grlex(e):
     return (sum(e), e)
+
+
+def _exact(v):
+    """A rational value as an int when it is integral, else unchanged."""
+    return v.numerator if type(v) is Fraction and v.denominator == 1 else v
+
+
+def _rational(value):
+    """An int or Fraction value as an exact rational, an int if integral."""
+    return value if type(value) is int else _exact(Fraction(value))
+
+
+def _div(a, b):
+    """The exact quotient a/b: an int when it is integral.
+
+    Every division of the raw layer goes through here.  Two ints never meet
+    a bare ``/``, which would give a float; other values (Fractions, or the
+    Scalar values of a ParamPoly) divide as their type does.
+    """
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _exact(a / b)
+
+
+def _p_div(p, c):
+    """p with every value divided by the nonzero c."""
+    return {e: _div(v, c) for e, v in p.items()}
 
 
 def _p_add(p, q):
@@ -117,7 +148,7 @@ def _p_divexact(p, d):
         e = tuple(a - b for a, b in zip(re_, de))
         if any(x < 0 for x in e):
             return None
-        c = rc / dc
+        c = _div(rc, dc)
         q[e] = c
         r = _p_add(r, _p_neg(_p_mul({e: c}, d)))
     return q
@@ -127,7 +158,7 @@ def _p_monic(p):
     if not p:
         return p
     _, c = _p_lead(p)
-    return p if c == 1 else _p_scale(p, 1 / c)
+    return p if c == 1 else _p_div(p, c)
 
 
 def _split_last(p):
@@ -160,7 +191,7 @@ def _uni_pp(coeffs):
         coeffs = {d: _p_divexact(q, c) for d, q in coeffs.items()}
     # unscaled, the constant left by each pseudo-remainder compounds
     _, lc = _p_lead(coeffs[max(coeffs)])
-    return coeffs if lc == 1 else {d: _p_scale(q, 1 / lc) for d, q in coeffs.items()}
+    return coeffs if lc == 1 else {d: _p_div(q, lc) for d, q in coeffs.items()}
 
 
 def _uni_prem(f, g):
@@ -192,7 +223,7 @@ def _p_gcd(p, q):
         return _p_monic(p)
     if _p_is_const(p) or _p_is_const(q):
         m = len(next(iter(p)))
-        return {(0,) * m: Fraction(1)}
+        return {(0,) * m: 1}
     fs, gs = _split_last(p), _split_last(q)
     c = _p_gcd(_content(fs.values()), _content(gs.values()))
     f, g = _uni_pp(fs), _uni_pp(gs)
@@ -220,7 +251,7 @@ def _monic_den(num, den):
     _, lc = _p_lead(den)
     if lc == 1:
         return num, den
-    return _p_scale(num, 1 / lc), _p_scale(den, 1 / lc)
+    return _p_div(num, lc), _p_div(den, lc)
 
 
 # ---------------------------------------------------------------------------
@@ -271,12 +302,12 @@ class Scalar:
     def __init__(self, field: FieldSpec, num, den=None, _canonical=False):
         m = field.size
         if den is None:
-            den = {(0,) * m: Fraction(1)}
+            den = {(0,) * m: 1}
         if not _canonical:
             if not den:
                 raise ZeroInversion("scalar with zero denominator")
             if not num:
-                num, den = {}, {(0,) * m: Fraction(1)}
+                num, den = {}, {(0,) * m: 1}
             else:
                 num, den = _monic_den(*_cancel(num, den))
         object.__setattr__(self, "field", field)
@@ -295,11 +326,11 @@ class Scalar:
 
     @staticmethod
     def one(field: FieldSpec) -> "Scalar":
-        return Scalar.from_fraction(field, Fraction(1))
+        return Scalar.from_fraction(field, 1)
 
     @staticmethod
     def from_fraction(field: FieldSpec, value) -> "Scalar":
-        c = Fraction(value)
+        c = _rational(value)
         num = {(0,) * field.size: c} if c else {}
         return Scalar(field, num, None, _canonical=True)
 
@@ -307,7 +338,7 @@ class Scalar:
     def transcendental(field: FieldSpec, name: str) -> "Scalar":
         i = field.index(name)
         e = tuple(1 if j == i else 0 for j in range(field.size))
-        return Scalar(field, {e: Fraction(1)}, None, _canonical=True)
+        return Scalar(field, {e: 1}, None, _canonical=True)
 
     @classmethod
     def parse(cls, text: str, field: FieldSpec) -> "Scalar":
@@ -324,14 +355,18 @@ class Scalar:
 
     @property
     def is_one(self) -> bool:
-        return self == Scalar.one(self.field)
+        # in lowest terms with a monic denominator, 1 is stored as 1/1
+        return self.num == self.den
 
-    def as_fraction(self) -> Optional[Fraction]:
-        """The value as a rational number, or None if transcendentals occur."""
+    def as_fraction(self):
+        """The value as a rational number, or None if transcendentals occur.
+
+        The value is exact: an int when it is integral, else a Fraction.
+        """
         if not self.num:
-            return Fraction(0)
+            return 0
         if _p_is_const(self.num) and _p_is_const(self.den):
-            return next(iter(self.num.values())) / next(iter(self.den.values()))
+            return _div(next(iter(self.num.values())), next(iter(self.den.values())))
         return None
 
     # -- arithmetic
@@ -419,10 +454,13 @@ class Scalar:
 
     def scale_fraction(self, value) -> "Scalar":
         """Fast multiply by a rational: no gcd pass is needed."""
-        c = Fraction(value)
+        c = _rational(value)
         if not c or not self.num:
             return Scalar.zero(self.field)
-        return Scalar(self.field, _p_scale(self.num, c), self.den, _canonical=True)
+        if c == 1:
+            return self
+        num = {e: _exact(v * c) for e, v in self.num.items()}
+        return Scalar(self.field, num, self.den, _canonical=True)
 
     # -- identity
 
@@ -470,8 +508,11 @@ class Scalar:
         coeffs = list(self.num.values()) + list(self.den.values())
         mult = lcm(*(c.denominator for c in coeffs))
         div = gcd(*((c * mult).numerator for c in coeffs))
-        f = Fraction(mult, div)
-        return _p_scale(self.num, f), _p_scale(self.den, f)
+
+        def scaled(p):
+            return {e: (c * mult).numerator // div for e, c in p.items()}
+
+        return scaled(self.num), scaled(self.den)
 
     def __str__(self):
         return self.encode()
@@ -730,8 +771,15 @@ class ParamPoly:
     def scale(self, value: Scalar) -> "ParamPoly":
         return ParamPoly(self.ctx, _p_scale(self.terms, value))
 
+    def monic(self) -> "ParamPoly":
+        """self scaled to leading coefficient 1; zero is returned unchanged."""
+        if not self.terms:
+            return self
+        _, lc = self.leading()
+        return self if lc.is_one else self.scale(lc.inverse())
+
     def scale_fraction(self, value) -> "ParamPoly":
-        f = Fraction(value)
+        f = _rational(value)
         if not f:
             return ParamPoly.zero(self.ctx)
         return ParamPoly(
@@ -963,8 +1011,7 @@ def factor_for_branching(
             out.append(h)
             p = q
     if p.constant_value() is None:
-        _, lc = p.leading()
-        out.append(p.scale(lc.inverse()))
+        out.append(p.monic())
     return out
 
 

@@ -38,7 +38,7 @@ from .freealg import (
     monomials_of_multidegree,
     parse_element,
 )
-from .scalars import FieldSpec, Scalar
+from .scalars import FieldSpec, Scalar, _exact
 
 __all__ = [
     "IdentityScheme",
@@ -53,11 +53,6 @@ __all__ = [
 ]
 
 RATIONALS = FieldSpec(())  # the prime field: no transcendentals
-
-
-def _exact(v):
-    """A rational value as an int when it is integral, else unchanged."""
-    return v.numerator if type(v) is Fraction and v.denominator == 1 else v
 
 
 class IdentityScheme:
@@ -506,16 +501,6 @@ class TruncatedAlgebra:
         return {
             d: len(self.basis_of_degree(d)) for d in range(1, self.bound + 1)
         }
-
-    def dims_by_multidegree(self) -> dict:
-        out = {}
-        for d in range(1, self.bound + 1):
-            for md in self.multidegrees(d):
-                out[md] = len(self.components[md][1])
-        return out
-
-    def is_basis_monomial(self, m: Monomial) -> bool:
-        return m.degree <= self.bound and m not in self.rewrite
 
     # -- normal forms
 

@@ -219,8 +219,12 @@ class TestTwoDimLinearRun:
         good = alg.normal_form(parse_element("(x1 x2)", G, F))
         bad = alg.normal_form(parse_element("(x1 x1)", G, F))
         solved = [l for l in tree.leaves() if l.status == "solved"]
-        assert all(kernel_contains(alg, ideal, cons, l, good) for l in solved)
-        assert not all(kernel_contains(alg, ideal, cons, l, bad) for l in solved)
+        assert all(kernel_contains(alg, ideal, cons, [l], good) for l in solved)
+        assert not all(kernel_contains(alg, ideal, cons, [l], bad) for l in solved)
+        # one call over all solved leaves gives the conjunction of the above
+        assert kernel_contains(alg, ideal, cons, solved, good)
+        assert not kernel_contains(alg, ideal, cons, solved, bad)
+        assert kernel_contains(alg, ideal, cons, [], bad)
 
     def test_certificate(self):
         alg = _alg("alllinear", 2)
@@ -441,6 +445,20 @@ class TestSolveCasesUnits:
         assert frozenset({"x"}) in sets
         assert frozenset({"y"}) not in sets
 
+    @pytest.mark.parametrize("scale", ("-1", "2", "t1", "-1/t2"))
+    def test_hint_with_leading_coefficient_not_one(self, scale):
+        # the hint is made monic once, so an equation equal to it up to a
+        # scalar is its own lone monic factor and is kept as a rule
+        ctx = ParamContext(F, ("a11", "a12", "a21", "a22"))
+        det = ParamPoly.parse("a11*a22 - a12*a21", ctx)
+        hint = det.scale(Scalar.parse(scale, F))
+        for eq in (hint, -det, det):
+            tree = solve_cases([eq], ctx, [hint], max_depth=4)
+            assert tree.status == "solved"
+            assert (tree.residuals, tree.children) == ((eq,), ())
+        tree = solve_cases([-det], ctx, ["-a11*a22 + a12*a21"], max_depth=4)
+        assert tree.status == "solved"
+
 
 class TestSmallestClosed:
     def test_left_normed_square_word(self):
@@ -520,7 +538,7 @@ class TestCertificateSerialization:
         t = parse_element("t1 * (x1 x2) + (x2 x1)", G, F)
         V = [parse_element("(x1 x2)", G, F)]
         cert = falsify_equation_ideal(alg, SWAP10, t, 3, V)
-        blob = json.loads(cert.to_json())
+        blob = json.loads(json.dumps(cert.as_dict(), indent=2))
         assert blob["verdict"] == "not_geometrically_equivalent"
         assert blob["kind"] == "equation-ideal"
         assert blob["details"]["cases"]["status"] == "split"
@@ -530,7 +548,7 @@ class TestCertificateSerialization:
         alg = _alg("alternative", 3)
         system = VerbalSystem.parse(F, "id", "0", "1")
         cert = falsify_smallest_closed(alg, system, parse_monomial("(x1 (x2 x2))", G))
-        blob = json.loads(cert.to_json())
+        blob = json.loads(json.dumps(cert.as_dict(), indent=2))
         assert blob["kind"] == "smallest-closed"
         assert blob["details"]["witness"] == "(x2 (x2 x1))"
 

@@ -12,21 +12,25 @@ reducer that kept every rational value a Fraction, and the evaluation of
 a law in the new product and the invertibility rank over Q(t), both
 replaced by the rational parts of sigma on words, the substitution that
 built a polynomial per term, the lone-factor test that compared with the
-equation made monic, and the field automorphism that reduced its image by
-a full gcd.  The old build and the rank oracle of the admissibility check
-run on the old row reducer; the rank oracle takes sigma from the
-two-normal-form step.  The current code must agree with them exactly.
+equation made monic, the field automorphism that reduced its image by
+a full gcd, and the kernel test that recomputed alpha(v) and its residue
+for every leaf.  The ``_fr_*`` helpers and ``_FrScalar`` keep the Q(t)
+layer in which every coefficient was a Fraction.  The old build and the
+rank oracle of the admissibility check run on the old row reducer; the
+rank oracle takes sigma from the two-normal-form step.  The current code must agree with them exactly.
 """
 
 import itertools
 import operator
 import random
+import re
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 import pytest
 
-from veralg import cases
+from veralg import cases, closure
 from veralg.cases import OP2_GRID
 from veralg.closure import (
     _is_lone_monic,
@@ -51,12 +55,19 @@ from veralg.scalars import (
     ParamContext,
     ParamPoly,
     Scalar,
+    _div,
+    _exact,
+    _format_poly,
     _join_last,
+    _p_add,
     _p_divexact,
     _p_gcd,
     _p_is_const,
+    _p_lead,
     _p_monic,
     _p_mul,
+    _p_neg,
+    _p_scale,
     _split_last,
     _uni_prem,
     factor_for_branching,
@@ -967,3 +978,320 @@ def test_field_automorphism_matches_full_reduction(nvars):
             assert got == _old_apply(phi, x)
             rescaled += got.den != phi._permute(x.den)
     assert rescaled  # some permutations moved the leading monomial of den
+
+
+# The Q(t) layer as it was when every coefficient was a Fraction: each
+# division was a bare ``/`` on Fractions, and monic scaling multiplied by
+# 1/c.  The new layer keeps integral values as ints and must give equal
+# parts, hashes and text.
+
+
+def _fr_divexact(p, d):
+    if not p:
+        return {}
+    de, dc = _p_lead(d)
+    q = {}
+    r = dict(p)
+    while r:
+        re_, rc = _p_lead(r)
+        e = tuple(a - b for a, b in zip(re_, de))
+        if any(x < 0 for x in e):
+            return None
+        c = rc / dc
+        q[e] = c
+        r = _p_add(r, _p_neg(_p_mul({e: c}, d)))
+    return q
+
+
+def _fr_monic(p):
+    if not p:
+        return p
+    _, c = _p_lead(p)
+    return p if c == 1 else _p_scale(p, 1 / c)
+
+
+def _fr_content(coeffs):
+    g = {}
+    for q in coeffs:
+        g = _fr_gcd(g, q)
+    return g
+
+
+def _fr_uni_pp(coeffs):
+    c = _fr_content(coeffs.values())
+    if not _p_is_const(c):
+        coeffs = {d: _fr_divexact(q, c) for d, q in coeffs.items()}
+    _, lc = _p_lead(coeffs[max(coeffs)])
+    return coeffs if lc == 1 else {d: _p_scale(q, 1 / lc) for d, q in coeffs.items()}
+
+
+def _fr_gcd(p, q):
+    if not p:
+        return _fr_monic(q)
+    if not q:
+        return _fr_monic(p)
+    if _p_is_const(p) or _p_is_const(q):
+        m = len(next(iter(p)))
+        return {(0,) * m: Fraction(1)}
+    fs, gs = _split_last(p), _split_last(q)
+    c = _fr_gcd(_fr_content(fs.values()), _fr_content(gs.values()))
+    f, g = _fr_uni_pp(fs), _fr_uni_pp(gs)
+    if max(f) < max(g):
+        f, g = g, f
+    while g:
+        r = _uni_prem(f, g)
+        if r:
+            r = _fr_uni_pp(r)
+        f, g = g, r
+    f = _fr_uni_pp(f)
+    return _fr_monic(_join_last({d: _p_mul(q_, c) for d, q_ in f.items()}))
+
+
+def _fr_cancel(p, q):
+    g = _fr_gcd(p, q)
+    if _p_is_const(g):
+        return p, q
+    return _fr_divexact(p, g), _fr_divexact(q, g)
+
+
+def _fr_monic_den(num, den):
+    _, lc = _p_lead(den)
+    if lc == 1:
+        return num, den
+    return _p_scale(num, 1 / lc), _p_scale(den, 1 / lc)
+
+
+class _FrScalar:
+    """The old Scalar: num/den in lowest terms, every coefficient a Fraction."""
+
+    def __init__(self, field, num, den=None, canonical=False):
+        m = field.size
+        if den is None:
+            den = {(0,) * m: Fraction(1)}
+        if not canonical:
+            if not num:
+                num, den = {}, {(0,) * m: Fraction(1)}
+            else:
+                num, den = _fr_monic_den(*_fr_cancel(num, den))
+        self.field, self.num, self.den = field, num, den
+
+    @staticmethod
+    def from_fraction(field, value):
+        c = Fraction(value)
+        return _FrScalar(field, {(0,) * field.size: c} if c else {}, canonical=True)
+
+    @staticmethod
+    def transcendental(field, name):
+        i = field.index(name)
+        e = tuple(1 if j == i else 0 for j in range(field.size))
+        return _FrScalar(field, {e: Fraction(1)}, canonical=True)
+
+    def as_fraction(self):
+        if not self.num:
+            return Fraction(0)
+        if _p_is_const(self.num) and _p_is_const(self.den):
+            return next(iter(self.num.values())) / next(iter(self.den.values()))
+        return None
+
+    def scale_fraction(self, value):
+        c = Fraction(value)
+        if not c or not self.num:
+            return _FrScalar(self.field, {}, canonical=True)
+        return _FrScalar(self.field, _p_scale(self.num, c), self.den, canonical=True)
+
+    def __add__(self, o):
+        if self.den == o.den:
+            return _FrScalar(self.field, _p_add(self.num, o.num), dict(self.den))
+        num = _p_add(_p_mul(self.num, o.den), _p_mul(o.num, self.den))
+        return _FrScalar(self.field, num, _p_mul(self.den, o.den))
+
+    def __mul__(self, o):
+        f = o.as_fraction()
+        if f is not None:
+            return self.scale_fraction(f)
+        f = self.as_fraction()
+        if f is not None:
+            return o.scale_fraction(f)
+        n1, d2 = _fr_cancel(self.num, o.den)
+        n2, d1 = _fr_cancel(o.num, self.den)
+        num, den = _fr_monic_den(_p_mul(n1, n2), _p_mul(d1, d2))
+        return _FrScalar(self.field, num, den, canonical=True)
+
+    def inverse(self):
+        num, den = _fr_monic_den(dict(self.den), dict(self.num))
+        return _FrScalar(self.field, num, den, canonical=True)
+
+    def apply(self, phi):
+        if phi.is_identity:
+            return self
+        num, den = _fr_monic_den(phi._permute(self.num), phi._permute(self.den))
+        return _FrScalar(self.field, num, den, canonical=True)
+
+    def encode(self):
+        if not self.num:
+            return "0"
+        coeffs = list(self.num.values()) + list(self.den.values())
+        mult = lcm(*(c.denominator for c in coeffs))
+        div = gcd(*((c * mult).numerator for c in coeffs))
+        f = Fraction(mult, div)
+        num, den = _p_scale(self.num, f), _p_scale(self.den, f)
+        ns = _format_poly(num, self.field.names)
+        if _p_is_const(den) and next(iter(den.values())) == 1:
+            return ns
+        ds = _format_poly(den, self.field.names)
+        if len(num) > 1:
+            ns = f"({ns})"
+        if not re.fullmatch(r"[A-Za-z_0-9]+(\^\d+)?", ds):
+            ds = f"({ds})"
+        return f"{ns}/{ds}"
+
+
+def _exact_type(c):
+    """An int when integral, else a Fraction: never a float."""
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+def _assert_same_scalar(new, old):
+    assert all(type(c) is Fraction for c in (*old.num.values(), *old.den.values()))
+    assert all(type(c) is not float for c in (*new.num.values(), *new.den.values()))
+    assert new.num == old.num and new.den == old.den
+    assert hash(new) == hash(Scalar(old.field, old.num, old.den, _canonical=True))
+    assert new.encode() == old.encode()
+
+
+def _fr_poly(rng, nvars, terms, top=2):
+    out = {}
+    for _ in range(terms):
+        e = tuple(rng.randrange(top + 1) for _ in range(nvars))
+        out[e] = Fraction(rng.randrange(-4, 5) or 1, rng.choice((1, 1, 2, 3)))
+    return out
+
+
+@pytest.mark.parametrize("nvars", (1, 2, 3))
+def test_int_coefficient_scalars_match_all_fraction(nvars):
+    field = FieldSpec(tuple(f"t{i + 1}" for i in range(nvars)))
+    rng = random.Random(f"int-scalars/{nvars}")
+    perms = [FieldAutomorphism(field, p) for p in itertools.permutations(range(nvars))]
+    atoms = []
+    for name in field.names:
+        atoms.append(
+            (Scalar.transcendental(field, name), _FrScalar.transcendental(field, name))
+        )
+    for value in (1, -2, Fraction(1, 2), Fraction(-3, 4), Fraction(6, 3)):
+        atoms.append(
+            (Scalar.from_fraction(field, value), _FrScalar.from_fraction(field, value))
+        )
+    for _ in range(6):
+        p = _fr_poly(rng, nvars, rng.randrange(1, 3), top=1)
+        q = _fr_poly(rng, nvars, rng.randrange(1, 3), top=1)
+        num, den = ({e: _exact(c) for e, c in r.items()} for r in (p, q))
+        atoms.append((Scalar(field, num, den), _FrScalar(field, p, q)))
+    for new, old in atoms:
+        _assert_same_scalar(new, old)
+    ints_seen = 0
+    for _ in range(40):
+        (x, xo), (y, yo), (z, zo) = (rng.choice(atoms) for _ in range(3))
+        s, so = x + y, xo + yo
+        m, mo = x * y, xo * yo
+        results = [(s, so), (m, mo), (s * z, so * zo), (m + z, mo + zo)]
+        if s:
+            results.append((s.inverse(), so.inverse()))
+        if m:
+            results.append((m.inverse() * z, mo.inverse() * zo))
+        for phi in perms:
+            results.append((phi.apply(m + z), (mo + zo).apply(phi)))
+        for new, old in results:
+            _assert_same_scalar(new, old)
+            ints_seen += sum(type(c) is int for c in new.num.values())
+    assert ints_seen
+
+
+@pytest.mark.parametrize("nvars", (1, 2, 3))
+def test_int_coefficient_gcd_matches_all_fraction(nvars):
+    rng = random.Random(f"int-gcd/{nvars}")
+    for _ in range(30):
+        p, q, r = (_fr_poly(rng, nvars, rng.randrange(1, 4)) for _ in range(3))
+        for a, b in ((p, q), (_p_mul(p, r), _p_mul(q, r))):
+            want = _fr_gcd(a, b)
+            ia = {e: _exact(c) for e, c in a.items()}
+            ib = {e: _exact(c) for e, c in b.items()}
+            for got in (_p_gcd(a, b), _p_gcd(ia, ib)):
+                assert got == want
+                assert all(type(c) in (int, Fraction) for c in got.values())
+
+
+def test_constructors_and_exact_division_give_ints_when_integral():
+    field = FieldSpec(("t1", "t2"))
+    rng = random.Random("exact-division")
+    values = [rng.randrange(-12, 13) for _ in range(40)]
+    values += [Fraction(rng.randrange(-12, 13), rng.randrange(1, 5)) for _ in range(40)]
+    t1 = Scalar.transcendental(field, "t1")
+    for a in values:
+        for b in rng.sample(values, 8):
+            if b:
+                q = _div(a, b)
+                assert _exact_type(q) and q == Fraction(a) / Fraction(b)
+        x = Scalar.from_fraction(field, a)
+        assert all(_exact_type(c) for c in (*x.num.values(), *x.den.values()))
+        assert x.as_fraction() == a and _exact_type(x.as_fraction())
+        y = (t1 + Scalar.from_fraction(field, Fraction(1, 3))).scale_fraction(a)
+        assert all(_exact_type(c) for c in (*y.num.values(), *y.den.values()))
+    assert all(type(c) is int for c in t1.num.values())
+    assert [type(c) for c in Scalar.zero(field).den.values()] == [int]
+    assert _p_gcd({(1, 0): 2}, {(0, 1): Fraction(1, 2)}) == {(0, 0): 1}
+    assert type(_p_gcd({(1, 0): 2}, {(0, 1): 3})[(0, 0)]) is int
+
+
+def _oracle_jobs():
+    jobs = {name: cases.load_job(name) for name in ("aut_1_3_4", "aut_2_5", "aut_6")}
+    jobs.update((name, SLOW_JOBS[name][0]) for name in sorted(SLOW_JOBS))
+    return jobs
+
+
+@pytest.mark.parametrize("name", sorted(_oracle_jobs()))
+def test_certificate_scalars_are_never_floats(name, monkeypatch):
+    # every Scalar built while a certificate is computed is recorded
+    job = _oracle_jobs()[name]
+    init = Scalar.__init__
+    met = []
+
+    def recording(self, field, num, den=None, _canonical=False):
+        init(self, field, num, den, _canonical)
+        met.append(self)
+
+    monkeypatch.setattr(Scalar, "__init__", recording)
+    cases.falsify_job(job)
+    monkeypatch.undo()
+    assert met
+    ints = 0
+    for s in met:
+        for c in (*s.num.values(), *s.den.values()):
+            assert type(c) in (int, Fraction), (name, s)
+            ints += type(c) is int
+    assert ints
+
+
+def _old_kernel_contains(alg, ideal, constraints, branch, el):
+    """Does alpha(el) lie in the ideal for every alpha satisfying the case?"""
+    residue = ideal.residue(coordinates(alg, constraints.alpha.apply(el, alg.bound)))
+    subs = dict(branch.substitutions)
+    rules = list(branch.residuals)
+    return all(
+        parampoly_reduce(q, subs, rules).is_zero for q in residue.values()
+    )
+
+
+@pytest.mark.parametrize("name", sorted(_oracle_jobs()))
+def test_kernel_once_per_candidate_matches_per_leaf(name, monkeypatch):
+    job = _oracle_jobs()[name]
+    new = cases.falsify_job(job).as_dict()
+
+    def per_leaf(alg, ideal, cons, leaves, v):
+        # the old loop: one call, with its own alpha(v) and residue, per leaf
+        return all(_old_kernel_contains(alg, ideal, cons, leaf, v) for leaf in leaves)
+
+    monkeypatch.setattr(closure, "kernel_contains", per_leaf)
+    old = cases.falsify_job(job).as_dict()
+    assert new["details"]["kernel"] == old["details"]["kernel"]
+    assert new["verdict"] == old["verdict"]
+    assert new == old

@@ -231,6 +231,12 @@ class TestParamPoly:
         assert q.divide_exact(p("a11")) == p("a11*a22 - a12*a21")
         assert q.divide_exact(p("a12")) is None
 
+    def test_monic(self):
+        q = p("a11*a22 - a12*a21")
+        assert q.monic() is q
+        assert p("-2/t1*a11*a22 + 2/t1*a12*a21").monic() == q
+        assert p("0").monic().is_zero
+
     def test_reduce_by(self):
         det = p("a11*a22 - a12*a21")
         q = p("t1*a11^2*a12*a22 + a12^2") - p("t1*a11*a12") * det
