@@ -35,6 +35,25 @@ DEFAULT_DEGREE_CAP = 8
 # job kind -> the keys it needs beyond the common ones
 JOB_KINDS = {"equation-ideal": ("generator", "tail"), "smallest-closed": ("word",)}
 
+_STRING = (lambda v: isinstance(v, str), "a string")
+_INTEGER = (lambda v: type(v) is int, "an integer")
+_STRINGS = (
+    lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+    "a list of strings",
+)
+_SYSTEM = (
+    lambda v: isinstance(v, dict)
+    and all(isinstance(v.get(k), str) for k in ("phi", "a", "b")),
+    "an object whose 'phi', 'a' and 'b' are strings",
+)
+# job key -> (test of its value, what the value must be)
+JOB_FIELDS = {
+    **dict.fromkeys(("kind", "variety", "generator", "word"), _STRING),
+    **dict.fromkeys(("gens", "bound", "tail"), _INTEGER),
+    **dict.fromkeys(("field", "candidates", "hints"), _STRINGS),
+    "system": _SYSTEM,
+}
+
 
 class UsageError(Exception):
     pass
@@ -95,9 +114,16 @@ def _load_job(args) -> dict:
     else:
         with open(args.spec, "r", encoding="utf-8") as handle:
             job = json.load(handle)
+    if not isinstance(job, dict):
+        raise UsageError("a job must be a JSON object")
     for key in ("kind", "field", "variety", "gens", "bound", "system"):
         if key not in job:
             raise UsageError(f"job is missing the {key!r} field")
+    for key, (ok, want) in JOB_FIELDS.items():
+        if key in job and not ok(job[key]):
+            raise UsageError(
+                f"job field {key!r} must be {want}, got {json.dumps(job[key])}"
+            )
     if job["kind"] not in JOB_KINDS:
         raise UsageError(
             f"unknown job kind {job['kind']!r}; choose from {', '.join(JOB_KINDS)}"
@@ -105,7 +131,7 @@ def _load_job(args) -> dict:
     for key in JOB_KINDS[job["kind"]]:
         if key not in job:
             raise UsageError(f"{job['kind']} job is missing the {key!r} field")
-    _generators(int(job["gens"]), "gens", _capped(int(job["bound"]), "bound"))
+    _generators(job["gens"], "gens", _capped(job["bound"], "bound"))
     return job
 
 

@@ -328,19 +328,11 @@ class Element:
         return NotImplemented
 
     def scale(self, value) -> "Element":
-        if isinstance(value, Scalar):
-            if value.is_zero:
-                return Element.zero(self.gens, self.domain)
-            return Element(
-                self.gens, self.domain, {m: c * value for m, c in self.terms.items()}
-            )
-        f = Fraction(value)
-        if not f:
+        """self times an int, Fraction or Scalar value."""
+        if not value:
             return Element.zero(self.gens, self.domain)
         return Element(
-            self.gens,
-            self.domain,
-            {m: c.scale_fraction(f) for m, c in self.terms.items()},
+            self.gens, self.domain, {m: c * value for m, c in self.terms.items()}
         )
 
     def truncate(self, bound: int) -> "Element":

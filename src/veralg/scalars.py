@@ -31,6 +31,8 @@ __all__ = [
 ]
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+# a coefficient or denominator text printed without parentheses
+_ATOM_RE = re.compile(r"[A-Za-z_0-9]+(\^\d+)?")
 
 # The largest |k| accepted in an input power x^k.  Powers are taken by
 # repeated multiplication, so this bounds the work one power can ask for.
@@ -290,7 +292,34 @@ class FieldSpec:
         return self.names.index(name)
 
 
-class Scalar:
+class _Exact:
+    """The operators Scalar and ParamPoly share, written once for both."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
+
+    def __str__(self):
+        return self.encode()
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.encode()!r})"
+
+
+class Scalar(_Exact):
     """An element of Q(t_1..t_m), stored as num/den in lowest terms.
 
     The denominator is monic in graded-lex order, which pins the
@@ -314,9 +343,6 @@ class Scalar:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Scalar is immutable")
 
     # -- constructors
 
@@ -393,18 +419,6 @@ class Scalar:
 
     def __neg__(self):
         return Scalar(self.field, _p_neg(self.num), self.den, _canonical=True)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -494,13 +508,13 @@ class Scalar:
         if not self.num:
             return "0"
         num, den = self._int_normalized()
-        ns = _format_poly(num, self.field.names)
+        ns = _format_poly(num, self.field.names, _signed_int)
         if _p_is_const(den) and next(iter(den.values())) == 1:
             return ns
-        ds = _format_poly(den, self.field.names)
+        ds = _format_poly(den, self.field.names, _signed_int)
         if len(num) > 1:
             ns = f"({ns})"
-        if not re.fullmatch(r"[A-Za-z_0-9]+(\^\d+)?", ds):
+        if not _ATOM_RE.fullmatch(ds):
             ds = f"({ds})"
         return f"{ns}/{ds}"
 
@@ -514,32 +528,34 @@ class Scalar:
 
         return scaled(self.num), scaled(self.den)
 
-    def __str__(self):
-        return self.encode()
 
-    def __repr__(self):
-        return f"Scalar({self.encode()!r})"
+def _format_poly(p, names, signed):
+    """The terms of p, largest first; signed(c) is (c < 0, text of |c|).
 
-
-def _format_poly(p, names):
+    A coefficient text that is not a single atom is wrapped in parentheses
+    before its monomial.  The zero polynomial prints as 0.
+    """
     parts = []
     for e in sorted(p, key=_grlex, reverse=True):
-        c = p[e]
-        mono = "*".join(
-            n if k == 1 else f"{n}^{k}" for n, k in zip(names, e) if k
-        )
-        mag = abs(c)
-        if mono and mag == 1:
+        mono = "*".join(n if k == 1 else f"{n}^{k}" for n, k in zip(names, e) if k)
+        neg, cs = signed(p[e])
+        if mono and cs == "1":
             body = mono
         elif mono:
-            body = f"{mag}*{mono}"
+            if not _ATOM_RE.fullmatch(cs):
+                cs = f"({cs})"
+            body = f"{cs}*{mono}"
         else:
-            body = str(mag)
+            body = cs
         if not parts:
-            parts.append(body if c > 0 else f"-{body}")
+            parts.append(f"-{body}" if neg else body)
         else:
-            parts.append(f"{' + ' if c > 0 else ' - '}{body}")
-    return "".join(parts)
+            parts.append(f"{' - ' if neg else ' + '}{body}")
+    return "".join(parts) or "0"
+
+
+def _signed_int(c: int):
+    return c < 0, str(abs(c))
 
 
 @dataclass(frozen=True)
@@ -648,7 +664,7 @@ class ParamContext:
         return self.names.index(name)
 
 
-class ParamPoly:
+class ParamPoly(_Exact):
     """A polynomial in the unknowns of a ParamContext with Scalar coefficients."""
 
     __slots__ = ("ctx", "terms", "_hash", "_text")
@@ -659,9 +675,6 @@ class ParamPoly:
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_text", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ParamPoly is immutable")
 
     # -- constructors
 
@@ -739,18 +752,6 @@ class ParamPoly:
 
     def __neg__(self):
         return ParamPoly(self.ctx, _p_neg(self.terms))
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -895,41 +896,9 @@ class ParamPoly:
     def encode(self) -> str:
         text = self._text
         if text is None:
-            text = self._encode()
+            text = _format_poly(self.terms, self.ctx.names, _signed_coeff)
             object.__setattr__(self, "_text", text)
         return text
-
-    def _encode(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e in sorted(self.terms, key=_grlex, reverse=True):
-            c = self.terms[e]
-            mono = "*".join(
-                n if k == 1 else f"{n}^{k}"
-                for n, k in zip(self.ctx.names, e)
-                if k
-            )
-            neg, cs = _signed_coeff(c)
-            if mono and cs == "1":
-                body = mono
-            elif mono:
-                if not re.fullmatch(r"[A-Za-z_0-9]+(\^\d+)?", cs):
-                    cs = f"({cs})"
-                body = f"{cs}*{mono}"
-            else:
-                body = cs
-            if not parts:
-                parts.append(f"-{body}" if neg else body)
-            else:
-                parts.append(f"{' - ' if neg else ' + '}{body}")
-        return "".join(parts)
-
-    def __str__(self):
-        return self.encode()
-
-    def __repr__(self):
-        return f"ParamPoly({self.encode()!r})"
 
 
 def _signed_coeff(c: Scalar):

@@ -38,7 +38,7 @@ from .freealg import (
     monomials_of_multidegree,
     parse_element,
 )
-from .scalars import FieldSpec, Scalar, _exact
+from .scalars import FieldSpec, Scalar, _div, _exact
 
 __all__ = [
     "IdentityScheme",
@@ -66,9 +66,7 @@ class IdentityScheme:
         self.arity = arity
         self.ygens = element.gens
         self.element = element
-        self._terms = tuple(
-            (m, _exact(c.as_fraction())) for m, c in element.terms.items()
-        )
+        self._terms = tuple((m, c.as_fraction()) for m, c in element.terms.items())
         self._key = (
             arity,
             tuple(
@@ -331,11 +329,12 @@ class RowReducer:
     (earliest independent) columns are exactly the surviving basis and every
     pivot row reads as: pivot monomial = combination of basis monomials.
 
-    On rational rows, of ints and Fractions, every value that ``reduce``
-    returns or ``insert`` stores is an int when it is integral and a
-    Fraction otherwise: most values of a build are integers, and int
-    arithmetic is several times cheaper.  A pivot is normalised exactly,
-    never by float division.
+    One rule covers every value type.  A pivot is inverted by the exact
+    division ``_div``, never by float division, and every value that
+    ``reduce`` returns or ``insert`` stores passes through ``_exact``: on
+    rational rows it is an int when it is integral and a Fraction otherwise
+    (most values of a build are integers, and int arithmetic is several
+    times cheaper); Scalars pass through unchanged.
     """
 
     __slots__ = ("pivots",)
@@ -355,10 +354,7 @@ class RowReducer:
             c = max(r)
             p = self.pivots.get(c)
             if p is None:
-                v = r.pop(c)
-                if type(v) is Fraction and v.denominator == 1:
-                    v = v.numerator
-                out[c] = v
+                out[c] = _exact(r.pop(c))
                 continue
             coef = r.pop(c)
             for k, v in p.items():
@@ -378,14 +374,10 @@ class RowReducer:
             return False
         c = max(r)
         x = r[c]
-        rational = type(x) is int or type(x) is Fraction
-        if not rational:
-            inv = 1 / x
-            new = {k: v * inv for k, v in r.items()}
-        elif x == 1:
+        if x == 1:
             new = r
         else:
-            inv = Fraction(1, x)
+            inv = _div(1, x)
             new = {k: _exact(v * inv) for k, v in r.items()}
         for pr in self.pivots.values():
             coef = pr.get(c)
@@ -398,7 +390,7 @@ class RowReducer:
                 s = pr.get(k, 0) - coef * v
                 if not s:
                     pr.pop(k, None)
-                elif rational and type(s) is Fraction and s.denominator == 1:
+                elif type(s) is Fraction and s.denominator == 1:
                     pr[k] = s.numerator
                 else:
                     pr[k] = s
@@ -542,10 +534,6 @@ class TruncatedAlgebra:
                     if not value.is_zero:
                         return combo
         return None
-
-    def check_identity(self, scheme: IdentityScheme) -> bool:
-        """Does the scheme vanish on this algebra (up to the truncation)?"""
-        return all(self.failing_tuple(s.element) is None for s in polarize(scheme))
 
     def __repr__(self):
         return (

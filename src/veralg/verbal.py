@@ -25,9 +25,10 @@ from .scalars import (
     ParamContext,
     ParamPoly,
     Scalar,
+    _exact,
     parse_scalar,
 )
-from .variety import RowReducer, VarietyPresentation, _exact, build_truncated
+from .variety import RowReducer, VarietyPresentation, build_truncated
 
 __all__ = [
     "InnerReport",

@@ -1,6 +1,11 @@
 """Tests for the command line front end: exit codes, JSON output, caps."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +21,31 @@ def run(capsys, argv):
 def run_json(capsys, argv):
     code, out, err = run(capsys, argv + ["--json"])
     return code, json.loads(out), err
+
+
+def stdout_sha256(argv, hash_seed):
+    """sha256 of the stdout of ``veralg ARGV`` in a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONHASHSEED"] = hash_seed
+    done = subprocess.run(
+        [sys.executable, "-m", "veralg.cli", *argv],
+        env=env,
+        capture_output=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return hashlib.sha256(done.stdout).hexdigest()
+
+
+# sha256 of stdout, pinned so that a refactor keeps every byte; the repro
+# digest is also perfbench/data/expected.json's repro_sha256
+PINNED_STDOUT = {
+    ("repro", "--all", "--json"):
+        "64547b444b204cdaff47570a2f4c1654f7ebe8c4e970b22e00d042e2fa5b14f4",
+    ("expand", "--example", "aut_6", "--json"):
+        "3a922e89976dbe73614667a63f418870352508922ce904a1e3dd9446dd05fb9e",
+}
 
 
 class TestBasis:
@@ -264,6 +294,12 @@ class TestRepro:
         assert payload["ok"] is True
         assert [r["example"] for r in payload["examples"]] == list(cases.EXAMPLE_IDS)
 
+    @pytest.mark.parametrize("argv", sorted(PINNED_STDOUT), ids=" ".join)
+    def test_output_matches_pinned_digest(self, argv):
+        # the same bytes whatever the hash seed: no set or dict order leaks
+        for hash_seed in ("0", "1", "2", "random"):
+            assert stdout_sha256(argv, hash_seed) == PINNED_STDOUT[argv], hash_seed
+
     def test_mismatch_exits_one(self, capsys, monkeypatch):
         fake = {
             "example": "aut_1_3_4",
@@ -348,6 +384,43 @@ class TestInputErrors:
         assert cli._generators(3, "--gens", 6).size == 3
         with pytest.raises(cli.UsageError):
             cli._generators(3, "--gens", 7)
+
+    @pytest.mark.parametrize(
+        "changes,field",
+        (
+            ({"system": ["id"]}, "system"),
+            ({"system": {"phi": "id", "a": 1, "b": "0"}}, "system"),
+            ({"system": {"phi": "id", "b": "0"}}, "system"),
+            ({"generator": 7}, "generator"),
+            ({"candidates": [3]}, "candidates"),
+            ({"field": ["t1", 2]}, "field"),
+            ({"field": "t1"}, "field"),
+            ({"variety": 5}, "variety"),
+            ({"hints": [5]}, "hints"),
+            ({"gens": "two"}, "gens"),
+            ({"tail": 2.5}, "tail"),
+        ),
+        ids=(
+            "system-list", "system-a-int", "system-no-a", "generator-int",
+            "candidates-int", "field-int", "field-string", "variety-int",
+            "hints-int", "gens-string", "tail-float",
+        ),
+    )
+    def test_malformed_job_field(self, capsys, tmp_path, changes, field):
+        # each of these crashed (exit 3), or named no field, before the
+        # fields were checked
+        path = self.job_file(tmp_path, "aut_1_3_4", **changes)
+        code, out, err = run(capsys, ["falsify", "--spec", path])
+        assert code == 2
+        assert out == ""
+        assert f"job field {field!r} must be" in self.single_error(err)
+
+    def test_job_that_is_not_an_object(self, capsys, tmp_path):
+        path = tmp_path / "job.json"
+        path.write_text("5")
+        code, _, err = run(capsys, ["falsify", "--spec", str(path)])
+        assert code == 2
+        assert "a job must be a JSON object" in self.single_error(err)
 
     def test_unknown_job_kind(self, capsys, tmp_path):
         path = self.job_file(tmp_path, "aut_1_3_4", kind="nosuch")

@@ -14,10 +14,13 @@ replaced by the rational parts of sigma on words, the substitution that
 built a polynomial per term, the lone-factor test that compared with the
 equation made monic, the field automorphism that reduced its image by
 a full gcd, and the kernel test that recomputed alpha(v) and its residue
-for every leaf.  The ``_fr_*`` helpers and ``_FrScalar`` keep the Q(t)
-layer in which every coefficient was a Fraction.  The old build and the
-rank oracle of the admissibility check run on the old row reducer; the
-rank oracle takes sigma from the two-normal-form step.  The current code must agree with them exactly.
+for every leaf, the two polynomial printers of Scalar and ParamPoly, and
+the row reducer whose rational flag chose how to normalise a pivot.  The
+``_fr_*`` helpers and ``_FrScalar`` keep the Q(t) layer in which every
+coefficient was a Fraction; ``_FrScalar`` prints with the old printer.
+The old build and the rank oracle of the admissibility check run on the
+old row reducer; the rank oracle takes sigma from the two-normal-form
+step.  The current code must agree with them exactly.
 """
 
 import itertools
@@ -58,6 +61,7 @@ from veralg.scalars import (
     _div,
     _exact,
     _format_poly,
+    _grlex,
     _join_last,
     _p_add,
     _p_divexact,
@@ -68,6 +72,7 @@ from veralg.scalars import (
     _p_mul,
     _p_neg,
     _p_scale,
+    _signed_int,
     _split_last,
     _uni_prem,
     factor_for_branching,
@@ -88,6 +93,7 @@ from veralg.variety import (
 from veralg.verbal import VerbalSystem, check_op2, word_transform
 
 from test_closure import SLOW_JOBS
+from test_variety import check_identity
 
 F = FieldSpec(("t1", "t2"))
 G = GeneratorSet.default(2)
@@ -544,6 +550,112 @@ def test_row_reducer_matches_old_on_seeded_rows():
                 )
 
 
+class _RationalFlagRowReducer:
+    """The row reducer whose rational flag chose how to normalise a pivot."""
+
+    __slots__ = ("pivots",)
+
+    def __init__(self):
+        self.pivots = {}  # pivot column -> row dict, row[pivot] == 1
+
+    def reduce(self, row: dict) -> dict:
+        r = dict(row)
+        out = {}
+        while r:
+            c = max(r)
+            p = self.pivots.get(c)
+            if p is None:
+                v = r.pop(c)
+                if type(v) is Fraction and v.denominator == 1:
+                    v = v.numerator
+                out[c] = v
+                continue
+            coef = r.pop(c)
+            for k, v in p.items():
+                if k == c:
+                    continue
+                s = r.get(k, 0) - coef * v
+                if not s:
+                    r.pop(k, None)
+                else:
+                    r[k] = s
+        return out
+
+    def insert(self, row: dict) -> bool:
+        r = self.reduce(row)
+        if not r:
+            return False
+        c = max(r)
+        x = r[c]
+        rational = type(x) is int or type(x) is Fraction
+        if not rational:
+            inv = 1 / x
+            new = {k: v * inv for k, v in r.items()}
+        elif x == 1:
+            new = r
+        else:
+            inv = Fraction(1, x)
+            new = {k: _exact(v * inv) for k, v in r.items()}
+        for pr in self.pivots.values():
+            coef = pr.get(c)
+            if coef is None:
+                continue
+            del pr[c]
+            for k, v in new.items():
+                if k == c:
+                    continue
+                s = pr.get(k, 0) - coef * v
+                if not s:
+                    pr.pop(k, None)
+                elif rational and type(s) is Fraction and s.denominator == 1:
+                    pr[k] = s.numerator
+                else:
+                    pr[k] = s
+        self.pivots[c] = new
+        return True
+
+
+def _assert_exact_value(v):
+    """An int when integral and a Fraction otherwise; a Scalar of such."""
+    if isinstance(v, Scalar):
+        assert all(type(c) in (int, Fraction) for c in (*v.num.values(), *v.den.values()))
+    else:
+        assert type(v) is int or (type(v) is Fraction and v.denominator != 1), v
+
+
+@pytest.mark.parametrize("kind", ("int", "Fraction", "Scalar"))
+def test_row_reducer_matches_rational_flag_reducer(kind):
+    rng = random.Random(f"one-rule-reducer/{kind}")
+    draw = {
+        "int": lambda: rng.randrange(-4, 5),
+        # integral Fractions too: they are stored as ints
+        "Fraction": lambda: Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)),
+        "Scalar": lambda: _rand_scalar(rng) if rng.randrange(3) else rng.randrange(-2, 3),
+    }[kind]
+    # Q(t) entries swell under elimination: fewer and smaller systems
+    size = 5 if kind == "Scalar" else 8
+    pivots_not_one = 0
+    for _ in range(40 if kind == "Scalar" else 120):
+        cols = rng.randrange(2, size)
+        new, old = RowReducer(), _RationalFlagRowReducer()
+        for _ in range(rng.randrange(1, size)):
+            row = {c: draw() for c in range(cols) if rng.randrange(3)}
+            row = {c: v for c, v in row.items() if v}
+            reduced = new.reduce(row)
+            pivots_not_one += bool(reduced) and reduced[max(reduced)] != 1
+            assert new.insert(row) == old.insert(row)
+            assert new.pivots == old.pivots
+        probe = {c: draw() for c in range(cols)}
+        got = new.reduce(probe)
+        assert got == old.reduce(probe)
+        for v in got.values():
+            _assert_exact_value(v)
+        for prow in new.pivots.values():
+            for v in prow.values():
+                _assert_exact_value(v)
+    assert pivots_not_one
+
+
 def _assert_build_matches_old(variety, k, bound, multilinear=False):
     gens = GeneratorSet.default(k)
     alg = build_truncated(variety, gens, bound, multilinear=multilinear)
@@ -727,7 +839,7 @@ def test_check_identity_matches_old(name):
     schemes.update(IdentityScheme.from_string(law) for law in CUSTOM_LAWS)
     verdicts = {}
     for scheme in sorted(schemes, key=IdentityScheme.encode):
-        verdicts[scheme] = alg.check_identity(scheme)
+        verdicts[scheme] = check_identity(alg, scheme)
         assert verdicts[scheme] == _old_check_identity(alg, scheme), scheme
     assert all(verdicts[s] for s in alg.variety.schemes)
     assert not all(verdicts.values())
@@ -1061,6 +1173,77 @@ def _fr_monic_den(num, den):
     return _p_scale(num, 1 / lc), _p_scale(den, 1 / lc)
 
 
+def _old_format_poly(p, names):
+    parts = []
+    for e in sorted(p, key=_grlex, reverse=True):
+        c = p[e]
+        mono = "*".join(
+            n if k == 1 else f"{n}^{k}" for n, k in zip(names, e) if k
+        )
+        mag = abs(c)
+        if mono and mag == 1:
+            body = mono
+        elif mono:
+            body = f"{mag}*{mono}"
+        else:
+            body = str(mag)
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"{' + ' if c > 0 else ' - '}{body}")
+    return "".join(parts)
+
+
+def _old_scalar_encode(self):
+    if not self.num:
+        return "0"
+    num, den = self._int_normalized()
+    ns = _old_format_poly(num, self.field.names)
+    if _p_is_const(den) and next(iter(den.values())) == 1:
+        return ns
+    ds = _old_format_poly(den, self.field.names)
+    if len(num) > 1:
+        ns = f"({ns})"
+    if not re.fullmatch(r"[A-Za-z_0-9]+(\^\d+)?", ds):
+        ds = f"({ds})"
+    return f"{ns}/{ds}"
+
+
+def _old_signed_coeff(c: Scalar):
+    """Split a scalar into (is_negative, printable absolute value)."""
+    _, lc = _p_lead(c.num)
+    if lc < 0:
+        return True, _old_scalar_encode(-c)
+    return False, _old_scalar_encode(c)
+
+
+def _old_parampoly_encode(self) -> str:
+    if not self.terms:
+        return "0"
+    parts = []
+    for e in sorted(self.terms, key=_grlex, reverse=True):
+        c = self.terms[e]
+        mono = "*".join(
+            n if k == 1 else f"{n}^{k}"
+            for n, k in zip(self.ctx.names, e)
+            if k
+        )
+        neg, cs = _old_signed_coeff(c)
+        if mono and cs == "1":
+            body = mono
+        elif mono:
+            if not re.fullmatch(r"[A-Za-z_0-9]+(\^\d+)?", cs):
+                cs = f"({cs})"
+            body = f"{cs}*{mono}"
+        else:
+            body = cs
+        if not parts:
+            parts.append(f"-{body}" if neg else body)
+        else:
+            parts.append(f"{' - ' if neg else ' + '}{body}")
+    return "".join(parts)
+
+
 class _FrScalar:
     """The old Scalar: num/den in lowest terms, every coefficient a Fraction."""
 
@@ -1135,10 +1318,10 @@ class _FrScalar:
         div = gcd(*((c * mult).numerator for c in coeffs))
         f = Fraction(mult, div)
         num, den = _p_scale(self.num, f), _p_scale(self.den, f)
-        ns = _format_poly(num, self.field.names)
+        ns = _old_format_poly(num, self.field.names)
         if _p_is_const(den) and next(iter(den.values())) == 1:
             return ns
-        ds = _format_poly(den, self.field.names)
+        ds = _old_format_poly(den, self.field.names)
         if len(num) > 1:
             ns = f"({ns})"
         if not re.fullmatch(r"[A-Za-z_0-9]+(\^\d+)?", ds):
@@ -1240,6 +1423,54 @@ def test_constructors_and_exact_division_give_ints_when_integral():
     assert [type(c) for c in Scalar.zero(field).den.values()] == [int]
     assert _p_gcd({(1, 0): 2}, {(0, 1): Fraction(1, 2)}) == {(0, 0): 1}
     assert type(_p_gcd({(1, 0): 2}, {(0, 1): 3})[(0, 0)]) is int
+
+
+def _printer_scalars(rng, field):
+    """Seeded scalars: constants, zero, rational and negative leading terms."""
+    out = [Scalar.zero(field)]
+    out += [Scalar.from_fraction(field, v) for v in (1, -1, 2, Fraction(-1, 2), Fraction(3, 4))]
+    for name in field.names:
+        t = Scalar.transcendental(field, name)
+        out += [t, -t, t * t, t.inverse(), (t + 1).inverse().scale_fraction(-3)]
+    for _ in range(20):
+        num = _fr_poly(rng, field.size, rng.randrange(1, 4))
+        den = _fr_poly(rng, field.size, rng.randrange(1, 3), top=1)
+        out.append(Scalar(field, {e: _exact(c) for e, c in num.items()}, den))
+    return out
+
+
+@pytest.mark.parametrize("nvars", (1, 2, 3))
+def test_one_printer_matches_old_printers(nvars):
+    field = FieldSpec(tuple(f"t{i + 1}" for i in range(nvars)))
+    rng = random.Random(f"one-printer/{nvars}")
+    scalars = _printer_scalars(rng, field)
+    texts = []
+    for x in scalars:
+        assert x.encode() == _old_scalar_encode(x)
+        texts.append(x.encode())
+        if x:
+            num, den = x._int_normalized()
+            for p in (num, den):
+                assert _format_poly(p, field.names, _signed_int) == _old_format_poly(
+                    p, field.names
+                )
+    ctx = ParamContext(field, ("u", "v"))
+    polys = [ParamPoly.zero(ctx)]
+    for _ in range(40):
+        terms = {}
+        for _ in range(rng.randrange(1, 4)):
+            e = (rng.randrange(3), rng.randrange(2))
+            terms[e] = rng.choice(scalars)
+        polys.append(ParamPoly(ctx, terms))
+    for p in polys:
+        assert p.encode() == _old_parampoly_encode(p)
+        texts.append(p.encode())
+    # the cases the printer distinguishes all occur
+    assert "0" in texts
+    assert any(t.startswith("-") for t in texts)
+    assert any(re.search(r"\)\*[uv]", t) for t in texts)  # a wrapped coefficient
+    assert any(re.search(r"\d/\d", t) for t in texts)  # a rational coefficient
+    assert any((0, 0) in p.terms and len(p.terms) > 1 for p in polys)  # a constant term
 
 
 def _oracle_jobs():

@@ -37,6 +37,12 @@ from veralg.variety import (
 )
 from veralg.verbal import _sigma_parts
 
+
+def check_identity(alg, scheme: IdentityScheme) -> bool:
+    """Does the scheme vanish on the algebra (up to the truncation)?"""
+    return all(alg.failing_tuple(s.element) is None for s in polarize(scheme))
+
+
 G1 = GeneratorSet.default(1)
 G2 = GeneratorSet.default(2)
 
@@ -350,12 +356,13 @@ class TestNormalForm:
             "((y1 y2) y3) + ((y2 y3) y1) + ((y3 y1) y2)"
         )
         commutative = IdentityScheme.from_string("(y1 y2) - (y2 y1)")
-        assert lie.check_identity(jacobi)
-        assert not lie.check_identity(commutative)
+        assert check_identity(lie, jacobi)
+        assert not check_identity(lie, commutative)
         jordan = build_truncated(builtin_variety("jordan"), G2, 4)
-        assert jordan.check_identity(commutative)
-        assert jordan.check_identity(
-            IdentityScheme.from_string("(((y1 y1) y2) y1) - ((y1 y1) (y2 y1))")
+        assert check_identity(jordan, commutative)
+        assert check_identity(
+            jordan,
+            IdentityScheme.from_string("(((y1 y1) y2) y1) - ((y1 y1) (y2 y1))"),
         )
 
     def test_failing_tuple(self):
