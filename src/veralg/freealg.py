@@ -46,7 +46,11 @@ class ContextMismatch(ValueError):
     """Raised when operands live over different generators or fields."""
 
 
-_INTERN = {}  # (names, structural key) -> Monomial
+# (names, "g", index) -> generator, (names, left, right) -> product.  A
+# product is keyed by its interned children: a Monomial hashes by its cached
+# _hash and a lookup compares the children by identity first, so no sort_key
+# tuple is hashed or compared again.
+_INTERN = {}
 
 
 @dataclass(frozen=True)
@@ -89,9 +93,11 @@ class GeneratorSet:
         return self.generator(self.index(name))
 
     def pair(self, left: "Monomial", right: "Monomial") -> "Monomial":
-        if left.gens != self or right.gens != self:
+        if (left.gens is not self and left.gens != self) or (
+            right.gens is not self and right.gens != self
+        ):
             raise ContextMismatch("monomial from a different generator set")
-        key = (self.names, "p", left.sort_key, right.sort_key)
+        key = (self.names, left, right)
         m = _INTERN.get(key)
         if m is None:
             m = Monomial(self, left=left, right=right)

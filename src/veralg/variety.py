@@ -546,6 +546,34 @@ _BUILD_MEMO = {}
 _ONE = 1
 
 
+def _tree(m: Monomial):
+    """A slot monomial as nested pairs with slot indices at the leaves."""
+    return m.index if m.is_leaf else (_tree(m.left), _tree(m.right))
+
+
+def _number(tree, leaves: Sequence[int], prod: dict) -> int:
+    """The number of the normal form of a slot tree at numbered fillers."""
+    if type(tree) is int:
+        return leaves[tree]
+    return prod[_number(tree[0], leaves, prod), _number(tree[1], leaves, prod)]
+
+
+def _instance(terms, fillers: Sequence[Monomial], form_of: dict, prod: dict) -> dict:
+    """A multilinear scheme's instance at fillers, on normal-form numbers.
+
+    ``terms`` are the scheme's (slot tree, coefficient) pairs, each tree a
+    product.  The result maps (number of nf(l), number of nf(r)) to the
+    summed coefficient of the terms that give (l r).
+    """
+    leaves = [form_of[m] for m in fillers]
+    out = {}
+    for (left, right), f in terms:
+        key = (_number(left, leaves, prod), _number(right, leaves, prod))
+        v = out.get(key)
+        out[key] = f if v is None else v + f
+    return out
+
+
 def build_truncated(
     variety: VarietyPresentation,
     gens: GeneratorSet,
@@ -580,6 +608,19 @@ def build_truncated(
     column order, so the basis and every rewrite row are the ones the full
     space of monomials would give.
 
+    Identity instances are computed on the numbers of normal forms, and no
+    monomial is built for them.  A table ``prod`` maps the numbers of nf(l)
+    and nf(r) to the number of nf((l r)); it is filled from the monomials of
+    each degree below the bound as they are numbered.  It is well defined up
+    to the form: c - phi(c) lies in the ideal, so nf((l r)) depends only on
+    nf(l) and nf(r).  Two numbers can name one form (a basis monomial, and a
+    monomial that rewrites to it alone), but phi reads only the forms, so
+    either number gives the same row.  At a tuple of fillers, a slot of a
+    scheme term maps to its filler's number, an inner node to ``prod`` of
+    its factors' numbers, and the top node to the pair of numbers that phi
+    takes; coefficients are summed per pair.  A law of arity 1 acts in
+    degree 1 only, where its instances are substituted as monomials.
+
     The monomials c are taken in canonical order, and no row holds c before
     its own.  So when c - phi(c), reduced, has no column later than c, it is
     already the reduced pivot row of c and is stored without elimination.
@@ -605,6 +646,9 @@ def build_truncated(
     forms = []  # number -> ((number of a basis monomial, coefficient), ...)
     basic = set()  # the numbers of basis monomials
     numbered = {}  # normal form of a rewritten monomial -> its number
+    prod = {}  # (number of nf(l), number of nf(r)) -> number of nf((l r))
+    # each scheme's terms as (slot trees of the two factors, coefficient)
+    trees = {s: tuple((_tree(m), f) for m, f in s._terms) for s in schemes}
     for d in range(1, bound + 1):
         mss = {
             md: monomials_of_multidegree(gens, md)
@@ -635,7 +679,7 @@ def build_truncated(
                         acc[k] = v if s is None else s + v
             return {k: v for k, v in acc.items() if v}
 
-        rows = {md: [] for md in mss}
+        reducers = {md: RowReducer() for md in mss}
         for s in schemes:
             if s.arity > d or (s.arity == 1 and d > 1):
                 # a law of arity 1 kills degree 1, and with it every product
@@ -643,22 +687,20 @@ def build_truncated(
             for degs in _compositions(s.arity, d):
                 for combo in itertools.product(*(fillers[k] for k in degs)):
                     md = tuple(map(sum, zip(*(mdeg_of[m] for m in combo))))
-                    if md in rows:
+                    red = reducers.get(md)
+                    if red is None:
+                        continue
+                    if d == 1:
+                        ms = mss[md]
                         inst = s.substitute(combo, gens)
-                        if inst:
-                            rows[md].append(inst)
+                        red.insert({ms.index(m): f for m, f in inst.items()})
+                    else:
+                        inst = _instance(trees[s], combo, form_of, prod)
+                        red.insert(phi(inst.items()))
 
         degree_basis = []
         for md, ms in mss.items():
-            red = RowReducer()
-            for inst in rows[md]:
-                if d == 1:
-                    red.insert({ms.index(m): f for m, f in inst.items()})
-                else:
-                    red.insert(phi(
-                        ((form_of[m.left], form_of[m.right]), f)
-                        for m, f in inst.items()
-                    ))
+            red = reducers.pop(md)  # freed once its rewrite rows are read
             # number pair -> -reduce(phi(c)), valid until the next insert,
             # with the rewrite row it gives a directly placed pivot
             reduced = {}
@@ -703,6 +745,8 @@ def build_truncated(
                         number = numbered[form] = len(forms)
                         forms.append(form)
                     form_of[ms[c]] = number
+                for key, m in zip(splits.get(md, ()), ms):
+                    prod[key] = form_of[m]
         degree_basis.sort(key=lambda m: m.sort_key)
         fillers[d] = tuple(degree_basis)
 

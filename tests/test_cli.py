@@ -23,17 +23,22 @@ def run_json(capsys, argv):
     return code, json.loads(out), err
 
 
-def stdout_sha256(argv, hash_seed):
-    """sha256 of the stdout of ``veralg ARGV`` in a fresh interpreter."""
+def run_fresh(args, hash_seed="0"):
+    """``python ARGS`` in a fresh interpreter on these sources."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONHASHSEED"] = hash_seed
-    done = subprocess.run(
-        [sys.executable, "-m", "veralg.cli", *argv],
+    return subprocess.run(
+        [sys.executable, *args],
         env=env,
         capture_output=True,
         timeout=120,
     )
+
+
+def stdout_sha256(argv, hash_seed):
+    """sha256 of the stdout of ``veralg ARGV`` in a fresh interpreter."""
+    done = run_fresh(["-m", "veralg.cli", *argv], hash_seed)
     assert done.returncode == 0, done.stderr
     return hashlib.sha256(done.stdout).hexdigest()
 
@@ -45,6 +50,26 @@ PINNED_STDOUT = {
         "64547b444b204cdaff47570a2f4c1654f7ebe8c4e970b22e00d042e2fa5b14f4",
     ("expand", "--example", "aut_6", "--json"):
         "3a922e89976dbe73614667a63f418870352508922ce904a1e3dd9446dd05fb9e",
+}
+
+# sha256 of the stdout of ``basis --variety V --gens G --max-deg B --json``
+# for the builds of the basis benchmark; also perfbench/data/expected.json's
+# basis_sha256
+PINNED_BASIS = {
+    ("lie", 2, 7):
+        "f452d18127947ac5ef9563b25aa5fb79ad2a881fa7cc6eaef4a57790bca76f9f",
+    ("alternative", 2, 6):
+        "40416128b6154d5373fbe02c36198edf6b4610c3420776a5a26c92c2d5cc2f30",
+    ("jordan", 2, 6):
+        "4e942b040fd83ab2f8fb7db24af51e556a782179eef33149f56647648dc74333",
+    ("powerassociative", 2, 5):
+        "3b3ba1ba103e74c4eed1f5321d826a2e93abf6c8266027e1669fe77c94b0a4cc",
+    ("lie", 3, 5):
+        "8d9a891aa4cfbca6936c98eff58fa7b2452d9c1336e0353443e482458e04db97",
+    ("alternative", 3, 5):
+        "c4036c63c0c16b0db928ec0cc5d1f1cbb3044a98bc63cbf95a662aee2c7c27e3",
+    ("alllinear", 2, 6):
+        "37c59def79d4c9663e40b29420e4cb60c37e86b693fb842eb64b45478c9d038f",
 }
 
 
@@ -72,6 +97,12 @@ class TestBasis:
     def test_max_deg_required(self, capsys):
         code, _, _ = run(capsys, ["basis", "--variety", "lie"])
         assert code == 2
+
+    @pytest.mark.parametrize("variety, gens, bound", sorted(PINNED_BASIS))
+    def test_json_matches_pinned_digest(self, variety, gens, bound):
+        argv = ("basis", "--variety", variety, "--gens", str(gens),
+                "--max-deg", str(bound), "--json")
+        assert stdout_sha256(argv, "0") == PINNED_BASIS[variety, gens, bound]
 
 
 class TestDegreeCap:
@@ -486,6 +517,29 @@ class TestInternalError:
         assert out == ""
         assert "Traceback" in err
         assert "RuntimeError: internal failure" in err
+
+
+class TestModule:
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["basis", "--variety", "lie", "--gens", "2", "--max-deg", "3", "--json"],
+            ["basis", "--variety", "nosuch", "--max-deg", "3"],
+        ),
+        ids=("verdict", "usage-error"),
+    )
+    def test_python_m_veralg_matches_main(self, capsys, argv):
+        code, out, _ = run(capsys, argv)
+        done = run_fresh(["-m", "veralg", *argv])
+        assert done.returncode == code
+        assert done.stdout.decode() == out
+
+    def test_import_does_not_run_the_front_end(self):
+        done = run_fresh(
+            ["-c", "import sys, veralg; print('veralg.__main__' in sys.modules)"]
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.decode().strip() == "False"
 
 
 class TestUsage:

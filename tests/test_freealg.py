@@ -61,6 +61,23 @@ class TestMonomials:
         b = G.pair(G.generator(0), G.generator(1))
         assert a is b
 
+    def test_interning_across_equal_generator_sets(self):
+        # equal but distinct generator sets share their monomials
+        g1 = GeneratorSet(("x1", "x2"))
+        g2 = GeneratorSet(("x1", "x2"))
+        assert g1 == g2 and g1 is not g2
+        a = g1.pair(g1.generator(0), g1.generator(1))
+        b = g2.pair(g2.generator(0), g2.generator(1))
+        assert a is b
+        assert g2.pair(a, g1.generator(0)) is g1.pair(b, g2.generator(0))
+
+    def test_pair_across_unequal_generator_sets(self):
+        other = GeneratorSet(("y1", "y2"))
+        x1, y1 = G.generator(0), other.generator(0)
+        for left, right in ((x1, y1), (y1, x1), (y1, y1)):
+            with pytest.raises(ContextMismatch):
+                G.pair(left, right)
+
     def test_multidegree(self):
         m = parse_monomial("((x1 x2) x1)", G)
         assert m.multidegree == (2, 1)

@@ -14,8 +14,10 @@ replaced by the rational parts of sigma on words, the substitution that
 built a polynomial per term, the lone-factor test that compared with the
 equation made monic, the field automorphism that reduced its image by
 a full gcd, and the kernel test that recomputed alpha(v) and its residue
-for every leaf, the two polynomial printers of Scalar and ParamPoly, and
-the row reducer whose rational flag chose how to normalise a pivot.  The
+for every leaf, the two polynomial printers of Scalar and ParamPoly, the
+row reducer whose rational flag chose how to normalise a pivot, and the
+build's identity instances that grafted each scheme term into a
+monomial before taking normal forms of its two children.  The
 ``_fr_*`` helpers and ``_FrScalar`` keep the Q(t) layer in which every
 coefficient was a Fraction; ``_FrScalar`` prints with the old printer.
 The old build and the rank oracle of the admissibility check run on the
@@ -34,6 +36,7 @@ from typing import Sequence
 import pytest
 
 from veralg import cases, closure
+from veralg import variety as variety_module
 from veralg.cases import OP2_GRID
 from veralg.closure import (
     _is_lone_monic,
@@ -723,6 +726,137 @@ def test_arity_one_law_build_matches_old(multilinear):
     # the law polarises into (y1 y2) and y1; the part of arity 1 kills
     # degree 1, and with it every product
     alg = _assert_build_matches_old(_custom_variety("(y1 y2) - y1"), 2, 4, multilinear)
+    assert not alg.all_basis()
+
+
+def _old_instance_rows(schemes, d, fillers, mdeg_of, built, gens):
+    """The graft-based instance step of the build in degree d.
+
+    Per built multidegree, each nonzero instance at a tuple of basis fillers
+    as {monomial: coefficient}; the build then took phi of
+    ((form_of[m.left], form_of[m.right]), f) over its items.
+    """
+    rows = {md: [] for md in built}
+    for s in schemes:
+        if s.arity > d or (s.arity == 1 and d > 1):
+            # a law of arity 1 kills degree 1, and with it every product
+            continue
+        for degs in _compositions(s.arity, d):
+            for combo in itertools.product(*(fillers[k] for k in degs)):
+                md = tuple(map(sum, zip(*(mdeg_of[m] for m in combo))))
+                if md in rows:
+                    inst = s.substitute(combo, gens)
+                    if inst:
+                        rows[md].append(inst)
+    return rows
+
+
+def _pair_phi(pairs, nf):
+    """phi of the sum of f (l r): nf(l) nf(r) over pairs of basis monomials."""
+    acc = {}
+    for (left, right), f in pairs:
+        for b, x in nf(left):
+            for b2, y in nf(right):
+                acc[b, b2] = acc.get((b, b2), 0) + f * x * y
+    return {k: v for k, v in acc.items() if v}
+
+
+def _assert_instance_rows_match_old(monkeypatch, variety, k, bound, multilinear=False):
+    """phi of the build's number-based instances equals phi of the grafted
+    ones, multidegree by multidegree and in order.  Returns the algebra,
+    the build's normal-form numbers (number -> form) and the count of
+    nonzero rows compared."""
+    gens = GeneratorSet.default(k)
+    calls = []  # (fillers, instance on normal-form numbers)
+    numbering = {}
+    real = variety_module._instance
+
+    def recording(terms, fillers, form_of, prod):
+        out = real(terms, fillers, form_of, prod)
+        calls.append((fillers, out))
+        numbering.update(form_of)
+        return out
+
+    monkeypatch.setattr(variety_module, "_BUILD_MEMO", {})
+    monkeypatch.setattr(variety_module, "_instance", recording)
+    alg = build_truncated(variety, gens, bound, multilinear=multilinear)
+    monkeypatch.undo()
+
+    basis = set(alg.all_basis())
+
+    def nf(m):
+        return ((m, 1),) if m in basis else alg.rewrite[m]
+
+    form = {n: nf(m) for m, n in numbering.items()}  # number -> its form
+    new = {md: [] for md in alg.components}
+    for fillers, inst in calls:
+        md = tuple(map(sum, zip(*(m.multidegree for m in fillers))))
+        new[md].append(_pair_phi(inst.items(), form.__getitem__))
+
+    fillers = {d: alg.basis_of_degree(d) for d in range(1, bound)}
+    mdeg_of = {m: m.multidegree for m in basis}
+    old = {}
+    for d in range(2, bound + 1):
+        built = [md for md in alg.components if sum(md) == d]
+        for md, insts in _old_instance_rows(
+            variety.multilinear(), d, fillers, mdeg_of, built, gens
+        ).items():
+            old[md] = [
+                _pair_phi((((m.left, m.right), f) for m, f in inst.items()), nf)
+                for inst in insts
+            ]
+    for md in alg.components:
+        if sum(md) == 1:
+            continue
+        assert [r for r in new[md] if r] == [r for r in old[md] if r], md
+    return alg, form, sum(1 for rows in old.values() for r in rows if r)
+
+
+@pytest.mark.parametrize("name", builtin_variety_names())
+@pytest.mark.parametrize("k,bound", ((2, 5), (3, 4)))
+def test_instance_rows_match_grafted(monkeypatch, name, k, bound):
+    *_, nonzero = _assert_instance_rows_match_old(
+        monkeypatch, builtin_variety(name), k, bound
+    )
+    assert nonzero or name == "AllLinear"
+
+
+@pytest.mark.parametrize("name", builtin_variety_names())
+@pytest.mark.parametrize("k", (3, 4))
+def test_multilinear_instance_rows_match_grafted(monkeypatch, name, k):
+    *_, nonzero = _assert_instance_rows_match_old(
+        monkeypatch, builtin_variety(name), k, k, multilinear=True
+    )
+    assert nonzero or name == "AllLinear"
+
+
+@pytest.mark.parametrize("law", CUSTOM_LAWS)
+@pytest.mark.parametrize("k,bound", ((1, 8), (2, 6)))
+def test_custom_law_instance_rows_match_grafted(monkeypatch, law, k, bound):
+    *_, nonzero = _assert_instance_rows_match_old(
+        monkeypatch, _custom_variety(law), k, bound
+    )
+    assert nonzero
+
+
+def test_instance_rows_with_two_numbers_for_one_form(monkeypatch):
+    # a basis monomial with a rewritten child: a monomial that rewrites to
+    # it alone gets a second number for the same form, and prod may give
+    # either number
+    _, form, _ = _assert_instance_rows_match_old(
+        monkeypatch, _custom_variety(CUSTOM_LAWS[0]), 1, 8
+    )
+    names = {}
+    for n, f in form.items():
+        names.setdefault(frozenset(f), set()).add(n)
+    assert any(len(ns) > 1 for ns in names.values())
+
+
+@pytest.mark.parametrize("multilinear", (False, True))
+def test_arity_one_law_instance_rows_match_grafted(monkeypatch, multilinear):
+    alg, *_ = _assert_instance_rows_match_old(
+        monkeypatch, _custom_variety("(y1 y2) - y1"), 2, 4, multilinear
+    )
     assert not alg.all_basis()
 
 
