@@ -26,8 +26,9 @@ from .scalars import (
     ParamContext,
     ParamPoly,
     Scalar,
+    check_elimination_order,
     factor_for_branching,
-    parampoly_reduce,
+    substitute_in_order,
 )
 from .variety import RowReducer, TruncatedAlgebra
 from .verbal import (
@@ -230,7 +231,7 @@ class Branch:
 
     substitutions and nonvanishing are cumulative along the path from the
     root.  substitutions are in elimination order: no image mentions its own
-    unknown or an earlier one, which is the order ``parampoly_reduce``
+    unknown or an earlier one, which is the order ``substitute_in_order``
     applies them in, one ``ParamPoly.substitute`` pass each; a branch
     ``name = 0`` has the zero image.  residuals are the remaining equations,
     already reduced.  A "solved" leaf keeps its residuals as reduction rules
@@ -322,9 +323,10 @@ def solve_cases(
 
     def build(subs, nonvan, eqs, depth, note):
         subs_map = dict(subs)
+        check_elimination_order(subs_map)
         reduced_nv = []
         for p in nonvan:
-            r = parampoly_reduce(p, subs_map)
+            r = substitute_in_order(p, subs_map)
             if r.is_zero:
                 return Branch(
                     subs, nonvan, tuple(eqs), "infeasible",
@@ -334,7 +336,7 @@ def solve_cases(
 
         work = []
         for eq in eqs:
-            r = parampoly_reduce(eq, subs_map)
+            r = substitute_in_order(eq, subs_map)
             if r.is_zero:
                 continue
             if r.constant_value() is not None:
@@ -428,8 +430,10 @@ def kernel_contains(
 
     alpha(el) and its residue modulo the ideal depend only on el, so they
     are computed once, and not at all when there are no leaves.  Each leaf
-    then reduces every coordinate of the residue by its substitutions and
-    rules (``parampoly_reduce``); the first leaf that leaves a nonzero
+    then reduces every coordinate of the residue as ``parampoly_reduce``
+    does, by its substitutions and then modulo its rules; the leaf's
+    elimination order is checked once and its rules are substituted once,
+    not once per coordinate.  The first leaf that leaves a nonzero
     coordinate decides, and later leaves are not tried.
     """
     if not leaves:
@@ -438,9 +442,16 @@ def kernel_contains(
     coords = list(residue.values())
     for leaf in leaves:
         subs = dict(leaf.substitutions)
-        rules = list(leaf.residuals)
-        if not all(parampoly_reduce(q, subs, rules).is_zero for q in coords):
-            return False
+        check_elimination_order(subs)
+        rules = [
+            v for v in (substitute_in_order(v, subs) for v in leaf.residuals) if v
+        ]
+        for q in coords:
+            r = substitute_in_order(q, subs)
+            if r and rules:
+                r = r.reduce_by(rules)
+            if r:
+                return False
     return True
 
 

@@ -24,10 +24,12 @@ __all__ = [
     "ParamPoly",
     "Scalar",
     "ZeroInversion",
+    "check_elimination_order",
     "factor_for_branching",
     "parampoly_reduce",
     "parse_parampoly",
     "parse_scalar",
+    "substitute_in_order",
 ]
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
@@ -217,15 +219,40 @@ def _uni_prem(f, g):
     return r
 
 
+def _proportional(p, q):
+    """Is p = r*q for a rational r?  Both must be nonzero."""
+    if len(p) != len(q):
+        return False
+    items = iter(q.items())
+    e0, c0 = next(items)
+    p0 = p.get(e0)
+    if p0 is None:
+        return False
+    # p[e]/c = p0/c0 for every term, cross-multiplied to stay in ints
+    for e, c in items:
+        v = p.get(e)
+        if v is None or v * c0 != c * p0:
+            return False
+    return True
+
+
 def _p_gcd(p, q):
-    """A gcd in Q[x_1..x_m], monic in graded-lex order (primitive PRS)."""
+    """A gcd in Q[x_1..x_m], monic in graded-lex order.
+
+    Two cases have a known answer and skip the primitive PRS: when either
+    argument is a single term (a constant included), the gcd is the
+    monomial of the componentwise least exponents; when p = r*q for a
+    rational r, it is q made monic.  Otherwise the primitive PRS runs, and
+    its recursion into contents takes the same shortcuts.
+    """
     if not p:
         return _p_monic(q)
     if not q:
         return _p_monic(p)
-    if _p_is_const(p) or _p_is_const(q):
-        m = len(next(iter(p)))
-        return {(0,) * m: 1}
+    if len(p) == 1 or len(q) == 1:
+        return {tuple(map(min, zip(*p, *q))): 1}
+    if _proportional(p, q):
+        return _p_monic(q)
     fs, gs = _split_last(p), _split_last(q)
     c = _p_gcd(_content(fs.values()), _content(gs.values()))
     f, g = _uni_pp(fs), _uni_pp(gs)
@@ -241,7 +268,33 @@ def _p_gcd(p, q):
 
 
 def _cancel(p, q):
-    """p and q divided by their gcd."""
+    """p and q divided by their gcd g, which is monic.
+
+    Two cases skip the gcd.  When p = r*q for a rational r, g is q made
+    monic and the parts are the constants lc(p) = r*lc(q) and lc(q).  When
+    the shorter argument (by terms; by leading monomial on a tie) has two
+    terms or more and divides the longer one exactly, g is the shorter one
+    made monic: its part is its lc, and the other part is the quotient
+    times that lc.  Otherwise the gcd is taken (``_p_gcd``) and both are
+    divided by it.
+    """
+    zero = (0,) * len(next(iter(p)))
+    if _proportional(p, q):
+        return {zero: _exact(_p_lead(p)[1])}, {zero: _exact(_p_lead(q)[1])}
+    # a divisor's leading monomial divides the dividend's, so of two
+    # arguments with as many terms only the one with the larger lead can
+    # be the dividend
+    swap = len(p) < len(q) or (
+        len(p) == len(q) and _grlex(_p_lead(p)[0]) < _grlex(_p_lead(q)[0])
+    )
+    big, small = (q, p) if swap else (p, q)
+    if len(small) > 1:
+        s = _p_divexact(big, small)
+        if s is not None:
+            _, lc = _p_lead(small)
+            big = {e: _exact(c * lc) for e, c in s.items()}
+            small = {zero: _exact(lc)}
+            return (small, big) if swap else (big, small)
     g = _p_gcd(p, q)
     if _p_is_const(g):
         return p, q
@@ -913,23 +966,15 @@ def _signed_coeff(c: Scalar):
 # Reduction modulo branch data.
 
 
-def parampoly_reduce(
-    p: ParamPoly,
-    substitutions: Optional[Mapping[str, ParamPoly]] = None,
-    vanishing: Sequence[ParamPoly] = (),
-) -> ParamPoly:
-    """Reduce p by ordered substitutions, then modulo a vanishing set.
+def check_elimination_order(substitutions: Mapping[str, ParamPoly]) -> None:
+    """Raise CyclicSubstitution unless the substitutions are in elimination order.
 
     Each image may mention only unknowns substituted after it, as in the
-    elimination order of ``solve_cases``; so one pass in order leaves no
-    substituted unknown.  Each substitution is one ``ParamPoly.substitute``
-    pass over the terms of p and of each vanishing polynomial; a zero image
-    only drops the terms that mention its unknown.  The result contains no
-    term divisible by the leading monomial of any (substituted) vanishing
-    polynomial; applying the same reduction again is the identity.
+    elimination order of ``solve_cases``; this covers cycles and
+    self-reference.
     """
     done = set()
-    for name, image in (substitutions or {}).items():
+    for name, image in substitutions.items():
         done.add(name)
         early = done.intersection(image.variables())
         if early:
@@ -937,12 +982,47 @@ def parampoly_reduce(
                 f"the image of {name!r} mentions {min(early)!r},"
                 " which is substituted at or before it"
             )
+
+
+def substitute_in_order(
+    p: ParamPoly, substitutions: Mapping[str, ParamPoly]
+) -> ParamPoly:
+    """Apply substitutions in elimination order, one pass each.
+
+    The order is not checked (``check_elimination_order`` does that once
+    per chain); when it holds, the result mentions no substituted unknown.
+    Each substitution is one ``ParamPoly.substitute`` pass over the terms,
+    and a zero image only drops the terms that mention its unknown.
+    """
+    for name, image in substitutions.items():
         p = p.substitute({name: image})
-        vanishing = [v.substitute({name: image}) for v in vanishing]
-    divisors = [v for v in vanishing if not v.is_zero]
-    if divisors:
-        p = p.reduce_by(divisors)
     return p
+
+
+def parampoly_reduce(
+    p: ParamPoly,
+    substitutions: Optional[Mapping[str, ParamPoly]] = None,
+    vanishing: Sequence[ParamPoly] = (),
+) -> ParamPoly:
+    """Reduce p by ordered substitutions, then modulo a vanishing set.
+
+    The order is checked first (``check_elimination_order``, which raises
+    CyclicSubstitution); then p and each vanishing polynomial are
+    substituted (``substitute_in_order``), and p is divided by the nonzero
+    results (``ParamPoly.reduce_by``).  The result contains no term
+    divisible by the leading monomial of any (substituted) vanishing
+    polynomial; applying the same reduction again is the identity.  A
+    caller that reduces many polynomials by one chain can check it once
+    and call the two steps itself, as ``solve_cases`` and
+    ``kernel_contains`` do.
+    """
+    substitutions = substitutions or {}
+    check_elimination_order(substitutions)
+    p = substitute_in_order(p, substitutions)
+    divisors = [
+        v for v in (substitute_in_order(v, substitutions) for v in vanishing) if v
+    ]
+    return p.reduce_by(divisors) if divisors else p
 
 
 def factor_for_branching(

@@ -6,13 +6,14 @@ defining data (generator, operation change, variety) and cross-checked
 against an independent expansion of the generic linear map.
 """
 
+import dataclasses
 import hashlib
 import json
 import random
 
 import pytest
 
-from veralg import cases
+from veralg import cases, closure
 from veralg.closure import (
     Certificate,
     closure_sampled,
@@ -32,7 +33,14 @@ from veralg.freealg import (
     parse_element,
     parse_monomial,
 )
-from veralg.scalars import FieldSpec, ParamContext, ParamPoly, Scalar
+from veralg.scalars import (
+    FieldSpec,
+    ParamContext,
+    ParamPoly,
+    Scalar,
+    check_elimination_order,
+    substitute_in_order,
+)
 from veralg.variety import build_truncated, builtin_variety
 from veralg.verbal import PreconditionError, VerbalSystem, check_op2, sigma_apply
 
@@ -225,6 +233,37 @@ class TestTwoDimLinearRun:
         assert kernel_contains(alg, ideal, cons, solved, good)
         assert not kernel_contains(alg, ideal, cons, solved, bad)
         assert kernel_contains(alg, ideal, cons, [], bad)
+
+    def test_kernel_checks_and_substitutes_rules_once_per_leaf(self, monkeypatch):
+        alg, ideal, cons = self._constraints()
+        tree = solve_cases(cons.equations, cons.ctx)
+        # a rule on every leaf; the good candidate's residue vanishes
+        # under the substitutions alone, so every leaf still passes
+        rule = ParamPoly.parse("a11*a22 - t1*rho", cons.ctx)
+        solved = [
+            dataclasses.replace(l, residuals=l.residuals + (rule,))
+            for l in tree.leaves()
+            if l.status == "solved"
+        ]
+        good = alg.normal_form(parse_element("(x1 x2)", G, F))
+        checked, substituted = [], []
+
+        def check(subs):
+            checked.append(subs)
+            return check_elimination_order(subs)
+
+        def substitute(p, subs):
+            substituted.append(p)
+            return substitute_in_order(p, subs)
+
+        monkeypatch.setattr(closure, "check_elimination_order", check)
+        monkeypatch.setattr(closure, "substitute_in_order", substitute)
+        assert kernel_contains(alg, ideal, cons, solved, good)
+        assert [dict(l.substitutions) for l in solved] == checked
+        assert sum(p is rule for p in substituted) == len(solved)
+        # the other calls substitute each coordinate of the residue once a leaf
+        coords, rest = divmod(len(substituted) - len(solved), len(solved))
+        assert rest == 0 and coords > 1
 
     def test_certificate(self):
         alg = _alg("alllinear", 2)

@@ -15,11 +15,13 @@ built a polynomial per term, the lone-factor test that compared with the
 equation made monic, the field automorphism that reduced its image by
 a full gcd, and the kernel test that recomputed alpha(v) and its residue
 for every leaf, the two polynomial printers of Scalar and ParamPoly, the
-row reducer whose rational flag chose how to normalise a pivot, and the
+row reducer whose rational flag chose how to normalise a pivot, the
 build's identity instances that grafted each scheme term into a
-monomial before taking normal forms of its two children.  The
-``_fr_*`` helpers and ``_FrScalar`` keep the Q(t) layer in which every
-coefficient was a Fraction; ``_FrScalar`` prints with the old printer.
+monomial before taking normal forms of its two children, and the gcd
+and cancellation that ran the primitive PRS on every pair of nonconstant
+arguments.  The ``_fr_*`` helpers and ``_FrScalar`` keep the Q(t) layer
+in which every coefficient was a Fraction; ``_FrScalar`` prints with the
+old printer.
 The old build and the rank oracle of the admissibility check run on the
 old row reducer; the rank oracle takes sigma from the two-normal-form
 step.  The current code must agree with them exactly.
@@ -61,12 +63,14 @@ from veralg.scalars import (
     ParamContext,
     ParamPoly,
     Scalar,
+    _cancel,
     _div,
     _exact,
     _format_poly,
     _grlex,
     _join_last,
     _p_add,
+    _p_div,
     _p_divexact,
     _p_gcd,
     _p_is_const,
@@ -1660,3 +1664,150 @@ def test_kernel_once_per_candidate_matches_per_leaf(name, monkeypatch):
     assert new["details"]["kernel"] == old["details"]["kernel"]
     assert new["verdict"] == old["verdict"]
     assert new == old
+
+
+# The gcd and cancellation before the exact shortcuts: every pair of
+# nonconstant arguments ran the primitive PRS (``_prs_content`` and
+# ``_prs_uni_pp`` are the helpers it recursed through).
+
+
+def _prs_content(coeffs):
+    g = {}
+    for q in coeffs:
+        g = _prs_gcd(g, q)
+    return g
+
+
+def _prs_uni_pp(coeffs):
+    """The primitive part, scaled so that its leading coefficient is 1."""
+    c = _prs_content(coeffs.values())
+    if not _p_is_const(c):
+        coeffs = {d: _p_divexact(q, c) for d, q in coeffs.items()}
+    # unscaled, the constant left by each pseudo-remainder compounds
+    _, lc = _p_lead(coeffs[max(coeffs)])
+    return coeffs if lc == 1 else {d: _p_div(q, lc) for d, q in coeffs.items()}
+
+
+def _prs_gcd(p, q):
+    """A gcd in Q[x_1..x_m], monic in graded-lex order (primitive PRS)."""
+    if not p:
+        return _p_monic(q)
+    if not q:
+        return _p_monic(p)
+    if _p_is_const(p) or _p_is_const(q):
+        m = len(next(iter(p)))
+        return {(0,) * m: 1}
+    fs, gs = _split_last(p), _split_last(q)
+    c = _prs_gcd(_prs_content(fs.values()), _prs_content(gs.values()))
+    f, g = _prs_uni_pp(fs), _prs_uni_pp(gs)
+    if max(f) < max(g):
+        f, g = g, f
+    while g:
+        r = _uni_prem(f, g)
+        if r:
+            r = _prs_uni_pp(r)
+        f, g = g, r
+    f = _prs_uni_pp(f)
+    return _p_monic(_join_last({d: _p_mul(q_, c) for d, q_ in f.items()}))
+
+
+def _prs_cancel(p, q):
+    """p and q divided by their gcd."""
+    g = _prs_gcd(p, q)
+    if _p_is_const(g):
+        return p, q
+    return _p_divexact(p, g), _p_divexact(q, g)
+
+
+def _terms(rng, nvars, count, top=2):
+    """A polynomial of exactly count terms with exact nonzero values."""
+    if nvars == 1:
+        top = max(top, count - 1)
+    out = {}
+    while len(out) < count:
+        e = tuple(rng.randrange(top + 1) for _ in range(nvars))
+        out[e] = _exact(Fraction(rng.choice((-3, -2, -1, 1, 2, 5)), rng.choice((1, 1, 2, 3))))
+    return out
+
+
+RATIOS = (-1, -3, 2, Fraction(-2, 3), Fraction(5, 2))
+
+
+def _shortcut_pairs(rng, nvars):
+    """(path, p, q) pairs built to take each path of ``_p_gcd`` and ``_cancel``."""
+    pairs = []
+    for r in RATIOS:
+        q = _terms(rng, nvars, rng.randrange(2, 5))
+        pairs.append(("proportional", {e: _exact(r * c) for e, c in q.items()}, q))
+    for count in range(2, 5):
+        # r*q but for one coefficient, at each position in turn
+        q = _terms(rng, nvars, count)
+        r = rng.choice(RATIOS)
+        for e in q:
+            p = {f: _exact(r * c) for f, c in q.items()}
+            k = rng.choice((1, Fraction(1, 2)))
+            p[e] = _exact((r + k if r + k else r + 2 * k) * q[e])
+            pairs.append(("near proportional", p, q))
+    for _ in range(4):
+        m = _terms(rng, nvars, 1)
+        q = _terms(rng, nvars, rng.randrange(2, 5))
+        pairs.append(("monomial, polynomial", m, q))
+        pairs.append(("monomial, polynomial", q, m))
+        pairs.append(("monomial, monomial", m, _terms(rng, nvars, 1)))
+    for _ in range(6):
+        d = _terms(rng, nvars, rng.randrange(2, 4), top=1)
+        s = _terms(rng, nvars, rng.randrange(1, 3), top=1)
+        if _p_is_const(s):
+            s[(1,) * nvars] = 2
+        pairs.append(("q | p", _p_mul(s, d), d))
+        pairs.append(("p | q", d, _p_mul(s, d)))
+    for _ in range(6):
+        p, q, f = (_terms(rng, nvars, rng.randrange(2, 4), top=1) for _ in range(3))
+        pairs.append(("other", p, q))
+        pairs.append(("other", _p_mul(p, f), _p_mul(q, f)))
+    return pairs
+
+
+def _path(label, p, q):
+    """The path a pair takes, told apart by the oracle alone."""
+    if label in ("proportional", "monomial, polynomial", "monomial, monomial"):
+        return label
+    if label in ("q | p", "p | q"):
+        # a product can cancel down to as few terms as its factor
+        if _p_divexact(p, q) is not None and len(p) >= len(q):
+            return "q | p"
+        if _p_divexact(q, p) is not None and len(q) >= len(p):
+            return "p | q"
+        return "other"
+    return "coprime" if _p_is_const(_prs_gcd(p, q)) else "common factor"
+
+
+@pytest.mark.parametrize("nvars", (1, 2, 3))
+def test_gcd_shortcuts_match_prs(nvars, monkeypatch):
+    rng = random.Random(f"gcd-shortcuts/{nvars}")
+    prs_runs = []
+    monkeypatch.setattr(
+        "veralg.scalars._split_last", lambda p: prs_runs.append(1) or _split_last(p)
+    )
+    seen = set()
+    for label, p, q in _shortcut_pairs(rng, nvars):
+        path = _path(label, p, q)
+        seen.add(path)
+        del prs_runs[:]
+        got = _p_gcd(p, q)
+        assert got == _prs_gcd(p, q), (label, p, q)
+        assert all(type(c) in (int, Fraction) for c in got.values())
+        if path in ("proportional", "monomial, polynomial", "monomial, monomial"):
+            assert not prs_runs, (label, p, q)
+            # the PRS itself may leave an integral Fraction; no shortcut does
+            assert all(_exact_type(c) for c in got.values()), (label, p, q)
+        del prs_runs[:]
+        parts = _cancel(p, q)
+        assert parts == _prs_cancel(p, q), (label, p, q)
+        assert all(_exact_type(c) for part in parts for c in part.values())
+        if path in ("proportional", "q | p", "p | q"):
+            assert not prs_runs, (label, p, q)
+    assert seen == {
+        "proportional", "monomial, polynomial", "monomial, monomial",
+        "q | p", "p | q", "coprime", "common factor",
+    }
