@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 
 from .closure import (
+    _generic_apply,
     falsify_equation_ideal,
     falsify_smallest_closed,
     gen_constraints,
@@ -261,7 +262,8 @@ def expand_job(job: dict) -> dict:
 
     For an equation-ideal job the image coefficients are those of the
     generic linear map applied to the transformed generator, expressed in
-    the candidate directions; the equations are the proportionality
+    the candidate directions, combined from the rational tables that
+    ``gen_constraints`` built; the equations are the proportionality
     constraints with the auxiliary unknown rho.  For a smallest-closed job
     the expansion reports the transformed word and the generic span.
     """
@@ -279,7 +281,7 @@ def expand_job(job: dict) -> dict:
     t = parse_element(job["generator"], gens, field)
     ideal = ideal_build(alg, field, (t,), int(job["tail"]))
     cons = gen_constraints(alg, ideal, system)
-    applied = alg.normal_form(cons.alpha.apply(cons.sigma_generator, alg.bound))
+    applied = _generic_apply(alg, cons.ctx, cons.sigma_generator, cons.alpha_parts)
     image = []
     for text in job.get("candidates", ()):
         target = alg.normal_form(parse_element(text, gens, field))

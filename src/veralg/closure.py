@@ -16,17 +16,20 @@ transcendentals, so it cannot be replayed from the certificate alone.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 from dataclasses import dataclass
+from operator import add
 from typing import Optional, Sequence
 
-from .freealg import Element, Endomorphism, Monomial
+from .freealg import ContextMismatch, Element, Endomorphism, Monomial
 from .scalars import (
     ParamContext,
     ParamPoly,
     Scalar,
     check_elimination_order,
+    check_next_substitution,
     factor_for_branching,
     substitute_in_order,
 )
@@ -34,6 +37,7 @@ from .variety import RowReducer, TruncatedAlgebra
 from .verbal import (
     PreconditionError,
     VerbalSystem,
+    _clean,
     check_op2,
     sigma_apply,
 )
@@ -186,13 +190,99 @@ def _admissible(alg, system: VerbalSystem, report=None):
     return report
 
 
+def _alpha_parts(alg, m: Monomial, memo: dict) -> dict:
+    """nf(alpha(m)) for the generic linear alpha, its unknowns kept symbolic.
+
+    A {basis monomial: {exponent tuple: int or Fraction}} dict: the tuple
+    counts the unknowns a_ji, where alpha(x_i) = sum over j of a_ji x_j,
+    at index j*n + i, the row-major order of
+    ``Endomorphism.generic_linear``.  A leaf x_i gives sum over j of
+    a_ji nf(x_j); a product (l r) gives nf(alpha(l) alpha(r)), which is
+    the normal form of the product of the two child tables because the
+    identities form an ideal.  Words above the truncation have an empty
+    table.  The tables do not depend on the field, so ``memo`` (word ->
+    table) can serve every element of one job.
+    """
+    hit = memo.get(m)
+    if hit is not None:
+        return hit
+    gens = alg.gens
+    # monomial before its normal form -> {exponent tuple: coefficient}
+    raw = {}
+    if m.degree > alg.bound:
+        pass  # above the truncation: the empty table
+    elif m.is_leaf:
+        n = gens.size
+        for j in range(n):
+            e = [0] * (n * n)
+            e[j * n + m.index] = 1
+            raw[gens.generator(j)] = {tuple(e): 1}
+    else:
+        pair = gens.pair
+        right = _alpha_parts(alg, m.right, memo).items()
+        for u, p in _alpha_parts(alg, m.left, memo).items():
+            for v, q in right:
+                acc = raw.setdefault(pair(u, v), {})
+                for e1, x in p.items():
+                    for e2, y in q.items():
+                        e = tuple(map(add, e1, e2))
+                        acc[e] = acc.get(e, 0) + x * y
+    nf = {}
+    for w, poly in raw.items():
+        for b, f in alg.rewrite.get(w, ((w, 1),)):
+            acc = nf.setdefault(b, {})
+            for e, c in poly.items():
+                acc[e] = acc.get(e, 0) + c * f
+    out = {}
+    for b, poly in nf.items():
+        poly = _clean(poly)
+        if poly:
+            out[b] = poly
+    memo[m] = out
+    return out
+
+
+def _generic_apply(alg, ctx: ParamContext, el: Element, memo: dict) -> Element:
+    """nf(alpha(el)) over ctx, for the generic linear alpha.
+
+    The unknowns a_ji come first in ctx, in ``generic_linear``'s order, and
+    any extra unknowns (``rho``) after them.  Each word's table
+    (``_alpha_parts``, memoised in ``memo``) is scaled by the word's
+    coefficient once per term, and the terms are summed into one Scalar
+    per basis monomial and exponent.
+    """
+    if el.gens != alg.gens or el.domain != ctx.field:
+        raise ContextMismatch("element lives over a different context")
+    acc = {}
+    for m, c in el.terms.items():
+        for b, poly in _alpha_parts(alg, m, memo).items():
+            target = acc.setdefault(b, {})
+            for e, q in poly.items():
+                t = c.scale_fraction(q)
+                s = target.get(e)
+                target[e] = t if s is None else s + t
+    pad = (0,) * (ctx.size - alg.gens.size ** 2)
+    return Element(
+        alg.gens,
+        ctx,
+        {
+            b: ParamPoly(ctx, {e + pad: s for e, s in poly.items()})
+            for b, poly in acc.items()
+        },
+    )
+
+
 @dataclass(frozen=True)
 class GenConstraints:
     """Equations cutting out the linear alpha with alpha(sigma t) in T.
 
     Proportionality of the degree (tail-1) component of alpha(sigma t) to t
     is expressed through the extra unknown rho, one equation per basis
-    monomial of that degree, in basis order.
+    monomial of that degree, in basis order.  ``alpha`` is the generic
+    linear map over ``ctx``; the solver never applies it symbolically, but
+    takes nf(alpha(v)) from the rational tables of ``_alpha_parts``, which
+    ``alpha_parts`` keeps for the job (word -> table), so that
+    ``kernel_contains`` reuses the tables that ``gen_constraints`` built.
     """
 
     ctx: ParamContext
@@ -200,16 +290,24 @@ class GenConstraints:
     equations: tuple
     basis: tuple
     sigma_generator: Element
+    alpha_parts: dict = dataclasses.field(repr=False, compare=False)
 
 
 def gen_constraints(alg, ideal: TruncatedIdeal, system: VerbalSystem) -> GenConstraints:
+    """The constraints on the generic linear alpha for alpha(sigma t) in T.
+
+    nf(alpha(sigma t)) is combined from the rational tables of alpha on the
+    words of sigma t (``_generic_apply``); the tables stay in the result's
+    ``alpha_parts`` for the candidates of the same job.
+    """
     t = _single_homogeneous_generator(ideal)
     if ideal.field != system.field:
         raise PreconditionError("ideal and system fields differ")
     st = sigma_apply(alg, system, t)
     alpha = Endomorphism.generic_linear(alg.gens, system.field, extra=("rho",))
     ctx = alpha.domain
-    applied = alg.normal_form(alpha.apply(st, alg.bound))
+    memo = {}
+    applied = _generic_apply(alg, ctx, st, memo)
     target = alg.normal_form(t)
     rho = ParamPoly.variable(ctx, "rho")
     equations = []
@@ -218,7 +316,7 @@ def gen_constraints(alg, ideal: TruncatedIdeal, system: VerbalSystem) -> GenCons
         eq = applied.coefficient(b) - rho.scale(target.coefficient(b))
         if not eq.is_zero:
             equations.append(eq)
-    return GenConstraints(ctx, alpha, tuple(equations), basis, st)
+    return GenConstraints(ctx, alpha, tuple(equations), basis, st, memo)
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +412,9 @@ def solve_cases(
 
     Each hint is made monic (leading coefficient 1) once, here, so that an
     equation equal to a hint up to a scalar is its own lone monic factor.
+    A node adds at most one substitution to its parent's chain, and only
+    that pair's image is checked against the elimination order
+    (``check_next_substitution``).
     """
 
     hints = tuple(
@@ -321,9 +422,13 @@ def solve_cases(
         for h in hints
     )
 
+    def extend(subs, name, image):
+        # a node adds one pair to its parent's chain, which is in order
+        check_next_substitution([n for n, _ in subs], name, image)
+        return subs + ((name, image),)
+
     def build(subs, nonvan, eqs, depth, note):
         subs_map = dict(subs)
-        check_elimination_order(subs_map)
         reduced_nv = []
         for p in nonvan:
             r = substitute_in_order(p, subs_map)
@@ -351,7 +456,7 @@ def solve_cases(
         if hit is not None:
             name, image, src = hit
             return build(
-                subs + ((name, image),),
+                extend(subs, name, image),
                 nonvan,
                 [e for e in work if e is not src],
                 depth,
@@ -397,7 +502,7 @@ def solve_cases(
             if name is not None:
                 children.append(
                     build(
-                        subs + ((name, ParamPoly.zero(ctx)),),
+                        extend(subs, name, ParamPoly.zero(ctx)),
                         hyp, list(rest), depth + 1, f"{name} = 0",
                     )
                 )
@@ -429,16 +534,21 @@ def kernel_contains(
     """Does alpha(el) lie in the ideal for every alpha of every given case?
 
     alpha(el) and its residue modulo the ideal depend only on el, so they
-    are computed once, and not at all when there are no leaves.  Each leaf
-    then reduces every coordinate of the residue as ``parampoly_reduce``
-    does, by its substitutions and then modulo its rules; the leaf's
-    elimination order is checked once and its rules are substituted once,
-    not once per coordinate.  The first leaf that leaves a nonzero
-    coordinate decides, and later leaves are not tried.
+    are computed once, and not at all when there are no leaves.  alpha(el)
+    is combined from the rational tables of alpha on el's words
+    (``_generic_apply``), kept in ``constraints.alpha_parts``, so a word
+    met by ``gen_constraints`` or an earlier candidate is not expanded
+    again.  Each leaf then reduces every coordinate of the residue as
+    ``parampoly_reduce`` does, by its substitutions and then modulo its
+    rules; the leaf's elimination order is checked once and its rules are
+    substituted once, not once per coordinate.  The first leaf that leaves
+    a nonzero coordinate decides, and later leaves are not tried.
     """
     if not leaves:
         return True
-    residue = ideal.residue(coordinates(alg, constraints.alpha.apply(el, alg.bound)))
+    applied = _generic_apply(alg, constraints.ctx, el, constraints.alpha_parts)
+    index = alg.basis_index()
+    residue = ideal.residue({index[m]: c for m, c in applied.terms.items()})
     coords = list(residue.values())
     for leaf in leaves:
         subs = dict(leaf.substitutions)
@@ -630,8 +740,8 @@ def falsify_smallest_closed(alg, system: VerbalSystem, word: Monomial) -> Certif
     """
     report = _admissible(alg, system)
     element = Element.from_monomial(alg.gens, system.field, word)
-    alpha = Endomorphism.generic_linear(alg.gens, system.field)
-    applied = alg.normal_form(alpha.apply(element, alg.bound))
+    ctx = Endomorphism.generic_linear(alg.gens, system.field).domain
+    applied = _generic_apply(alg, ctx, element, {})
     index = alg.basis_index()
 
     vectors = {}

@@ -538,7 +538,9 @@ class Endomorphism:
         """The generic degree-preserving endomorphism x_i |-> sum_j a_ji x_j.
 
         Unknowns are named ``a<j><i>`` (row j: target generator, column i:
-        source generator) and listed row-major, followed by ``extra``.
+        source generator) and listed row-major, followed by ``extra``.  The
+        falsifiers do not apply this map: ``closure._generic_apply`` takes
+        nf(alpha(v)) from rational tables over the same unknowns.
         """
         n = gens.size
         names = tuple(

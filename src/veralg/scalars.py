@@ -25,6 +25,7 @@ __all__ = [
     "Scalar",
     "ZeroInversion",
     "check_elimination_order",
+    "check_next_substitution",
     "factor_for_branching",
     "parampoly_reduce",
     "parse_parampoly",
@@ -966,6 +967,22 @@ def _signed_coeff(c: Scalar):
 # Reduction modulo branch data.
 
 
+def check_next_substitution(
+    earlier: Sequence[str], name: str, image: ParamPoly
+) -> None:
+    """Raise CyclicSubstitution unless the pair may follow the earlier names.
+
+    In elimination order an image mentions neither its own unknown nor one
+    substituted before it.
+    """
+    early = {name, *earlier}.intersection(image.variables())
+    if early:
+        raise CyclicSubstitution(
+            f"the image of {name!r} mentions {min(early)!r},"
+            " which is substituted at or before it"
+        )
+
+
 def check_elimination_order(substitutions: Mapping[str, ParamPoly]) -> None:
     """Raise CyclicSubstitution unless the substitutions are in elimination order.
 
@@ -973,15 +990,10 @@ def check_elimination_order(substitutions: Mapping[str, ParamPoly]) -> None:
     elimination order of ``solve_cases``; this covers cycles and
     self-reference.
     """
-    done = set()
+    done = []
     for name, image in substitutions.items():
-        done.add(name)
-        early = done.intersection(image.variables())
-        if early:
-            raise CyclicSubstitution(
-                f"the image of {name!r} mentions {min(early)!r},"
-                " which is substituted at or before it"
-            )
+        check_next_substitution(done, name, image)
+        done.append(name)
 
 
 def substitute_in_order(

@@ -34,6 +34,7 @@ from veralg.freealg import (
     parse_monomial,
 )
 from veralg.scalars import (
+    CyclicSubstitution,
     FieldSpec,
     ParamContext,
     ParamPoly,
@@ -497,6 +498,23 @@ class TestSolveCasesUnits:
             assert (tree.residuals, tree.children) == ((eq,), ())
         tree = solve_cases([-det], ctx, ["-a11*a22 + a12*a21"], max_depth=4)
         assert tree.status == "solved"
+
+    @pytest.mark.parametrize("image,early", (("x + 1", "x"), ("y*y", "y")))
+    def test_out_of_order_pair_raises(self, monkeypatch, image, early):
+        # each node checks only the pair it adds: an image that mentions an
+        # earlier unknown (x) or its own (y) still raises
+        picks = iter([("x", self._p("y + 1")), ("y", self._p(image))])
+
+        def eliminate(work, ctx):
+            name, img = next(picks)
+            return name, img, work[0]
+
+        monkeypatch.setattr(closure, "_try_eliminate", eliminate)
+        with pytest.raises(
+            CyclicSubstitution, match=f"the image of 'y' mentions '{early}'"
+        ):
+            solve_cases([self._p("x + y*y"), self._p("x*y*y + y")], self.CTX)
+        assert next(picks, None) is None
 
 
 class TestSmallestClosed:

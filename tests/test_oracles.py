@@ -24,7 +24,9 @@ in which every coefficient was a Fraction; ``_FrScalar`` prints with the
 old printer.
 The old build and the rank oracle of the admissibility check run on the
 old row reducer; the rank oracle takes sigma from the two-normal-form
-step.  The current code must agree with them exactly.
+step.  The rational tables of the generic endomorphism on words are
+checked against ``Endomorphism.apply`` on the generic map, which the
+falsifiers no longer call.  The current code must agree with them exactly.
 """
 
 import itertools
@@ -1811,3 +1813,69 @@ def test_gcd_shortcuts_match_prs(nvars, monkeypatch):
         "proportional", "monomial, polynomial", "monomial, monomial",
         "q | p", "p | q", "coprime", "common factor",
     }
+
+
+# nf(alpha(v)) from the rational tables of the generic map on words, against
+# the generic map applied symbolically (``Endomorphism.apply``, with Q(t)
+# products of ParamPolys) and then reduced.
+
+ALPHA_SHAPES = ((1, 2), (1, 5), (2, 2), (2, 3), (2, 5), (3, 2), (3, 4))
+ALPHA_LAWS = (
+    CUSTOM_LAWS[0],
+    # the part of arity 1 rewrites every generator to zero
+    "(y1 y2) - y1",
+)
+
+
+def _rand_word(rng, gens, degree):
+    if degree == 1:
+        return gens.generator(rng.randrange(gens.size))
+    k = rng.randrange(1, degree)
+    return gens.pair(_rand_word(rng, gens, k), _rand_word(rng, gens, degree - k))
+
+
+def _rand_element(rng, gens, bound):
+    """A few free-magma words up to one degree above the bound, with Q(t) scalars."""
+    terms = {}
+    for _ in range(rng.randrange(1, 4)):
+        m = _rand_word(rng, gens, rng.randrange(1, bound + 2))
+        terms[m] = _rand_scalar(rng)
+    return Element(gens, F, terms)
+
+
+def _assert_generic_apply_matches_symbolic(alg, label):
+    gens, bound = alg.gens, alg.bound
+    rng = random.Random(f"alpha/{label}")
+    top = _rand_word(rng, gens, bound + 1)
+    elements = [
+        Element.zero(gens, F),
+        Element.from_monomial(gens, F, top, _rand_scalar(rng)),
+        *(_rand_element(rng, gens, bound) for _ in range(4)),
+    ]
+    elements.append(elements[-1] + elements[-2])
+    for extra in ((), ("rho",)):
+        alpha = Endomorphism.generic_linear(gens, F, extra=extra)
+        memo = {}
+        for el in elements:
+            want = alg.normal_form(alpha.apply(el, bound))
+            got = closure._generic_apply(alg, alpha.domain, el, memo)
+            assert got == want, (label, extra, el.encode())
+            assert got.encode() == want.encode()
+        assert not closure._generic_apply(alg, alpha.domain, elements[1], memo).terms
+        assert memo[top] == {}
+        for table in memo.values():
+            for poly in table.values():
+                assert poly and all(_exact_type(c) for c in poly.values())
+
+
+@pytest.mark.parametrize("k,bound", ALPHA_SHAPES)
+@pytest.mark.parametrize("name", builtin_variety_names())
+def test_generic_apply_matches_symbolic_apply(name, k, bound):
+    alg = build_truncated(builtin_variety(name), GeneratorSet.default(k), bound)
+    _assert_generic_apply_matches_symbolic(alg, f"{name}/{k}/{bound}")
+
+
+@pytest.mark.parametrize("law", ALPHA_LAWS)
+def test_generic_apply_matches_symbolic_apply_custom_laws(law):
+    alg = build_truncated(_custom_variety(law), G, 4)
+    _assert_generic_apply_matches_symbolic(alg, law)
