@@ -12,7 +12,6 @@ from __future__ import annotations
 import copy
 
 from .closure import (
-    _generic_apply,
     falsify_equation_ideal,
     falsify_smallest_closed,
     gen_constraints,
@@ -281,7 +280,7 @@ def expand_job(job: dict) -> dict:
     t = parse_element(job["generator"], gens, field)
     ideal = ideal_build(alg, field, (t,), int(job["tail"]))
     cons = gen_constraints(alg, ideal, system)
-    applied = _generic_apply(alg, cons.ctx, cons.sigma_generator, cons.alpha_parts)
+    applied = cons.alpha.apply(cons.sigma_generator)
     image = []
     for text in job.get("candidates", ()):
         target = alg.normal_form(parse_element(text, gens, field))

@@ -16,14 +16,12 @@ transcendentals, so it cannot be replayed from the certificate alone.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 from dataclasses import dataclass
-from operator import add
 from typing import Optional, Sequence
 
-from .freealg import ContextMismatch, Element, Endomorphism, Monomial
+from .freealg import Element, Monomial, SymbolicEndomorphism
 from .scalars import (
     ParamContext,
     ParamPoly,
@@ -37,7 +35,6 @@ from .variety import RowReducer, TruncatedAlgebra
 from .verbal import (
     PreconditionError,
     VerbalSystem,
-    _clean,
     check_op2,
     sigma_apply,
 )
@@ -48,7 +45,6 @@ __all__ = [
     "GenConstraints",
     "PreconditionError",
     "TruncatedIdeal",
-    "closure_sampled",
     "falsify_equation_ideal",
     "falsify_smallest_closed",
     "gen_constraints",
@@ -190,88 +186,6 @@ def _admissible(alg, system: VerbalSystem, report=None):
     return report
 
 
-def _alpha_parts(alg, m: Monomial, memo: dict) -> dict:
-    """nf(alpha(m)) for the generic linear alpha, its unknowns kept symbolic.
-
-    A {basis monomial: {exponent tuple: int or Fraction}} dict: the tuple
-    counts the unknowns a_ji, where alpha(x_i) = sum over j of a_ji x_j,
-    at index j*n + i, the row-major order of
-    ``Endomorphism.generic_linear``.  A leaf x_i gives sum over j of
-    a_ji nf(x_j); a product (l r) gives nf(alpha(l) alpha(r)), which is
-    the normal form of the product of the two child tables because the
-    identities form an ideal.  Words above the truncation have an empty
-    table.  The tables do not depend on the field, so ``memo`` (word ->
-    table) can serve every element of one job.
-    """
-    hit = memo.get(m)
-    if hit is not None:
-        return hit
-    gens = alg.gens
-    # monomial before its normal form -> {exponent tuple: coefficient}
-    raw = {}
-    if m.degree > alg.bound:
-        pass  # above the truncation: the empty table
-    elif m.is_leaf:
-        n = gens.size
-        for j in range(n):
-            e = [0] * (n * n)
-            e[j * n + m.index] = 1
-            raw[gens.generator(j)] = {tuple(e): 1}
-    else:
-        pair = gens.pair
-        right = _alpha_parts(alg, m.right, memo).items()
-        for u, p in _alpha_parts(alg, m.left, memo).items():
-            for v, q in right:
-                acc = raw.setdefault(pair(u, v), {})
-                for e1, x in p.items():
-                    for e2, y in q.items():
-                        e = tuple(map(add, e1, e2))
-                        acc[e] = acc.get(e, 0) + x * y
-    nf = {}
-    for w, poly in raw.items():
-        for b, f in alg.rewrite.get(w, ((w, 1),)):
-            acc = nf.setdefault(b, {})
-            for e, c in poly.items():
-                acc[e] = acc.get(e, 0) + c * f
-    out = {}
-    for b, poly in nf.items():
-        poly = _clean(poly)
-        if poly:
-            out[b] = poly
-    memo[m] = out
-    return out
-
-
-def _generic_apply(alg, ctx: ParamContext, el: Element, memo: dict) -> Element:
-    """nf(alpha(el)) over ctx, for the generic linear alpha.
-
-    The unknowns a_ji come first in ctx, in ``generic_linear``'s order, and
-    any extra unknowns (``rho``) after them.  Each word's table
-    (``_alpha_parts``, memoised in ``memo``) is scaled by the word's
-    coefficient once per term, and the terms are summed into one Scalar
-    per basis monomial and exponent.
-    """
-    if el.gens != alg.gens or el.domain != ctx.field:
-        raise ContextMismatch("element lives over a different context")
-    acc = {}
-    for m, c in el.terms.items():
-        for b, poly in _alpha_parts(alg, m, memo).items():
-            target = acc.setdefault(b, {})
-            for e, q in poly.items():
-                t = c.scale_fraction(q)
-                s = target.get(e)
-                target[e] = t if s is None else s + t
-    pad = (0,) * (ctx.size - alg.gens.size ** 2)
-    return Element(
-        alg.gens,
-        ctx,
-        {
-            b: ParamPoly(ctx, {e + pad: s for e, s in poly.items()})
-            for b, poly in acc.items()
-        },
-    )
-
-
 @dataclass(frozen=True)
 class GenConstraints:
     """Equations cutting out the linear alpha with alpha(sigma t) in T.
@@ -279,44 +193,43 @@ class GenConstraints:
     Proportionality of the degree (tail-1) component of alpha(sigma t) to t
     is expressed through the extra unknown rho, one equation per basis
     monomial of that degree, in basis order.  ``alpha`` is the generic
-    linear map over ``ctx``; the solver never applies it symbolically, but
-    takes nf(alpha(v)) from the rational tables of ``_alpha_parts``, which
-    ``alpha_parts`` keeps for the job (word -> table), so that
-    ``kernel_contains`` reuses the tables that ``gen_constraints`` built.
+    linear map of the job, over ``ctx``; its rational tables on words stay
+    with it, so that ``kernel_contains`` reuses the tables that
+    ``gen_constraints`` built.  ``gen_constraints`` is the only constructor.
     """
 
-    ctx: ParamContext
-    alpha: Endomorphism
+    alpha: SymbolicEndomorphism
     equations: tuple
     basis: tuple
     sigma_generator: Element
-    alpha_parts: dict = dataclasses.field(repr=False, compare=False)
+
+    @property
+    def ctx(self) -> ParamContext:
+        return self.alpha.ctx
 
 
 def gen_constraints(alg, ideal: TruncatedIdeal, system: VerbalSystem) -> GenConstraints:
     """The constraints on the generic linear alpha for alpha(sigma t) in T.
 
     nf(alpha(sigma t)) is combined from the rational tables of alpha on the
-    words of sigma t (``_generic_apply``); the tables stay in the result's
-    ``alpha_parts`` for the candidates of the same job.
+    words of sigma t (``SymbolicEndomorphism.apply``); the map, with its
+    tables, stays in the result for the candidates of the same job.
     """
     t = _single_homogeneous_generator(ideal)
     if ideal.field != system.field:
         raise PreconditionError("ideal and system fields differ")
     st = sigma_apply(alg, system, t)
-    alpha = Endomorphism.generic_linear(alg.gens, system.field, extra=("rho",))
-    ctx = alpha.domain
-    memo = {}
-    applied = _generic_apply(alg, ctx, st, memo)
+    alpha = SymbolicEndomorphism(alg, system.field, extra=("rho",))
+    applied = alpha.apply(st)
     target = alg.normal_form(t)
-    rho = ParamPoly.variable(ctx, "rho")
+    rho = ParamPoly.variable(alpha.ctx, "rho")
     equations = []
     basis = alg.basis_of_degree(ideal.tail - 1)
     for b in basis:
         eq = applied.coefficient(b) - rho.scale(target.coefficient(b))
         if not eq.is_zero:
             equations.append(eq)
-    return GenConstraints(ctx, alpha, tuple(equations), basis, st, memo)
+    return GenConstraints(alpha, tuple(equations), basis, st)
 
 
 # ---------------------------------------------------------------------------
@@ -535,10 +448,9 @@ def kernel_contains(
 
     alpha(el) and its residue modulo the ideal depend only on el, so they
     are computed once, and not at all when there are no leaves.  alpha(el)
-    is combined from the rational tables of alpha on el's words
-    (``_generic_apply``), kept in ``constraints.alpha_parts``, so a word
-    met by ``gen_constraints`` or an earlier candidate is not expanded
-    again.  Each leaf then reduces every coordinate of the residue as
+    is combined from the rational tables of alpha on el's words, kept in
+    ``constraints.alpha``, so a word met by ``gen_constraints`` or an
+    earlier candidate is not expanded again.  Each leaf then reduces every coordinate of the residue as
     ``parampoly_reduce`` does, by its substitutions and then modulo its
     rules; the leaf's elimination order is checked once and its rules are
     substituted once, not once per coordinate.  The first leaf that leaves
@@ -546,7 +458,7 @@ def kernel_contains(
     """
     if not leaves:
         return True
-    applied = _generic_apply(alg, constraints.ctx, el, constraints.alpha_parts)
+    applied = constraints.alpha.apply(el)
     index = alg.basis_index()
     residue = ideal.residue({index[m]: c for m, c in applied.terms.items()})
     coords = list(residue.values())
@@ -563,58 +475,6 @@ def kernel_contains(
             if r:
                 return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# Sampled closures.
-
-
-def closure_sampled(alg, ideal: TruncatedIdeal, endos: Sequence[Endomorphism]) -> RowReducer:
-    """The subspace of v with alpha(v) in the ideal for every sampled alpha.
-
-    Every endomorphism must map the ideal into itself; with the identity
-    among them the result is the ideal's own span back again.
-    """
-    for alpha in endos:
-        for g in ideal.span_elements():
-            if not ideal.contains(alg.normal_form(alpha.apply(g, alg.bound))):
-                raise PreconditionError(
-                    "sampled endomorphism does not preserve the ideal"
-                )
-
-    basis = alg.all_basis()
-    constraints = RowReducer()
-    for alpha in endos:
-        residues = [
-            ideal.residue(coordinates(alg, alpha.apply(
-                Element.from_monomial(alg.gens, ideal.field, b), alg.bound
-            )))
-            for b in basis
-        ]
-        positions = set()
-        for r in residues:
-            positions.update(r)
-        for k in positions:
-            row = {}
-            for j, r in enumerate(residues):
-                c = r.get(k)
-                if c is not None and not c.is_zero:
-                    row[j] = c
-            constraints.insert(row)
-
-    one = Scalar.one(ideal.field)
-    out = RowReducer()
-    pivots = constraints.pivots
-    for j in range(len(basis)):
-        if j in pivots:
-            continue
-        vec = {j: one}
-        for p, row in pivots.items():
-            c = row.get(j)
-            if c is not None and not c.is_zero:
-                vec[p] = -c
-        out.insert(vec)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -740,8 +600,7 @@ def falsify_smallest_closed(alg, system: VerbalSystem, word: Monomial) -> Certif
     """
     report = _admissible(alg, system)
     element = Element.from_monomial(alg.gens, system.field, word)
-    ctx = Endomorphism.generic_linear(alg.gens, system.field).domain
-    applied = _generic_apply(alg, ctx, element, {})
+    applied = SymbolicEndomorphism(alg, system.field).apply(element)
     index = alg.basis_index()
 
     vectors = {}

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import sub
+from operator import add, sub
 from typing import Mapping, Optional, Sequence
 
 from .scalars import (
@@ -23,6 +23,7 @@ from .scalars import (
     ParamPoly,
     Scalar,
     _NAME_RE,
+    _exact,
     _p_add,
     _p_neg,
     _signed_coeff,
@@ -32,9 +33,9 @@ from .scalars import (
 __all__ = [
     "ContextMismatch",
     "Element",
-    "Endomorphism",
     "GeneratorSet",
     "Monomial",
+    "SymbolicEndomorphism",
     "enumerate_monomials",
     "monomials_of_multidegree",
     "parse_element",
@@ -348,14 +349,6 @@ class Element:
             {m: c for m, c in self.terms.items() if m.degree <= bound},
         )
 
-    def evaluate(self, assignment: Mapping[str, Scalar]) -> "Element":
-        """Substitute Scalars for the unknowns of ParamPoly coefficients."""
-        return Element(
-            self.gens,
-            self.domain.field,
-            {m: p.evaluate(assignment) for m, p in self.terms.items()},
-        )
-
     # -- identity and text form
 
     def __eq__(self, other):
@@ -503,93 +496,103 @@ def parse_element(text: str, gens: GeneratorSet, field: FieldSpec) -> Element:
 
 
 # ---------------------------------------------------------------------------
-# Endomorphisms.
+# The generic endomorphism.
 
 
-class Endomorphism:
-    """An algebra endomorphism given by generator images.
+class SymbolicEndomorphism:
+    """The generic degree-preserving endomorphism x_i |-> sum_j a_ji x_j.
 
-    The images are Elements over one coefficient domain; with ParamPoly
-    coefficients (see :meth:`generic_linear`) the endomorphism is symbolic
-    and :meth:`specialize` turns it into a concrete one.
+    ``ctx`` names the unknowns ``a<j><i>`` (row j: target generator, column
+    i: source generator) row-major, followed by ``extra``.  The map is never
+    applied symbolically: nf(alpha(m)) of a word m is a rational table
+    (:meth:`_table`), kept per instance in ``_tables``, and :meth:`apply`
+    combines the tables of an element's words.  Only ``alg.gens``,
+    ``alg.bound`` and ``alg.rewrite`` are read.
     """
 
-    __slots__ = ("gens", "domain", "images", "_memo")
+    __slots__ = ("alg", "ctx", "_tables")
 
-    def __init__(self, gens: GeneratorSet, domain, images: Sequence[Element]):
-        if len(images) != gens.size:
-            raise ValueError("one image per generator is required")
-        for img in images:
-            if img.gens != gens or img.domain != domain:
-                raise ContextMismatch("image over a different context")
-        self.gens = gens
-        self.domain = domain
-        self.images = tuple(images)
-        self._memo = {}
+    def __init__(self, alg, field: FieldSpec, extra: Sequence[str] = ()):
+        n = alg.gens.size
+        names = tuple(f"a{j + 1}{i + 1}" for j in range(n) for i in range(n))
+        self.alg = alg
+        self.ctx = ParamContext(field, names + tuple(extra))
+        self._tables = {}  # word -> table
 
-    @staticmethod
-    def identity(gens, field) -> "Endomorphism":
-        return Endomorphism(
-            gens, field, [Element.generator(gens, field, n) for n in gens.names]
-        )
+    def _table(self, m: Monomial) -> dict:
+        """nf(alpha(m)), its unknowns kept symbolic.
 
-    @staticmethod
-    def generic_linear(gens: GeneratorSet, field: FieldSpec, extra: Sequence[str] = ()):
-        """The generic degree-preserving endomorphism x_i |-> sum_j a_ji x_j.
-
-        Unknowns are named ``a<j><i>`` (row j: target generator, column i:
-        source generator) and listed row-major, followed by ``extra``.  The
-        falsifiers do not apply this map: ``closure._generic_apply`` takes
-        nf(alpha(v)) from rational tables over the same unknowns.
+        A {basis monomial: {exponent tuple: int or Fraction}} dict: the tuple
+        counts the unknowns a_ji at index j*n + i, their order in ``ctx``.  A
+        leaf x_i gives sum over j of a_ji nf(x_j); a product (l r) gives
+        nf(alpha(l) alpha(r)), which is the normal form of the product of the
+        two child tables because the identities form an ideal.  Words above
+        the truncation have an empty table.  The tables do not depend on the
+        field, so one instance serves every element of a job.
         """
-        n = gens.size
-        names = tuple(
-            f"a{j + 1}{i + 1}" for j in range(n) for i in range(n)
-        ) + tuple(extra)
-        ctx = ParamContext(field, names)
-        images = [
-            Element(
-                gens,
-                ctx,
-                {
-                    gens.generator(j): ParamPoly.variable(ctx, f"a{j + 1}{i + 1}")
-                    for j in range(n)
-                },
-            )
-            for i in range(n)
-        ]
-        return Endomorphism(gens, ctx, images)
-
-    def image_of(self, m: Monomial, bound: Optional[int] = None) -> Element:
-        key = (m, bound)
-        out = self._memo.get(key)
-        if out is None:
-            if m.is_leaf:
-                out = self.images[m.index]
-                if bound is not None:
-                    out = out.truncate(bound)
-            else:
-                out = self.image_of(m.left, bound) * self.image_of(m.right, bound)
-                if bound is not None:
-                    out = out.truncate(bound)
-            self._memo[key] = out
+        hit = self._tables.get(m)
+        if hit is not None:
+            return hit
+        alg = self.alg
+        gens = alg.gens
+        # monomial before its normal form -> {exponent tuple: coefficient}
+        raw = {}
+        if m.degree > alg.bound:
+            pass  # above the truncation: the empty table
+        elif m.is_leaf:
+            n = gens.size
+            for j in range(n):
+                e = [0] * (n * n)
+                e[j * n + m.index] = 1
+                raw[gens.generator(j)] = {tuple(e): 1}
+        else:
+            pair = gens.pair
+            right = self._table(m.right).items()
+            for u, p in self._table(m.left).items():
+                for v, q in right:
+                    acc = raw.setdefault(pair(u, v), {})
+                    for e1, x in p.items():
+                        for e2, y in q.items():
+                            e = tuple(map(add, e1, e2))
+                            acc[e] = acc.get(e, 0) + x * y
+        nf = {}
+        for w, poly in raw.items():
+            for b, f in alg.rewrite.get(w, ((w, 1),)):
+                acc = nf.setdefault(b, {})
+                for e, c in poly.items():
+                    acc[e] = acc.get(e, 0) + c * f
+        out = {}
+        for b, poly in nf.items():
+            poly = {e: _exact(c) for e, c in poly.items() if c}
+            if poly:
+                out[b] = poly
+        self._tables[m] = out
         return out
 
-    def apply(self, el: Element, bound: Optional[int] = None) -> Element:
-        total = Element.zero(self.gens, self.domain)
+    def apply(self, el: Element) -> Element:
+        """nf(alpha(el)) over ``ctx``.
+
+        Each word's table is scaled by the word's coefficient once per term,
+        and the terms are summed into one Scalar per basis monomial and
+        exponent; the extra unknowns get exponent 0.
+        """
+        alg, ctx = self.alg, self.ctx
+        if el.gens != alg.gens or el.domain != ctx.field:
+            raise ContextMismatch("element lives over a different context")
+        acc = {}
         for m, c in el.terms.items():
-            total = total + self.image_of(m, bound).scale(c)
-        return total
-
-    def specialize(self, assignment: Mapping[str, Scalar]) -> "Endomorphism":
-        """The concrete endomorphism at values for every unknown."""
-        return Endomorphism(
-            self.gens,
-            self.domain.field,
-            [img.evaluate(assignment) for img in self.images],
+            for b, poly in self._table(m).items():
+                target = acc.setdefault(b, {})
+                for e, q in poly.items():
+                    t = c.scale_fraction(q)
+                    s = target.get(e)
+                    target[e] = t if s is None else s + t
+        pad = (0,) * (ctx.size - alg.gens.size ** 2)
+        return Element(
+            alg.gens,
+            ctx,
+            {
+                b: ParamPoly(ctx, {e + pad: s for e, s in poly.items()})
+                for b, poly in acc.items()
+            },
         )
-
-
-# The benchmark's tracer patches SymbolicEndomorphism.__dict__["apply"]; the
-# alias keeps that name resolving to the one endomorphism class.
-SymbolicEndomorphism = Endomorphism

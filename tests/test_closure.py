@@ -13,10 +13,10 @@ import random
 
 import pytest
 
+from endomorphism_oracle import Endomorphism, closure_sampled
 from veralg import cases, closure
 from veralg.closure import (
     Certificate,
-    closure_sampled,
     coordinates,
     falsify_equation_ideal,
     falsify_smallest_closed,
@@ -28,7 +28,6 @@ from veralg.closure import (
 )
 from veralg.freealg import (
     Element,
-    Endomorphism,
     GeneratorSet,
     parse_element,
     parse_monomial,

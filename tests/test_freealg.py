@@ -5,17 +5,19 @@ from math import comb
 
 import pytest
 
+from endomorphism_oracle import Endomorphism, evaluate
 from veralg.freealg import (
     ContextMismatch,
     Element,
-    Endomorphism,
     GeneratorSet,
+    SymbolicEndomorphism,
     enumerate_monomials,
     monomials_of_multidegree,
     parse_element,
     parse_monomial,
 )
 from veralg.scalars import FieldSpec, ParamPoly, Scalar
+from veralg.variety import build_truncated, builtin_variety
 
 F = FieldSpec.default(2)
 G = GeneratorSet.default(2)
@@ -227,7 +229,7 @@ class TestSymbolicEndomorphism:
         for _ in range(6):
             asgn = {n: _rand_scalar(rng) for n in ctx.names}
             el = _rand_element(rng, 3)
-            sym = alpha.apply(el).evaluate(asgn)
+            sym = evaluate(alpha.apply(el), asgn)
             conc = alpha.specialize(asgn).apply(el)
             assert sym == conc
 
@@ -239,3 +241,18 @@ class TestSymbolicEndomorphism:
         assert not image.is_zero
         coeff = image.coefficient(parse_monomial("(x1 x1)", G))
         assert coeff == ParamPoly.parse("t1*a11*a12", ctx)
+
+
+class TestSymbolicEndomorphismContext:
+    def _alpha(self):
+        return SymbolicEndomorphism(build_truncated(builtin_variety("lie"), G, 3), F)
+
+    def test_rejects_element_over_another_field(self):
+        other = FieldSpec(("s1",))
+        with pytest.raises(ContextMismatch):
+            self._alpha().apply(Element.generator(G, other, "x1"))
+
+    def test_rejects_element_over_other_generators(self):
+        other = GeneratorSet(("y1", "y2"))
+        with pytest.raises(ContextMismatch):
+            self._alpha().apply(Element.generator(other, F, "y1"))

@@ -24,9 +24,11 @@ in which every coefficient was a Fraction; ``_FrScalar`` prints with the
 old printer.
 The old build and the rank oracle of the admissibility check run on the
 old row reducer; the rank oracle takes sigma from the two-normal-form
-step.  The rational tables of the generic endomorphism on words are
-checked against ``Endomorphism.apply`` on the generic map, which the
-falsifiers no longer call.  The current code must agree with them exactly.
+step.  The rational tables of ``SymbolicEndomorphism`` on words are
+checked against the image-based ``Endomorphism.apply`` of
+``endomorphism_oracle`` on the generic map, which expands every product in
+the free magma; that map also stands in for alpha in the old kernel test.
+The current code must agree with them exactly.
 """
 
 import itertools
@@ -34,6 +36,7 @@ import operator
 import random
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Sequence
 
@@ -52,9 +55,9 @@ from veralg.closure import (
 )
 from veralg.freealg import (
     Element,
-    Endomorphism,
     GeneratorSet,
     Monomial,
+    SymbolicEndomorphism,
     monomials_of_multidegree,
     parse_element,
 )
@@ -101,6 +104,7 @@ from veralg.variety import (
 )
 from veralg.verbal import VerbalSystem, check_op2, word_transform
 
+from endomorphism_oracle import Endomorphism, evaluate
 from test_closure import SLOW_JOBS
 from test_variety import check_identity
 
@@ -347,8 +351,8 @@ def test_symbolic_normal_form_commutes_with_evaluation(variety, bound):
         el = el + el.scale(Scalar.transcendental(F, "t2"))
         for _ in range(4):
             values = {n: _rand_scalar(rng) for n in alpha.domain.names}
-            assert alg.normal_form(el).evaluate(values) == alg.normal_form(
-                el.evaluate(values)
+            assert evaluate(alg.normal_form(el), values) == alg.normal_form(
+                evaluate(el, values)
             )
 
 
@@ -1037,8 +1041,9 @@ def test_reduce_matches_old_on_case_trees(name):
     hints = [ParamPoly.parse(h, cons.ctx) for h in job.get("hints", ())]
     tree = solve_cases(cons.equations, cons.ctx, hints)
     candidates = [parse_element(c, gens, field) for c in job["candidates"]]
+    alpha = _generic_oracle(gens, field)
     residues = [
-        ideal.residue(coordinates(alg, cons.alpha.apply(v, alg.bound)))
+        ideal.residue(coordinates(alg, alpha.apply(v, alg.bound)))
         for v in candidates
     ]
     compared = 0
@@ -1642,9 +1647,19 @@ def test_certificate_scalars_are_never_floats(name, monkeypatch):
     assert ints
 
 
+@lru_cache(maxsize=1)
+def _generic_oracle(gens, field):
+    """The image-based generic map over the constraints' unknowns.
+
+    One instance serves every call of a job, so its images are expanded once.
+    """
+    return Endomorphism.generic_linear(gens, field, extra=("rho",))
+
+
 def _old_kernel_contains(alg, ideal, constraints, branch, el):
     """Does alpha(el) lie in the ideal for every alpha satisfying the case?"""
-    residue = ideal.residue(coordinates(alg, constraints.alpha.apply(el, alg.bound)))
+    alpha = _generic_oracle(alg.gens, ideal.field)
+    residue = ideal.residue(coordinates(alg, alpha.apply(el, alg.bound)))
     subs = dict(branch.substitutions)
     rules = list(branch.residuals)
     return all(
@@ -1815,9 +1830,10 @@ def test_gcd_shortcuts_match_prs(nvars, monkeypatch):
     }
 
 
-# nf(alpha(v)) from the rational tables of the generic map on words, against
-# the generic map applied symbolically (``Endomorphism.apply``, with Q(t)
-# products of ParamPolys) and then reduced.
+# nf(alpha(v)) from the rational tables of the generic map on words
+# (``SymbolicEndomorphism.apply``), against the generic map applied
+# symbolically (the oracle's ``Endomorphism.apply``, with Q(t) products of
+# ParamPolys) and then reduced.
 
 ALPHA_SHAPES = ((1, 2), (1, 5), (2, 2), (2, 3), (2, 5), (3, 2), (3, 4))
 ALPHA_LAWS = (
@@ -1855,15 +1871,16 @@ def _assert_generic_apply_matches_symbolic(alg, label):
     elements.append(elements[-1] + elements[-2])
     for extra in ((), ("rho",)):
         alpha = Endomorphism.generic_linear(gens, F, extra=extra)
-        memo = {}
+        generic = SymbolicEndomorphism(alg, F, extra=extra)
+        assert generic.ctx == alpha.domain
         for el in elements:
             want = alg.normal_form(alpha.apply(el, bound))
-            got = closure._generic_apply(alg, alpha.domain, el, memo)
+            got = generic.apply(el)
             assert got == want, (label, extra, el.encode())
             assert got.encode() == want.encode()
-        assert not closure._generic_apply(alg, alpha.domain, elements[1], memo).terms
-        assert memo[top] == {}
-        for table in memo.values():
+        assert not generic.apply(elements[1]).terms
+        assert generic._tables[top] == {}
+        for table in generic._tables.values():
             for poly in table.values():
                 assert poly and all(_exact_type(c) for c in poly.values())
 

@@ -2,8 +2,10 @@
 
 ``perfbench/layers.py`` patches veralg functions and methods by name.  A
 rename or deletion in veralg would make ``Tracer().install()`` raise inside
-a benchmark run; this test makes it fail here instead.  It runs in a child
-interpreter, because the tracer patches the veralg modules in place.
+a benchmark run; this test makes it fail here instead.  A second test runs
+a falsifier and checks that the generic endomorphism's ``apply`` is counted,
+so that the method the tracer wraps stays on the live path.  Each runs in a
+child interpreter, because the tracer patches the veralg modules in place.
 """
 
 import json
@@ -38,13 +40,26 @@ print(json.dumps(tracer.report()["calls"]))
 """
 
 
-def test_tracer_installs_and_counts_check_op2():
+# the generic endomorphism on a falsifier's live path
+FALSIFY_SCRIPT = """
+import json
+import layers
+
+tracer = layers.Tracer().install()
+from veralg import cases
+
+cases.falsify_job(cases.load_job("aut_6"))
+print(json.dumps(tracer.report()["calls"]))
+"""
+
+
+def _traced_calls(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), str(ROOT / "perfbench")]
     )
     done = subprocess.run(
-        [sys.executable, "-c", SCRIPT],
+        [sys.executable, "-c", script],
         cwd=ROOT,
         env=env,
         capture_output=True,
@@ -52,8 +67,17 @@ def test_tracer_installs_and_counts_check_op2():
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    calls = json.loads(done.stdout.splitlines()[-1])
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_tracer_installs_and_counts_check_op2():
+    calls = _traced_calls(SCRIPT)
     assert calls["verbal.check_op2"] == 1
     assert calls["variety.build"] >= 1
     assert calls["verbal.word_transform"] >= 1
     assert calls["variety.normal_form"] >= 1
+
+
+def test_tracer_counts_symbolic_apply_on_falsify():
+    calls = _traced_calls(FALSIFY_SCRIPT)
+    assert calls["freealg.symbolic_apply"] >= 1
