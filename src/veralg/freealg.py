@@ -10,11 +10,10 @@ of the calculus, not a display choice.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, sub
+from operator import add
 from typing import Mapping, Optional, Sequence
 
 from .scalars import (
@@ -37,7 +36,6 @@ __all__ = [
     "Monomial",
     "SymbolicEndomorphism",
     "enumerate_monomials",
-    "monomials_of_multidegree",
     "parse_element",
     "parse_monomial",
 ]
@@ -199,26 +197,6 @@ def enumerate_monomials(gens: GeneratorSet, degree: int) -> tuple:
         for left in enumerate_monomials(gens, k):
             for right in enumerate_monomials(gens, degree - k):
                 out.append(gens.pair(left, right))
-    out.sort(key=lambda m: m.sort_key)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def monomials_of_multidegree(gens: GeneratorSet, mdeg: tuple) -> tuple:
-    """All monomials of the given multidegree, in canonical order.
-
-    Each is a product (u v) with u of a proper nonzero sub-multidegree l and
-    v of mdeg - l, so no monomial of another multidegree is ever created.
-    """
-    degree = sum(mdeg)
-    if degree == 1:
-        return (gens.generator(mdeg.index(1)),)
-    out = []
-    for lmd in itertools.product(*(range(e + 1) for e in mdeg)):
-        if 0 < sum(lmd) < degree:
-            rights = monomials_of_multidegree(gens, tuple(map(sub, mdeg, lmd)))
-            lefts = monomials_of_multidegree(gens, lmd)
-            out.extend(gens.pair(u, v) for u in lefts for v in rights)
     out.sort(key=lambda m: m.sort_key)
     return tuple(out)
 

@@ -8,16 +8,14 @@ of consequences degree by degree and row-reducing each multihomogeneous
 component; the surviving earliest monomials form the basis and every other
 monomial gets a rewrite rule.
 
-Each degree is built from the one below it.  A monomial (l r) maps to
-phi((l r)) = nf(l) nf(r), a combination of products (b b') of basis
-monomials already built.  The rows of a component are phi of the identity
-instances at tuples of basis monomials, and c - phi(c) for every other
-monomial c.  The first rows give the new consequences of the laws; the
-second give everything that follows from lower degrees, since they span the
-products of monomials with the ideal below.  Together they span the same
-component as the instances at all monomials and all products of lower
-rewrite rules with monomials, so the reduced echelon form, and with it the
-basis and the rewrite rules, is the same.
+Each degree is built from the one below it.  Only the products (b b') of
+basis monomials already built can reach the basis: a monomial (l r) is
+congruent to phi((l r)) = nf(l) nf(r), a combination of such products.  So
+the columns of a component are those products (the pair space), and its
+rows are phi of the identity instances at tuples of basis monomials.  The
+reduced rows give the basis and the rewrite rule of every other product;
+the normal form of any other monomial (l r) is computed when it is asked
+for, as the reduced product of nf(l) and nf(r).
 
 Identity schemes need not be multilinear: over a field of characteristic
 zero every scheme is replaced by its full polarisation, which generates the
@@ -29,15 +27,10 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
+from operator import sub
 from typing import Optional, Sequence
 
-from .freealg import (
-    Element,
-    GeneratorSet,
-    Monomial,
-    monomials_of_multidegree,
-    parse_element,
-)
+from .freealg import Element, GeneratorSet, Monomial, parse_element
 from .scalars import FieldSpec, Scalar, _div, _exact
 
 __all__ = [
@@ -434,7 +427,19 @@ def _compositions(parts: int, total: int):
 
 
 class TruncatedAlgebra:
-    """A relatively-free algebra truncated above a degree bound."""
+    """A relatively-free algebra truncated above a degree bound.
+
+    ``components`` maps each built multidegree to (its pair monomials, its
+    basis): in degree 1 the generators, above it the products (b b') of
+    basis monomials b, b' of lower degree, both in canonical order.
+    ``rewrite`` maps each pair monomial outside the basis to its normal
+    form, ((basis monomial, coefficient), ...) in canonical order with
+    rational coefficients.  That is all a product of two basis monomials
+    needs.  The normal form of any other monomial of a built multidegree is
+    computed on demand by :meth:`normal_form` and kept in ``_word_forms``,
+    apart from ``rewrite``; a monomial of a multidegree that was not built
+    is its own normal form.
+    """
 
     __slots__ = (
         "variety",
@@ -443,6 +448,7 @@ class TruncatedAlgebra:
         "components",
         "rewrite",
         "_basis_index",
+        "_word_forms",
         "_sigma_memo",
         "_parts_memo",
     )
@@ -451,9 +457,10 @@ class TruncatedAlgebra:
         self.variety = variety
         self.gens = gens
         self.bound = bound
-        self.components = components  # multidegree -> (monomials, basis)
-        self.rewrite = rewrite  # pivot monomial -> ((basis monomial, coeff), ...)
+        self.components = components  # multidegree -> (pair monomials, basis)
+        self.rewrite = rewrite  # pivot pair monomial -> ((basis monomial, coeff), ...)
         self._basis_index = None
+        self._word_forms = {}  # monomial outside the pair space -> its normal form
         self._sigma_memo = {}
         # monomial, or a law of the free algebra -> its rational sigma parts
         self._parts_memo = {}
@@ -497,20 +504,45 @@ class TruncatedAlgebra:
     # -- normal forms
 
     def normal_form(self, el: Element) -> Element:
+        basis = self.basis_index()
         acc = {}
         for m, c in el.terms.items():
-            if m.degree > self.bound:
-                continue
-            rw = self.rewrite.get(m)
-            if rw is None:
+            if m in basis:
                 s = acc.get(m)
                 acc[m] = c if s is None else s + c
-            else:
-                for b, f in rw:
+            elif m.degree <= self.bound:
+                for b, f in self._form(m):
                     s = acc.get(b)
                     t = c.scale_fraction(f)
                     acc[b] = t if s is None else s + t
         return Element(el.gens, el.domain, acc)
+
+    def _form(self, m: Monomial) -> tuple:
+        """nf(m) as ((basis monomial, coefficient), ...), m within the bound.
+
+        A basis monomial is its own form and a pair monomial has its rewrite
+        row.  Any other word (l r) of a built multidegree has the reduced
+        product of nf(l) and nf(r), memoised in ``_word_forms``; a word of a
+        multidegree that was not built is left as it is.
+        """
+        if m in self.basis_index():
+            return ((m, _ONE),)
+        rw = self.rewrite.get(m)
+        if rw is None:
+            rw = self._word_forms.get(m)
+        if rw is None:
+            if m.multidegree not in self.components:
+                rw = ((m, _ONE),)
+            else:
+                acc = {}
+                _add_product(self, acc, self._form(m.left), self._form(m.right))
+                rw = tuple(
+                    (b, _exact(acc[b]))
+                    for b in sorted(acc, key=lambda b: b.sort_key)
+                    if acc[b]
+                )
+            self._word_forms[m] = rw
+        return rw
 
     def multiply(self, u: Element, v: Element) -> Element:
         return self.normal_form((u * v).truncate(self.bound))
@@ -546,6 +578,71 @@ _BUILD_MEMO = {}
 _ONE = 1
 
 
+def _add_product(alg, acc: dict, p, q) -> None:
+    """Add the normal form of p q to acc.
+
+    p and q are (basis monomial, rational) pairs, and acc maps monomials to
+    rationals.  The product of two basis monomials is a pair monomial, so its
+    normal form is itself or its rewrite row.
+    """
+    pair = alg.gens.pair
+    rewrite = alg.rewrite
+    for u, x in p:
+        for v, y in q:
+            c = x * y
+            w = pair(u, v)
+            rw = rewrite.get(w)
+            if rw is None:
+                acc[w] = acc.get(w, 0) + c
+            else:
+                for b, f in rw:
+                    acc[b] = acc.get(b, 0) + c * f
+
+
+class _Products(dict):
+    """(number of nf(l), number of nf(r)) -> the number of nf((l r)).
+
+    Normal forms below the bound are numbered.  ``forms[n]`` is the form of
+    number n, ((number of a basis monomial, coefficient), ...): a basis
+    monomial has its own number, and any other form gets one when it first
+    appears (``numbered``).  The build enters the product of every two
+    basis numbers as it numbers a degree; the product of any other two
+    forms is multiplied out over those entries when it is first asked for.
+    """
+
+    __slots__ = ("forms", "numbered")
+
+    def __init__(self):
+        super().__init__()
+        self.forms = []
+        self.numbered = {}  # form of no basis monomial -> its number
+
+    def basis_number(self) -> int:
+        n = len(self.forms)
+        self.forms.append(((n, _ONE),))
+        return n
+
+    def number(self, form: tuple) -> int:
+        n = self.numbered.get(form)
+        if n is None:
+            n = self.numbered[form] = len(self.forms)
+            self.forms.append(form)
+        return n
+
+    def __missing__(self, key):
+        forms = self.forms
+        acc = {}
+        for bi, x in forms[key[0]]:
+            for bj, y in forms[key[1]]:
+                xy = x * y
+                for b, z in forms[self[bi, bj]]:
+                    acc[b] = acc.get(b, 0) + xy * z
+        n = self[key] = self.number(
+            tuple((b, _exact(acc[b])) for b in sorted(acc) if acc[b])
+        )
+        return n
+
+
 def _tree(m: Monomial):
     """A slot monomial as nested pairs with slot indices at the leaves."""
     return m.index if m.is_leaf else (_tree(m.left), _tree(m.right))
@@ -574,6 +671,29 @@ def _instance(terms, fillers: Sequence[Monomial], form_of: dict, prod: dict) -> 
     return out
 
 
+def _pairs(gens: GeneratorSet, md: tuple, components: dict, form_of: dict) -> list:
+    """The products (b b') of built basis monomials in multidegree md.
+
+    Each as (monomial, (number of b, number of b')), in canonical order.
+    """
+    degree = sum(md)
+    pair = gens.pair
+    out = []
+    for lmd in itertools.product(*(range(e + 1) for e in md)):
+        if not 0 < sum(lmd) < degree:
+            continue
+        right = components.get(tuple(map(sub, md, lmd)))
+        left = components.get(lmd)
+        if left is None or right is None:
+            continue
+        right = [(v, form_of[v]) for v in right[1]]
+        for u in left[1]:
+            i = form_of[u]
+            out.extend((pair(u, v), (i, j)) for v, j in right)
+    out.sort(key=lambda t: t[0].sort_key)
+    return out
+
+
 def build_truncated(
     variety: VarietyPresentation,
     gens: GeneratorSet,
@@ -590,40 +710,44 @@ def build_truncated(
 
     Every multidegree up to the bound is built, or with ``multilinear=True``
     only those whose entries are all at most 1.  Degrees are built in
-    increasing order.  In degree d, a monomial c = (l r) has
-    phi(c) = nf(l) nf(r), expanded over the pair columns (b b') of basis
-    monomials b, b' already built; phi fixes every pair column.  The rows of
-    a multidegree are
+    increasing order.  The columns of a multidegree of degree d > 1 are its
+    pair space P: the products (b b') of basis monomials b, b' already
+    built, in canonical order (in degree 1, the generator).  No other
+    monomial of degree d is formed.  A monomial c = (l r) maps to
+    phi(c) = nf(l) nf(r), expanded over P; phi fixes P and c - phi(c) lies
+    in the ideal, so phi is a projection onto P whose kernel lies in the
+    ideal I, and I meets P in phi(I).  The ideal component is spanned by
+    the identity instances at tuples of monomials and by the products with
+    the ideal in lower degrees, and modulo the kernel of phi an instance at
+    any fillers is a combination of instances at basis fillers, since the
+    schemes are multilinear.  So the rows of a multidegree are phi of every
+    identity instance at a tuple of basis fillers whose multidegrees add up
+    to it (a tuple is skipped before it is substituted when that
+    multidegree is not built), and their reduced row echelon form over P
+    gives the basis, the earliest independent pair columns, and the
+    rewrite row of every other pair monomial.  ``components[md]`` is
+    (pair monomials, basis), and ``rewrite`` holds the pivot pair rows.
+    The normal form of any other monomial is computed on demand by
+    :meth:`TruncatedAlgebra.normal_form`.  Every basis monomial is a product
+    of basis monomials.  Row reduction over every monomial gives the same
+    basis exactly when its own basis has that property (as it has for every
+    built-in variety on 1, 2 and 3 generators up to degrees 8, 6 and 5);
+    otherwise the basis here is another basis of the same algebra.
 
-    - phi of every identity instance at a tuple of basis fillers whose
-      multidegrees add up to it (a tuple is skipped before it is
-      substituted when that multidegree is not built), and
-    - c - phi(c) for every other monomial c.
-
-    Their span is the full build's ideal component.  The rows c - phi(c)
-    span the kernel of phi, which consists of the products with the ideal
-    in lower degrees.  Modulo that kernel an instance at any fillers is a
-    combination of instances at basis fillers, since the schemes are
-    multilinear.  A reduced row echelon form is unique for its row space and
-    column order, so the basis and every rewrite row are the ones the full
-    space of monomials would give.
-
-    Identity instances are computed on the numbers of normal forms, and no
-    monomial is built for them.  A table ``prod`` maps the numbers of nf(l)
-    and nf(r) to the number of nf((l r)); it is filled from the monomials of
-    each degree below the bound as they are numbered.  It is well defined up
-    to the form: c - phi(c) lies in the ideal, so nf((l r)) depends only on
-    nf(l) and nf(r).  Two numbers can name one form (a basis monomial, and a
-    monomial that rewrites to it alone), but phi reads only the forms, so
-    either number gives the same row.  At a tuple of fillers, a slot of a
-    scheme term maps to its filler's number, an inner node to ``prod`` of
+    Identity instances are computed on the numbers of normal forms (see
+    ``_Products``), and no monomial is built for them.  The table ``prod``
+    maps the numbers of nf(l) and nf(r) to the number of nf((l r)); the
+    products of basis numbers are entered from the pair columns of each
+    degree below the bound, and any other product is multiplied out over
+    them when an instance first needs it.  At a tuple of fillers, a slot of
+    a scheme term maps to its filler's number, an inner node to ``prod`` of
     its factors' numbers, and the top node to the pair of numbers that phi
-    takes; coefficients are summed per pair.  A law of arity 1 acts in
+    takes; coefficients are summed per pair.  An instance that repeats one
+    already inserted in the degree, as a polarised scheme gives at permuted
+    fillers, is skipped.  Two numbers can name one form (a basis monomial,
+    and a pair monomial that rewrites to it alone), but phi reads only the
+    forms, so either number gives the same row.  A law of arity 1 acts in
     degree 1 only, where its instances are substituted as monomials.
-
-    The monomials c are taken in canonical order, and no row holds c before
-    its own.  So when c - phi(c), reduced, has no column later than c, it is
-    already the reduced pivot row of c and is stored without elimination.
     """
     if bound < 1:
         raise ValueError("the degree bound must be at least 1")
@@ -640,38 +764,33 @@ def build_truncated(
     # generators stand in until their components are built
     fillers = {1: generators}
     mdeg_of = {g: g.multidegree for g in generators}
-    # Normal forms below the bound are numbered: a basis monomial has its own
-    # number, and monomials that rewrite to the same combination share one.
-    form_of = {}  # monomial below the bound -> the number of its normal form
-    forms = []  # number -> ((number of a basis monomial, coefficient), ...)
-    basic = set()  # the numbers of basis monomials
-    numbered = {}  # normal form of a rewritten monomial -> its number
-    prod = {}  # (number of nf(l), number of nf(r)) -> number of nf((l r))
+    form_of = {}  # basis monomial below the bound -> its number
+    prod = _Products()
+    forms = prod.forms
     # each scheme's terms as (slot trees of the two factors, coefficient)
     trees = {s: tuple((_tree(m), f) for m, f in s._terms) for s in schemes}
     for d in range(1, bound + 1):
-        mss = {
-            md: monomials_of_multidegree(gens, md)
-            for md in _multidegrees(gens.size, d)
-            if not multilinear or max(md) <= 1
-        }
-        # (number of nf(l), number of nf(r)) for each monomial (l r)
-        splits = {}
+        mss = {}  # built multidegree -> its pair monomials
+        keys = {}  # built multidegree -> the basis numbers of their factors
         pair_col = {}  # pair of basis numbers -> column of their product
-        if d > 1:
-            for md, ms in mss.items():
-                keys = [(form_of[m.left], form_of[m.right]) for m in ms]
-                splits[md] = keys
-                for c, (i, j) in enumerate(keys):
-                    if i in basic and j in basic:
-                        pair_col[i, j] = c
+        for md in _multidegrees(gens.size, d):
+            if multilinear and max(md) > 1:
+                continue
+            if d == 1:
+                mss[md] = (gens.generator(md.index(1)),)
+                continue
+            pairs = _pairs(gens, md, components, form_of)
+            mss[md] = tuple(m for m, _ in pairs)
+            keys[md] = [key for _, key in pairs]
+            for c, key in enumerate(keys[md]):
+                pair_col[key] = c
 
         def phi(terms):
             """phi of the sum of f (l r) over ((nf(l), nf(r)) numbers, f)."""
             acc = {}
             for (i, j), f in terms:
                 for bi, x in forms[i]:
-                    fx = x if f is _ONE else f * x
+                    fx = f * x
                     for bj, y in forms[j]:
                         v = fx if y is _ONE else fx * y
                         k = pair_col[bi, bj]
@@ -680,6 +799,9 @@ def build_truncated(
             return {k: v for k, v in acc.items() if v}
 
         reducers = {md: RowReducer() for md in mss}
+        # instances already inserted: a polarised scheme is symmetric in the
+        # slots of one variable, so permuted fillers repeat an instance
+        seen = set()
         for s in schemes:
             if s.arity > d or (s.arity == 1 and d > 1):
                 # a law of arity 1 kills degree 1, and with it every product
@@ -695,58 +817,34 @@ def build_truncated(
                         inst = s.substitute(combo, gens)
                         red.insert({ms.index(m): f for m, f in inst.items()})
                     else:
-                        inst = _instance(trees[s], combo, form_of, prod)
-                        red.insert(phi(inst.items()))
+                        inst = frozenset(
+                            _instance(trees[s], combo, form_of, prod).items()
+                        )
+                        if inst not in seen:
+                            seen.add(inst)
+                            red.insert(phi(inst))
 
         degree_basis = []
         for md, ms in mss.items():
-            red = reducers.pop(md)  # freed once its rewrite rows are read
-            # number pair -> -reduce(phi(c)), valid until the next insert,
-            # with the rewrite row it gives a directly placed pivot
-            reduced = {}
-            for c, key in enumerate(splits.get(md, ())):
-                if key[0] in basic and key[1] in basic:
-                    continue
-                hit = reduced.get(key)
-                if hit is None:
-                    r = red.reduce(phi(((key, _ONE),)))
-                    hit = reduced[key] = (
-                        {k: -v for k, v in r.items()},
-                        tuple((ms[k], v) for k, v in sorted(r.items())),
-                    )
-                row, rw = hit
-                if not row or max(row) < c:
-                    # no pivot row holds c yet: this is what insert would
-                    # store, and no later insert touches it
-                    red.pivots[c] = {**row, c: _ONE}
-                    rewrite[ms[c]] = rw
-                else:
-                    red.insert({**row, c: _ONE})
-                    reduced.clear()
-            pivots = red.pivots
-            basis = tuple(ms[i] for i in range(len(ms)) if i not in pivots)
+            pivots = reducers.pop(md).pivots  # freed once its rows are read
+            basis = tuple(m for c, m in enumerate(ms) if c not in pivots)
             components[md] = (ms, basis)
             degree_basis.extend(basis)
             for c, prow in pivots.items():
-                if ms[c] not in rewrite:
-                    rewrite[ms[c]] = tuple(
-                        (ms[k], -v) for k, v in sorted(prow.items()) if k != c
-                    )
+                rewrite[ms[c]] = tuple(
+                    (ms[k], -v) for k, v in sorted(prow.items()) if k != c
+                )
             if d < bound:
                 for b in basis:
-                    form_of[b] = len(forms)
-                    basic.add(len(forms))
-                    forms.append(((len(forms), _ONE),))
+                    form_of[b] = prod.basis_number()
                     mdeg_of[b] = md
-                for c in pivots:
-                    form = tuple((form_of[b], f) for b, f in rewrite[ms[c]])
-                    number = numbered.get(form)
-                    if number is None:
-                        number = numbered[form] = len(forms)
-                        forms.append(form)
-                    form_of[ms[c]] = number
-                for key, m in zip(splits.get(md, ()), ms):
-                    prod[key] = form_of[m]
+                for key, m in zip(keys.get(md, ()), ms):
+                    rw = rewrite.get(m)
+                    prod[key] = (
+                        form_of[m]
+                        if rw is None
+                        else prod.number(tuple((form_of[b], f) for b, f in rw))
+                    )
         degree_basis.sort(key=lambda m: m.sort_key)
         fillers[d] = tuple(degree_basis)
 

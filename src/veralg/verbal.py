@@ -28,7 +28,7 @@ from .scalars import (
     _exact,
     parse_scalar,
 )
-from .variety import RowReducer, VarietyPresentation, build_truncated
+from .variety import RowReducer, VarietyPresentation, _add_product, build_truncated
 
 __all__ = [
     "InnerReport",
@@ -85,22 +85,6 @@ class VerbalSystem:
         return f"VerbalSystem(phi={e['phi']}, a={e['a']}, b={e['b']})"
 
 
-def _add_product(alg, acc: dict, p: dict, q: dict) -> None:
-    """Add the normal form of p q to acc; p, q and acc map monomials to rationals."""
-    pair = alg.gens.pair
-    rewrite = alg.rewrite
-    for u, x in p.items():
-        for v, y in q.items():
-            c = x * y
-            w = pair(u, v)
-            rw = rewrite.get(w)
-            if rw is None:
-                acc[w] = acc.get(w, 0) + c
-            else:
-                for b, f in rw:
-                    acc[b] = acc.get(b, 0) + c * f
-
-
 def _clean(acc: dict) -> dict:
     return {m: _exact(v) for m, v in acc.items() if v}
 
@@ -129,8 +113,8 @@ def _sigma_parts(alg, m: Monomial) -> tuple:
         acc = [{} for _ in range(m.degree)]
         for i, pl in enumerate(left):
             for k, pr in enumerate(right):
-                _add_product(alg, acc[i + k], pl, pr)
-                _add_product(alg, acc[i + k + 1], pr, pl)
+                _add_product(alg, acc[i + k], pl.items(), pr.items())
+                _add_product(alg, acc[i + k + 1], pr.items(), pl.items())
         out = tuple(_clean(part) for part in acc)
     memo[m] = out
     return out

@@ -12,12 +12,13 @@ from veralg.freealg import (
     GeneratorSet,
     SymbolicEndomorphism,
     enumerate_monomials,
-    monomials_of_multidegree,
     parse_element,
     parse_monomial,
 )
 from veralg.scalars import FieldSpec, ParamPoly, Scalar
 from veralg.variety import build_truncated, builtin_variety
+
+from test_oracles import monomials_of_multidegree
 
 F = FieldSpec.default(2)
 G = GeneratorSet.default(2)

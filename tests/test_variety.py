@@ -24,7 +24,7 @@ from veralg.freealg import (
     parse_element,
     parse_monomial,
 )
-from veralg.scalars import FieldSpec, Scalar
+from veralg.scalars import FieldSpec, Scalar, _exact
 from veralg.variety import (
     RATIONALS,
     IdentityScheme,
@@ -41,6 +41,26 @@ from veralg.verbal import _sigma_parts
 def check_identity(alg, scheme: IdentityScheme) -> bool:
     """Does the scheme vanish on the algebra (up to the truncation)?"""
     return all(alg.failing_tuple(s.element) is None for s in polarize(scheme))
+
+
+def rewrite_rows(alg) -> dict:
+    """The rewrite row of every monomial of a built multidegree outside the basis.
+
+    {monomial: ((basis monomial, coefficient), ...)} with the basis monomials
+    in canonical order and rational coefficients, read through normal_form:
+    the build itself keeps only the rows of its pair monomials.
+    """
+    basis = set(alg.all_basis())
+    rows = {}
+    for d in range(1, alg.bound + 1):
+        for m in enumerate_monomials(alg.gens, d):
+            if m in basis or m.multidegree not in alg.components:
+                continue
+            nf = alg.normal_form(Element.from_monomial(alg.gens, RATIONALS, m))
+            rows[m] = tuple(
+                (b, _exact(nf.terms[b].as_fraction())) for b in nf.support()
+            )
+    return rows
 
 
 G1 = GeneratorSet.default(1)
@@ -257,6 +277,12 @@ class TestDimensions:
         alg = build_truncated(builtin_variety("lie"), G2, 7)
         assert alg.dims() == {d: _witt(2, d) for d in range(1, 8)}
         assert alg.dims() == {1: 2, 2: 1, 3: 2, 4: 3, 5: 6, 6: 9, 7: 18}
+
+    def test_lie_witt_formula_to_degree_twelve(self):
+        # the pair-space build reaches degrees that the full free magma
+        # could not: degree 12 alone has 2^12 * 58,786 monomials
+        alg = build_truncated(builtin_variety("lie"), G2, 12)
+        assert alg.dims() == {d: _witt(2, d) for d in range(1, 13)}
 
     def test_lie_multidegree_split(self):
         alg = build_truncated(builtin_variety("lie"), G2, 5)
@@ -475,9 +501,10 @@ class TestMultilinearBuild:
         }
         for md, (monos, basis) in ml.components.items():
             assert full.components[md] == (monos, basis), md
-            for m in monos:
-                assert ml.rewrite.get(m) == full.rewrite.get(m), m.encode()
-        assert set(ml.rewrite) <= set(full.rewrite)
+        full_rows = rewrite_rows(full)
+        assert rewrite_rows(ml) == {
+            m: row for m, row in full_rows.items() if max(m.multidegree) <= 1
+        }
 
     @pytest.mark.parametrize("name", ("Jordan", "PowerAssociative"))
     def test_interns_only_multilinear_monomials(self, name):
@@ -493,10 +520,47 @@ class TestMultilinearBuild:
         assert all(max(m.multidegree) <= 1 for m in built)
 
 
+class TestPairSpaceBuild:
+    """Only products of basis monomials are built; other words on demand."""
+
+    def test_interns_only_pair_monomials(self):
+        # the generators, the basis monomials and their products are the
+        # only monomials over these names (no other test uses them)
+        gens = GeneratorSet(("w1", "w2"))
+        alg = build_truncated(builtin_variety("lie"), gens, 8)
+        built = {
+            m for key, m in freealg._INTERN.items() if key[0] == gens.names
+        }
+        pairs = {m for monos, _ in alg.components.values() for m in monos}
+        assert {gens.generator(0), gens.generator(1)} <= pairs
+        assert set(alg.all_basis()) <= pairs
+        assert built == pairs
+        # the free magma has 2^8 * 429 monomials in degree 8 alone
+        assert len(built) < 1000
+
+    def test_word_normal_form_leaves_rewrite_alone(self):
+        alg = build_truncated(builtin_variety("lie"), G2, 6)
+        before = dict(alg.rewrite)
+        word = parse_monomial("(x1 (x1 ((x1 x2) x2)))", G2)
+        pairs = {m for monos, _ in alg.components.values() for m in monos}
+        assert word not in pairs
+        nf = alg.normal_form(Element.from_monomial(G2, RATIONALS, word))
+        assert nf == parse_element("-(x1 (x1 (x2 (x1 x2))))", G2, RATIONALS)
+        assert alg.rewrite == before
+
+    def test_unbuilt_multidegree_word_is_its_own_form(self):
+        # as before the pair-space build: a multilinear build leaves the
+        # words of other multidegrees as they are
+        alg = build_truncated(builtin_variety("lie"), G2, 2, multilinear=True)
+        el = parse_element("(x1 x1) + (x2 x1)", G2, RATIONALS)
+        assert alg.normal_form(el) == parse_element("(x1 x1) - (x1 x2)", G2, RATIONALS)
+
+
 def _build_digest(alg):
     lines = [m.encode() for m in alg.all_basis()]
-    for m in sorted(alg.rewrite, key=lambda m: m.sort_key):
-        row = " ".join(f"{c} {b.encode()}" for b, c in alg.rewrite[m])
+    rows = rewrite_rows(alg)
+    for m in sorted(rows, key=lambda m: m.sort_key):
+        row = " ".join(f"{c} {b.encode()}" for b, c in rows[m])
         lines.append(f"{m.encode()} = {row}")
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
