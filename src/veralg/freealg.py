@@ -22,7 +22,7 @@ from .scalars import (
     ParamPoly,
     Scalar,
     _NAME_RE,
-    _exact,
+    _join_signed,
     _p_add,
     _p_neg,
     _signed_coeff,
@@ -76,6 +76,9 @@ class GeneratorSet:
         return len(self.names)
 
     def index(self, name: str) -> int:
+        if name not in self.names:
+            have = ", ".join(self.names) or "none"
+            raise ValueError(f"unknown generator {name!r}; the generators are {have}")
         return self.names.index(name)
 
     def generator(self, i: int) -> "Monomial":
@@ -341,7 +344,7 @@ class Element:
     def encode(self) -> str:
         if not self.terms:
             return "0"
-        return _format_terms([(m, self.terms[m]) for m in self.support()])
+        return _join_signed(_format_terms((m, self.terms[m]) for m in self.support()))
 
     def __str__(self):
         return self.encode()
@@ -351,16 +354,11 @@ class Element:
 
 
 def _format_terms(pairs):
-    parts = []
+    """(negative, text) of each (monomial, coefficient) term of an element."""
     for m, c in pairs:
         # ParamPoly coefficients print whole, each joined with " + "
         neg, cs = _signed_coeff(c) if isinstance(c, Scalar) else (False, c.encode())
-        body = m.encode() if cs == "1" else f"{_wrap_coeff(cs)} * {m.encode()}"
-        if not parts:
-            parts.append(f"-{body}" if neg else body)
-        else:
-            parts.append(f"{' - ' if neg else ' + '}{body}")
-    return "".join(parts)
+        yield neg, m.encode() if cs == "1" else f"{_wrap_coeff(cs)} * {m.encode()}"
 
 
 def _wrap_coeff(cs: str) -> str:
@@ -484,8 +482,8 @@ class SymbolicEndomorphism:
     i: source generator) row-major, followed by ``extra``.  The map is never
     applied symbolically: nf(alpha(m)) of a word m is a rational table
     (:meth:`_table`), kept per instance in ``_tables``, and :meth:`apply`
-    combines the tables of an element's words.  Only ``alg.gens``,
-    ``alg.bound`` and ``alg.rewrite`` are read.
+    combines the tables of an element's words.  Normal forms come from
+    ``alg.word_form`` and ``alg.product_form``.
     """
 
     __slots__ = ("alg", "ctx", "_tables")
@@ -500,7 +498,7 @@ class SymbolicEndomorphism:
     def _table(self, m: Monomial) -> dict:
         """nf(alpha(m)), its unknowns kept symbolic.
 
-        A {basis monomial: {exponent tuple: int or Fraction}} dict: the tuple
+        An {exponent tuple: {basis monomial: int or Fraction}} dict: the tuple
         counts the unknowns a_ji at index j*n + i, their order in ``ctx``.  A
         leaf x_i gives sum over j of a_ji nf(x_j); a product (l r) gives
         nf(alpha(l) alpha(r)), which is the normal form of the product of the
@@ -512,38 +510,28 @@ class SymbolicEndomorphism:
         if hit is not None:
             return hit
         alg = self.alg
-        gens = alg.gens
-        # monomial before its normal form -> {exponent tuple: coefficient}
-        raw = {}
+        out = {}
         if m.degree > alg.bound:
             pass  # above the truncation: the empty table
         elif m.is_leaf:
-            n = gens.size
+            n = alg.gens.size
             for j in range(n):
-                e = [0] * (n * n)
-                e[j * n + m.index] = 1
-                raw[gens.generator(j)] = {tuple(e): 1}
+                form = alg.word_form(alg.gens.generator(j))
+                if form:
+                    e = [0] * (n * n)
+                    e[j * n + m.index] = 1
+                    out[tuple(e)] = form
         else:
-            pair = gens.pair
+            # exponent -> the pairs of child forms whose exponents add up to it
+            factors = {}
             right = self._table(m.right).items()
-            for u, p in self._table(m.left).items():
-                for v, q in right:
-                    acc = raw.setdefault(pair(u, v), {})
-                    for e1, x in p.items():
-                        for e2, y in q.items():
-                            e = tuple(map(add, e1, e2))
-                            acc[e] = acc.get(e, 0) + x * y
-        nf = {}
-        for w, poly in raw.items():
-            for b, f in alg.rewrite.get(w, ((w, 1),)):
-                acc = nf.setdefault(b, {})
-                for e, c in poly.items():
-                    acc[e] = acc.get(e, 0) + c * f
-        out = {}
-        for b, poly in nf.items():
-            poly = {e: _exact(c) for e, c in poly.items() if c}
-            if poly:
-                out[b] = poly
+            for e1, p in self._table(m.left).items():
+                for e2, q in right:
+                    factors.setdefault(tuple(map(add, e1, e2)), []).append((p, q))
+            for e, pairs in factors.items():
+                form = alg.product_form(pairs)
+                if form:
+                    out[e] = form
         self._tables[m] = out
         return out
 
@@ -559,9 +547,9 @@ class SymbolicEndomorphism:
             raise ContextMismatch("element lives over a different context")
         acc = {}
         for m, c in el.terms.items():
-            for b, poly in self._table(m).items():
-                target = acc.setdefault(b, {})
-                for e, q in poly.items():
+            for e, form in self._table(m).items():
+                for b, q in form.items():
+                    target = acc.setdefault(b, {})
                     t = c.scale_fraction(q)
                     s = target.get(e)
                     target[e] = t if s is None else s + t

@@ -589,7 +589,7 @@ def _format_poly(p, names, signed):
     A coefficient text that is not a single atom is wrapped in parentheses
     before its monomial.  The zero polynomial prints as 0.
     """
-    parts = []
+    terms = []
     for e in sorted(p, key=_grlex, reverse=True):
         mono = "*".join(n if k == 1 else f"{n}^{k}" for n, k in zip(names, e) if k)
         neg, cs = signed(p[e])
@@ -601,11 +601,19 @@ def _format_poly(p, names, signed):
             body = f"{cs}*{mono}"
         else:
             body = cs
+        terms.append((neg, body))
+    return _join_signed(terms) or "0"
+
+
+def _join_signed(terms) -> str:
+    """(negative, body) terms joined as a + b - c, the first with a bare -."""
+    parts = []
+    for neg, body in terms:
         if not parts:
             parts.append(f"-{body}" if neg else body)
         else:
             parts.append(f"{' - ' if neg else ' + '}{body}")
-    return "".join(parts) or "0"
+    return "".join(parts)
 
 
 def _signed_int(c: int):

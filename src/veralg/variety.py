@@ -436,9 +436,9 @@ class TruncatedAlgebra:
     form, ((basis monomial, coefficient), ...) in canonical order with
     rational coefficients.  That is all a product of two basis monomials
     needs.  The normal form of any other monomial of a built multidegree is
-    computed on demand by :meth:`normal_form` and kept in ``_word_forms``,
-    apart from ``rewrite``; a monomial of a multidegree that was not built
-    is its own normal form.
+    computed on demand by :meth:`word_form`; a monomial of a multidegree
+    that was not built is its own normal form.  Only :meth:`word_form`,
+    :meth:`product_form` and the build read ``rewrite``.
     """
 
     __slots__ = (
@@ -460,7 +460,7 @@ class TruncatedAlgebra:
         self.components = components  # multidegree -> (pair monomials, basis)
         self.rewrite = rewrite  # pivot pair monomial -> ((basis monomial, coeff), ...)
         self._basis_index = None
-        self._word_forms = {}  # monomial outside the pair space -> its normal form
+        self._word_forms = {}  # monomial -> its normal form, once asked for
         self._sigma_memo = {}
         # monomial, or a law of the free algebra -> its rational sigma parts
         self._parts_memo = {}
@@ -511,38 +511,60 @@ class TruncatedAlgebra:
                 s = acc.get(m)
                 acc[m] = c if s is None else s + c
             elif m.degree <= self.bound:
-                for b, f in self._form(m):
+                for b, f in self.word_form(m).items():
                     s = acc.get(b)
                     t = c.scale_fraction(f)
                     acc[b] = t if s is None else s + t
         return Element(el.gens, el.domain, acc)
 
-    def _form(self, m: Monomial) -> tuple:
-        """nf(m) as ((basis monomial, coefficient), ...), m within the bound.
+    def word_form(self, m: Monomial) -> dict:
+        """nf(m) as {basis monomial: rational} in canonical order.
 
-        A basis monomial is its own form and a pair monomial has its rewrite
-        row.  Any other word (l r) of a built multidegree has the reduced
-        product of nf(l) and nf(r), memoised in ``_word_forms``; a word of a
-        multidegree that was not built is left as it is.
+        m is within the bound.  A monomial in ``rewrite`` has its row, and a
+        generator that is not is a basis monomial, its own form.  Any other
+        word (l r) of a built multidegree has the product form of nf(l) and
+        nf(r), which is (l r) itself for a basis monomial, as l and r are
+        basis monomials; a word of a multidegree that was not built is left
+        as it is.  Forms are memoised in ``_word_forms`` and shared, so a
+        caller must not change one.
         """
-        if m in self.basis_index():
-            return ((m, _ONE),)
-        rw = self.rewrite.get(m)
-        if rw is None:
-            rw = self._word_forms.get(m)
-        if rw is None:
-            if m.multidegree not in self.components:
-                rw = ((m, _ONE),)
+        form = self._word_forms.get(m)
+        if form is None:
+            rw = self.rewrite.get(m)
+            if rw is not None:
+                form = dict(rw)
+            elif m.is_leaf or m.multidegree not in self.components:
+                form = {m: _ONE}
             else:
-                acc = {}
-                _add_product(self, acc, self._form(m.left), self._form(m.right))
-                rw = tuple(
-                    (b, _exact(acc[b]))
-                    for b in sorted(acc, key=lambda b: b.sort_key)
-                    if acc[b]
-                )
-            self._word_forms[m] = rw
-        return rw
+                pair = (self.word_form(m.left), self.word_form(m.right))
+                acc = self.product_form((pair,))
+                form = {b: acc[b] for b in sorted(acc, key=lambda b: b.sort_key)}
+            self._word_forms[m] = form
+        return form
+
+    def product_form(self, factors) -> dict:
+        """The normal form of the sum of p q over the pairs (p, q) of factors.
+
+        p and q are normal forms, {basis monomial: rational}, whose degrees
+        add up to at most the bound, and so is the result, with zero values
+        dropped and integral ones ints.  The product of two basis monomials
+        is a pair monomial, so its normal form is itself or its rewrite row.
+        The sum is formed first and made exact once.
+        """
+        pair = self.gens.pair
+        acc = {}
+        for p, q in factors:
+            for u, x in p.items():
+                for v, y in q.items():
+                    c = x * y
+                    w = pair(u, v)
+                    rw = self.rewrite.get(w)
+                    if rw is None:
+                        acc[w] = acc.get(w, 0) + c
+                    else:
+                        for b, f in rw:
+                            acc[b] = acc.get(b, 0) + c * f
+        return {b: _exact(c) for b, c in acc.items() if c}
 
     def multiply(self, u: Element, v: Element) -> Element:
         return self.normal_form((u * v).truncate(self.bound))
@@ -576,27 +598,6 @@ class TruncatedAlgebra:
 
 _BUILD_MEMO = {}
 _ONE = 1
-
-
-def _add_product(alg, acc: dict, p, q) -> None:
-    """Add the normal form of p q to acc.
-
-    p and q are (basis monomial, rational) pairs, and acc maps monomials to
-    rationals.  The product of two basis monomials is a pair monomial, so its
-    normal form is itself or its rewrite row.
-    """
-    pair = alg.gens.pair
-    rewrite = alg.rewrite
-    for u, x in p:
-        for v, y in q:
-            c = x * y
-            w = pair(u, v)
-            rw = rewrite.get(w)
-            if rw is None:
-                acc[w] = acc.get(w, 0) + c
-            else:
-                for b, f in rw:
-                    acc[b] = acc.get(b, 0) + c * f
 
 
 class _Products(dict):

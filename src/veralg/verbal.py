@@ -28,7 +28,7 @@ from .scalars import (
     _exact,
     parse_scalar,
 )
-from .variety import RowReducer, VarietyPresentation, _add_product, build_truncated
+from .variety import RowReducer, VarietyPresentation, build_truncated
 
 __all__ = [
     "InnerReport",
@@ -106,16 +106,17 @@ def _sigma_parts(alg, m: Monomial) -> tuple:
     if m.degree > alg.bound:
         out = ()
     elif m.is_leaf:
-        out = (dict(alg.rewrite.get(m, ((m, 1),))),)
+        out = (alg.word_form(m),)
     else:
+        # part j sums the child products with j swaps, this node's included
         left = _sigma_parts(alg, m.left)
         right = _sigma_parts(alg, m.right)
-        acc = [{} for _ in range(m.degree)]
+        factors = [[] for _ in range(m.degree)]
         for i, pl in enumerate(left):
             for k, pr in enumerate(right):
-                _add_product(alg, acc[i + k], pl.items(), pr.items())
-                _add_product(alg, acc[i + k + 1], pr.items(), pl.items())
-        out = tuple(_clean(part) for part in acc)
+                factors[i + k].append((pl, pr))
+                factors[i + k + 1].append((pr, pl))
+        out = tuple(alg.product_form(f) for f in factors)
     memo[m] = out
     return out
 

@@ -505,6 +505,24 @@ class TestInputErrors:
         assert code == 2
         assert "unknown transcendental 't3'" in self.single_error(err)
 
+    @pytest.mark.parametrize(
+        "name,changes",
+        (
+            ("aut_1_3_4", {"candidates": ["(x1 x3)"]}),
+            ("aut_1_3_4", {"generator": "t1 * (x3 x2)"}),
+            ("s_4", {"word": "(x3 (x2 x2))"}),
+        ),
+        ids=("candidate", "generator", "word"),
+    )
+    def test_unknown_generator_name(self, capsys, tmp_path, name, changes):
+        # it exited 2 with "tuple.index(x): x not in tuple"
+        path = self.job_file(tmp_path, name, **changes)
+        code, out, err = run(capsys, ["falsify", "--spec", path])
+        assert code == 2
+        assert out == ""
+        line = self.single_error(err)
+        assert "unknown generator 'x3'; the generators are x1, x2" in line
+
 
 class TestInternalError:
     def test_crash_exits_three_with_traceback(self, capsys, monkeypatch):

@@ -30,6 +30,8 @@ step.  The rational tables of ``SymbolicEndomorphism`` on words are
 checked against the image-based ``Endomorphism.apply`` of
 ``endomorphism_oracle`` on the generic map, which expands every product in
 the free magma; that map also stands in for alpha in the old kernel test.
+``TruncatedAlgebra.product_form`` is checked against the normal form of
+the ``Element`` product of the same normal forms.
 The current code must agree with them exactly.  The one exception is the
 build under ``CUSTOM_LAWS[0]`` on one generator up to degree 8: the old
 basis there has monomials with a rewritten child, which are not products
@@ -328,14 +330,34 @@ def test_residue_matches_old_loops(variety, bound, text, tail):
         assert ideal.residue(params) == _old_residue_param(ideal, params)
 
 
-SIGMA_ALGEBRAS = (("lie", 5), ("alternative", 4), ("alllinear", 4))
+# laws under which a basis monomial can have a rewritten child, so that
+# c - phi(c) reduces to a row whose pivot is a later product column
+CUSTOM_LAWS = (
+    "((y1 y2) (y3 y4)) - (y1 (y2 (y3 y4)))",
+    "(y1 ((y2 y3) y4)) - ((y1 y2) (y3 y4))",
+    "(y1 (y2 y3)) - ((y1 y2) y3) + (y2 (y1 y3))",
+)
+
+
+def _custom_variety(law):
+    return VarietyPresentation(law, (IdentityScheme.from_string(law),))
+
+
+def _variety(name):
+    """A built-in variety by name, or the variety of one custom law."""
+    return _custom_variety(name) if "(" in name else builtin_variety(name)
+
+
+SIGMA_ALGEBRAS = (("lie", 5), ("alternative", 4), ("alllinear", 4)) + tuple(
+    (law, 5) for law in CUSTOM_LAWS
+)
 SIGMA_SYSTEMS = (("t1", "(t1 + 1)/t2"), ("(t1 + 1)/t2", "t1 - t2"))
 
 
 @pytest.mark.parametrize("variety,bound", SIGMA_ALGEBRAS)
 @pytest.mark.parametrize("a,b", SIGMA_SYSTEMS)
 def test_word_transform_matches_two_normal_forms(variety, bound, a, b):
-    alg = build_truncated(builtin_variety(variety), G, bound)
+    alg = build_truncated(_variety(variety), G, bound)
     system = VerbalSystem.parse(F, "swap", a, b)
     memo = {}
     for m in alg.all_basis():
@@ -929,19 +951,6 @@ def test_build_matches_old(name, k, bound):
 @pytest.mark.parametrize("k", (2, 3, 4))
 def test_multilinear_build_matches_old(name, k):
     _assert_build_matches_old(builtin_variety(name), k, k, multilinear=True)
-
-
-# laws under which a basis monomial can have a rewritten child, so that
-# c - phi(c) reduces to a row whose pivot is a later product column
-CUSTOM_LAWS = (
-    "((y1 y2) (y3 y4)) - (y1 (y2 (y3 y4)))",
-    "(y1 ((y2 y3) y4)) - ((y1 y2) (y3 y4))",
-    "(y1 (y2 y3)) - ((y1 y2) y3) + (y2 (y1 y3))",
-)
-
-
-def _custom_variety(law):
-    return VarietyPresentation(law, (IdentityScheme.from_string(law),))
 
 
 # these varieties are not closed under the opposite product, so a = 0 is
@@ -2159,3 +2168,61 @@ def test_generic_apply_matches_symbolic_apply(name, k, bound):
 def test_generic_apply_matches_symbolic_apply_custom_laws(law):
     alg = build_truncated(_custom_variety(law), G, 4)
     _assert_generic_apply_matches_symbolic(alg, law)
+
+
+# TruncatedAlgebra.product_form, against the normal form of the Element
+# product of the same normal forms over Q
+
+PRODUCT_FORM_SHAPES = ((1, 6), (2, 5), (3, 4))
+# every built-in variety, the custom laws, and the law that rewrites every
+# generator to zero
+PRODUCT_FORM_VARIETIES = builtin_variety_names() + CUSTOM_LAWS + ALPHA_LAWS[1:]
+
+
+def _rand_form(rng, alg, degree):
+    """A seeded normal form in one degree: up to three basis monomials."""
+    basis = alg.basis_of_degree(degree)
+    if not basis:
+        return {}
+    return {
+        rng.choice(basis): _exact(_rand_rational(rng) or 1)
+        for _ in range(rng.randrange(1, 4))
+    }
+
+
+def _as_element(alg, form):
+    return Element(
+        alg.gens,
+        RATIONALS,
+        {b: Scalar.from_fraction(RATIONALS, c) for b, c in form.items()},
+    )
+
+
+def _assert_product_form_matches_element_product(alg, label):
+    rng = random.Random(f"product_form/{label}")
+    bound = alg.bound
+    for _ in range(12):
+        factors = []
+        for _ in range(rng.randrange(1, 4)):
+            dl = rng.randrange(1, bound)
+            dr = rng.randrange(1, bound - dl + 1)
+            factors.append((_rand_form(rng, alg, dl), _rand_form(rng, alg, dr)))
+        want = Element.zero(alg.gens, RATIONALS)
+        for p, q in factors:
+            want = want + _as_element(alg, p) * _as_element(alg, q)
+        got = alg.product_form(factors)
+        assert _as_element(alg, got) == alg.normal_form(want), label
+        assert all(_exact_type(c) for c in got.values()), label
+        # a pair and its negation cancel
+        p, q = factors[0]
+        negated = {b: -c for b, c in q.items()}
+        assert alg.product_form(factors + [(p, negated)]) == alg.product_form(
+            factors[1:]
+        ), label
+
+
+@pytest.mark.parametrize("k,bound", PRODUCT_FORM_SHAPES)
+@pytest.mark.parametrize("name", PRODUCT_FORM_VARIETIES)
+def test_product_form_matches_element_product(name, k, bound):
+    alg = build_truncated(_variety(name), GeneratorSet.default(k), bound)
+    _assert_product_form_matches_element_product(alg, f"{name}/{k}/{bound}")
