@@ -226,7 +226,7 @@ def gen_constraints(alg, ideal: TruncatedIdeal, system: VerbalSystem) -> GenCons
     equations = []
     basis = alg.basis_of_degree(ideal.tail - 1)
     for b in basis:
-        eq = applied.coefficient(b) - rho.scale(target.coefficient(b))
+        eq = applied.coefficient(b) - rho * target.coefficient(b)
         if not eq.is_zero:
             equations.append(eq)
     return GenConstraints(alpha, tuple(equations), basis, st)
@@ -311,7 +311,7 @@ def _try_eliminate(equations, ctx):
             if e0[vi] != 1 or any(e0[j] for j in range(len(e0)) if j != vi):
                 continue
             rest = ParamPoly(ctx, {e: c for e, c in eq.terms.items() if not e[vi]})
-            return name, (-rest).scale(c0.inverse()), eq
+            return name, -rest * c0.inverse(), eq
     return None
 
 
@@ -612,7 +612,7 @@ def falsify_smallest_closed(alg, system: VerbalSystem, word: Monomial) -> Certif
     for vec in vectors.values():
         span.insert(vec)
 
-    sw = alg.normal_form(sigma_apply(alg, system, element))
+    sw = sigma_apply(alg, system, element)
     inside = span.contains(coordinates(alg, sw))
     verdict = "no_falsification" if inside else "not_geometrically_equivalent"
 

@@ -307,21 +307,12 @@ class Element:
                         out[m] = s
             return Element(self.gens, self.domain, out)
         if isinstance(other, (int, Fraction, Scalar)):
-            return self.scale(other)
+            return Element(
+                self.gens, self.domain, {m: c * other for m, c in self.terms.items()}
+            )
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, value) -> "Element":
-        """self times an int, Fraction or Scalar value."""
-        if not value:
-            return Element.zero(self.gens, self.domain)
-        return Element(
-            self.gens, self.domain, {m: c * value for m, c in self.terms.items()}
-        )
+    __rmul__ = __mul__
 
     def truncate(self, bound: int) -> "Element":
         return Element(
@@ -467,7 +458,7 @@ def parse_element(text: str, gens: GeneratorSet, field: FieldSpec) -> Element:
             coeff = parse_scalar(chunk[:split_at], field)
             mono_text = chunk[split_at + 1 :]
         m = parse_monomial(mono_text, gens)
-        total = total + Element.from_monomial(gens, field, m, coeff.scale_fraction(sign))
+        total = total + Element.from_monomial(gens, field, m, coeff * sign)
     return total
 
 
@@ -550,7 +541,7 @@ class SymbolicEndomorphism:
             for e, form in self._table(m).items():
                 for b, q in form.items():
                     target = acc.setdefault(b, {})
-                    t = c.scale_fraction(q)
+                    t = c * q
                     s = target.get(e)
                     target[e] = t if s is None else s + t
         pad = (0,) * (ctx.size - alg.gens.size ** 2)

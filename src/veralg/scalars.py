@@ -111,12 +111,6 @@ def _p_neg(p):
     return {e: -c for e, c in p.items()}
 
 
-def _p_scale(p, c):
-    if not c:
-        return {}
-    return {e: c * v for e, v in p.items()}
-
-
 def _p_mul(p, q):
     out = {}
     for e1, c1 in p.items():
@@ -347,12 +341,33 @@ class FieldSpec:
 
 
 class _Exact:
-    """The operators Scalar and ParamPoly share, written once for both."""
+    """The operators and caches Scalar and ParamPoly share, written once for both.
 
-    __slots__ = ()
+    A subclass gives ``_key()``, the tuple its hash is taken of, and
+    ``_format()``, its text.  The value never changes, so ``_hash`` and
+    ``_text`` keep both once computed; each ``__init__`` sets them to None.  A
+    subclass that defines ``__eq__`` must bind ``__hash__ = _Exact.__hash__``,
+    as Python sets ``__hash__`` to None on such a class.
+    """
+
+    __slots__ = ("_hash", "_text")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash(self._key())
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def encode(self) -> str:
+        text = self._text
+        if text is None:
+            text = self._format()
+            object.__setattr__(self, "_text", text)
+        return text
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -380,7 +395,7 @@ class Scalar(_Exact):
     representation uniquely; two scalars are equal iff their parts match.
     """
 
-    __slots__ = ("field", "num", "den", "_hash")
+    __slots__ = ("field", "num", "den")
 
     def __init__(self, field: FieldSpec, num, den=None, _canonical=False):
         m = field.size
@@ -397,6 +412,7 @@ class Scalar(_Exact):
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_text", None)
 
     # -- constructors
 
@@ -475,15 +491,17 @@ class Scalar(_Exact):
         return Scalar(self.field, _p_neg(self.num), self.den, _canonical=True)
 
     def __mul__(self, other):
+        if type(other) is int or type(other) is Fraction:
+            return self._scaled(other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         f = o.as_fraction()
         if f is not None:
-            return self.scale_fraction(f)
+            return self._scaled(f)
         f = self.as_fraction()
         if f is not None:
-            return o.scale_fraction(f)
+            return o._scaled(f)
         # each factor is in lowest terms, so only a numerator and the other
         # factor's denominator can share a factor
         n1, d2 = _cancel(self.num, o.den)
@@ -520,8 +538,8 @@ class Scalar(_Exact):
         num, den = _monic_den(dict(self.den), dict(self.num))
         return Scalar(self.field, num, den, _canonical=True)
 
-    def scale_fraction(self, value) -> "Scalar":
-        """Fast multiply by a rational: no gcd pass is needed."""
+    def _scaled(self, value) -> "Scalar":
+        """self times a rational: no gcd pass is needed."""
         c = _rational(value)
         if not c or not self.num:
             return Scalar.zero(self.field)
@@ -543,22 +561,14 @@ class Scalar(_Exact):
             and self.den == other.den
         )
 
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash(
-                (
-                    self.field,
-                    frozenset(self.num.items()),
-                    frozenset(self.den.items()),
-                )
-            )
-            object.__setattr__(self, "_hash", h)
-        return h
+    __hash__ = _Exact.__hash__
+
+    def _key(self):
+        return self.field, frozenset(self.num.items()), frozenset(self.den.items())
 
     # -- text form
 
-    def encode(self) -> str:
+    def _format(self) -> str:
         if not self.num:
             return "0"
         num, den = self._int_normalized()
@@ -710,12 +720,17 @@ class ParamContext:
     names: tuple
 
     def __post_init__(self):
-        seen = set(self.field.names)
+        seen = set()
         for n in self.names:
             if not _NAME_RE.fullmatch(n):
                 raise ValueError(f"bad unknown name {n!r}")
             if n in seen:
-                raise ValueError(f"unknown name {n!r} collides")
+                raise ValueError(f"duplicate unknown name {n!r}")
+            if n in self.field.names:
+                raise ValueError(
+                    f"transcendental {n!r} has the name of a solver unknown;"
+                    f" the unknowns are {', '.join(self.names)}"
+                )
             seen.add(n)
 
     @property
@@ -729,7 +744,7 @@ class ParamContext:
 class ParamPoly(_Exact):
     """A polynomial in the unknowns of a ParamContext with Scalar coefficients."""
 
-    __slots__ = ("ctx", "terms", "_hash", "_text")
+    __slots__ = ("ctx", "terms")
 
     def __init__(self, ctx: ParamContext, terms: Mapping = ()):
         clean = {e: c for e, c in dict(terms).items() if not c.is_zero}
@@ -816,6 +831,8 @@ class ParamPoly(_Exact):
         return ParamPoly(self.ctx, _p_neg(self.terms))
 
     def __mul__(self, other):
+        if isinstance(other, (Scalar, int, Fraction)):
+            return ParamPoly(self.ctx, {e: c * other for e, c in self.terms.items()})
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -831,23 +848,12 @@ class ParamPoly(_Exact):
             out = out * self
         return out
 
-    def scale(self, value: Scalar) -> "ParamPoly":
-        return ParamPoly(self.ctx, _p_scale(self.terms, value))
-
     def monic(self) -> "ParamPoly":
         """self scaled to leading coefficient 1; zero is returned unchanged."""
         if not self.terms:
             return self
         _, lc = self.leading()
-        return self if lc.is_one else self.scale(lc.inverse())
-
-    def scale_fraction(self, value) -> "ParamPoly":
-        f = _rational(value)
-        if not f:
-            return ParamPoly.zero(self.ctx)
-        return ParamPoly(
-            self.ctx, {e: c.scale_fraction(f) for e, c in self.terms.items()}
-        )
+        return self if lc.is_one else self * lc.inverse()
 
     # -- substitution and evaluation
 
@@ -946,21 +952,15 @@ class ParamPoly(_Exact):
             return NotImplemented
         return self.ctx == other.ctx and self.terms == other.terms
 
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.ctx, frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return h
+    __hash__ = _Exact.__hash__
+
+    def _key(self):
+        return self.ctx, frozenset(self.terms.items())
 
     # -- text form
 
-    def encode(self) -> str:
-        text = self._text
-        if text is None:
-            text = _format_poly(self.terms, self.ctx.names, _signed_coeff)
-            object.__setattr__(self, "_text", text)
-        return text
+    def _format(self) -> str:
+        return _format_poly(self.terms, self.ctx.names, _signed_coeff)
 
 
 def _signed_coeff(c: Scalar):

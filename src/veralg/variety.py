@@ -513,7 +513,7 @@ class TruncatedAlgebra:
             elif m.degree <= self.bound:
                 for b, f in self.word_form(m).items():
                     s = acc.get(b)
-                    t = c.scale_fraction(f)
+                    t = c * f
                     acc[b] = t if s is None else s + t
         return Element(el.gens, el.domain, acc)
 

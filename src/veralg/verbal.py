@@ -75,7 +75,7 @@ class VerbalSystem:
 
     def product(self, u: Element, v: Element) -> Element:
         """The derived product a(uv) + b(vu) in the free algebra."""
-        return (u * v).scale(self.a) + (v * u).scale(self.b)
+        return u * v * self.a + v * u * self.b
 
     def encode(self) -> dict:
         return {"phi": self.phi.encode(), "a": self.a.encode(), "b": self.b.encode()}
@@ -136,7 +136,7 @@ def _combine(gens, system: VerbalSystem, parts: tuple) -> Element:
         if not w:
             continue
         for m, c in part.items():
-            t = w.scale_fraction(c)
+            t = w * c
             s = acc.get(m)
             acc[m] = t if s is None else s + t
     return Element(gens, system.field, acc)
@@ -161,7 +161,7 @@ def sigma_apply(alg, system: VerbalSystem, el: Element) -> Element:
         raise ValueError("element and system live over different fields")
     out = Element.zero(alg.gens, system.field)
     for m, c in el.terms.items():
-        out = out + word_transform(alg, system, m).scale(system.phi.apply(c))
+        out = out + word_transform(alg, system, m) * system.phi.apply(c)
     return out
 
 
@@ -346,7 +346,7 @@ def scaling_check(alg, system: VerbalSystem, m: Monomial) -> Scalar:
             "variety whose one-generated subalgebras are commutative"
         )
     nf = alg.normal_form(Element.from_monomial(alg.gens, system.field, m))
-    expected = nf.scale(factor ** (m.degree - 1))
+    expected = nf * factor ** (m.degree - 1)
     actual = word_transform(alg, system, m)
     if expected != actual:
         raise ArithmeticError(

@@ -96,7 +96,7 @@ class Endomorphism:
     def apply(self, el: Element, bound: Optional[int] = None) -> Element:
         total = Element.zero(self.gens, self.domain)
         for m, c in el.terms.items():
-            total = total + self.image_of(m, bound).scale(c)
+            total = total + self.image_of(m, bound) * c
         return total
 
     def specialize(self, assignment: Mapping[str, Scalar]) -> "Endomorphism":

@@ -138,7 +138,7 @@ def test_criterion_02_symbolic_image():
     for text, want in zip(E_BASIS[8:], expected):
         nf = alg.normal_form(parse_element(text, G2, F))
         [(m, c)] = nf.terms.items()
-        got = applied.coefficient(m).scale(c.inverse())
+        got = applied.coefficient(m) * c.inverse()
         assert got.encode() == want.encode(), text
     assert time.monotonic() - start < 30.0
 
@@ -267,7 +267,7 @@ def _exists_rho(cons, values):
             if not c0.is_zero:
                 return False
         else:
-            rho = c0.scale_fraction(-1) * c1.inverse()
+            rho = -c0 * c1.inverse()
             if forced is None:
                 forced = rho
             elif forced != rho:

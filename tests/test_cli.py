@@ -524,6 +524,32 @@ class TestInputErrors:
         assert "unknown generator 'x3'; the generators are x1, x2" in line
 
 
+    def test_transcendental_named_like_an_unknown(self, capsys):
+        # it exited 2 with "unknown name 'mu' collides"
+        code, out, err = run(capsys, ["inner", "--variety", "lie", "--field", "mu,t2"])
+        assert code == 2
+        assert out == ""
+        assert self.single_error(err) == (
+            "error: transcendental 'mu' has the name of a solver unknown;"
+            " the unknowns are mu"
+        )
+
+    @pytest.mark.parametrize("name", ("rho", "a11"))
+    def test_transcendental_named_like_an_unknown_in_job(self, capsys, tmp_path, name):
+        # the generator names no t1, so the field is checked next
+        path = self.job_file(
+            tmp_path, "aut_1_3_4", field=[name, "t2"],
+            generator="t2 * (x1 x2) + (x2 x1)",
+        )
+        code, out, err = run(capsys, ["falsify", "--spec", path])
+        assert code == 2
+        assert out == ""
+        assert self.single_error(err) == (
+            f"error: transcendental {name!r} has the name of a solver unknown;"
+            " the unknowns are a11, a12, a21, a22, rho"
+        )
+
+
 class TestInternalError:
     def test_crash_exits_three_with_traceback(self, capsys, monkeypatch):
         def crash(args):

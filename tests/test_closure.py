@@ -94,7 +94,7 @@ class TestIdealBuild:
         t = parse_element("t1 * (x1 x2) + (x2 x1)", G, F)
         ideal = ideal_build(alg, F, (t,), 3)
         assert ideal.rank == 1
-        assert ideal.contains(t.scale(Scalar.from_fraction(F, 7)))
+        assert ideal.contains(t * Scalar.from_fraction(F, 7))
         assert not ideal.contains(parse_element("(x1 x2)", G, F))
 
     def test_closed_under_products(self):
@@ -490,7 +490,7 @@ class TestSolveCasesUnits:
         # scalar is its own lone monic factor and is kept as a rule
         ctx = ParamContext(F, ("a11", "a12", "a21", "a22"))
         det = ParamPoly.parse("a11*a22 - a12*a21", ctx)
-        hint = det.scale(Scalar.parse(scale, F))
+        hint = det * Scalar.parse(scale, F)
         for eq in (hint, -det, det):
             tree = solve_cases([eq], ctx, [hint], max_depth=4)
             assert tree.status == "solved"
@@ -553,6 +553,18 @@ class TestSmallestClosed:
             cert = falsify_smallest_closed(alg, trivial, parse_monomial(word, G))
             assert cert.verdict == "no_falsification"
             assert cert.details["witness"] is None
+
+    @pytest.mark.parametrize("name", ("s_1_3", "s_4", "aut_1_3_4", "aut_2_5", "aut_6"))
+    def test_sigma_is_already_in_normal_form(self, name):
+        # falsify_smallest_closed and expand_job take no normal form of sigma
+        job = cases.load_job(name)
+        alg, field, gens, system = cases.job_context(job)
+        if "word" in job:
+            el = Element.from_monomial(gens, field, parse_monomial(job["word"], gens))
+        else:
+            el = parse_element(job["generator"], gens, field)
+        sw = sigma_apply(alg, system, el)
+        assert sw == alg.normal_form(sw)
 
 
 class TestClosureSampled:

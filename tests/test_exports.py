@@ -2,7 +2,8 @@
 
 A name left in ``__all__`` after its definition moved or was deleted makes
 ``from veralg.<module> import *`` raise; this test finds it first.  The
-last test keeps the rewrite rows of a truncation private to variety.py.
+last tests keep the rewrite rows of a truncation private to variety.py
+and the exact values to one product by a constant and one pair of caches.
 """
 
 import importlib
@@ -13,6 +14,8 @@ from pathlib import Path
 import pytest
 
 import veralg
+from veralg.freealg import Element
+from veralg.scalars import ParamPoly, Scalar, _Exact
 
 # __main__ runs the command line when imported
 MODULES = ["veralg"] + [
@@ -41,3 +44,12 @@ def test_only_variety_reads_rewrite_rows():
         and re.search(r"\.rewrite\b|_add_product", path.read_text(encoding="utf-8"))
     ]
     assert not offenders, offenders
+
+
+def test_one_product_by_a_constant_and_one_cache():
+    # `*` is the only product by a constant, and _Exact caches hash and text
+    for cls in (Scalar, ParamPoly, Element):
+        assert not hasattr(cls, "scale") and not hasattr(cls, "scale_fraction"), cls
+    for cls in (Scalar, ParamPoly):
+        assert cls.__hash__ is _Exact.__hash__, cls
+        assert cls.encode is _Exact.encode and "encode" not in vars(cls), cls

@@ -185,7 +185,7 @@ class TestEndomorphism:
     def test_is_multiplicative(self):
         rng = random.Random(31)
         x1, x2 = (Element.generator(G, F, n) for n in G.names)
-        alpha = Endomorphism(G, F, [x1 + x2 * x1, x2.scale(Scalar.transcendental(F, "t2"))])
+        alpha = Endomorphism(G, F, [x1 + x2 * x1, x2 * Scalar.transcendental(F, "t2")])
         for _ in range(8):
             u, v = _rand_element(rng, 2), _rand_element(rng, 2)
             assert alpha.apply(u * v) == alpha.apply(u) * alpha.apply(v)

@@ -21,9 +21,10 @@ ParamPoly, the row reducer whose rational flag chose how to normalise a
 pivot, the build's identity instances that grafted each scheme term into a
 monomial before taking normal forms of its two children, and the gcd and
 cancellation that ran the primitive PRS on every pair of nonconstant
-arguments.  The ``_fr_*`` helpers and ``_FrScalar`` keep the Q(t) layer in
-which every coefficient was a Fraction; ``_FrScalar`` prints with the old
-printer.
+arguments, and the spellings of a product by a constant that ``*``
+replaced (with the hash formulas of Scalar and ParamPoly).  The ``_fr_*``
+helpers and ``_FrScalar`` keep the Q(t) layer in which every coefficient
+was a Fraction; ``_FrScalar`` prints with the old printer.
 The old build and the rank oracle of the admissibility check run on the
 old row reducer; the rank oracle takes sigma from the two-normal-form
 step.  The rational tables of ``SymbolicEndomorphism`` on words are
@@ -66,6 +67,7 @@ from veralg.freealg import (
     GeneratorSet,
     Monomial,
     SymbolicEndomorphism,
+    enumerate_monomials,
     parse_element,
 )
 from veralg.scalars import (
@@ -90,7 +92,7 @@ from veralg.scalars import (
     _p_monic,
     _p_mul,
     _p_neg,
-    _p_scale,
+    _rational,
     _signed_int,
     _split_last,
     _uni_prem,
@@ -223,7 +225,7 @@ def _old_residue_param(ideal, coords):
         for k, v in row.items():
             if k == p:
                 continue
-            s = out.get(k, ParamPoly.zero(q.ctx)) - q.scale(v)
+            s = out.get(k, ParamPoly.zero(q.ctx)) - q * v
             if s.is_zero:
                 out.pop(k, None)
             else:
@@ -244,7 +246,7 @@ def _old_word_transform(alg, system, m, memo):
         right = _old_word_transform(alg, system, m.right, memo)
         lr = alg.normal_form((left * right).truncate(alg.bound))
         rl = alg.normal_form((right * left).truncate(alg.bound))
-        out = lr.scale(system.a) + rl.scale(system.b)
+        out = lr * system.a + rl * system.b
     memo[m] = out
     return out
 
@@ -279,7 +281,7 @@ def _old_identity_failures(variety, system, gens, bound):
                     value = Element.zero(gens, system.field)
                     for m, c in scheme.element.terms.items():
                         part = _derived_eval(alg, system, m, images)
-                        value = value + part.scale(c.as_fraction())
+                        value = value + part * c.as_fraction()
                     if not value.is_zero:
                         found = (
                             scheme.encode(),
@@ -378,7 +380,7 @@ def test_symbolic_normal_form_commutes_with_evaluation(variety, bound):
     ]
     for text in sources:
         el = alpha.apply(parse_element(text, G, F), bound)
-        el = el + el.scale(Scalar.transcendental(F, "t2"))
+        el = el + el * Scalar.transcendental(F, "t2")
         for _ in range(4):
             values = {n: _rand_scalar(rng) for n in alpha.domain.names}
             assert evaluate(alg.normal_form(el), values) == alg.normal_form(
@@ -1434,7 +1436,7 @@ def _old_trivial(eq, active):
     return (
         len(active) == 1
         and _is_variable(active[0]) is None
-        and active[0] == eq.scale(lc.inverse())
+        and active[0] == eq * lc.inverse()
     )
 
 
@@ -1513,6 +1515,12 @@ def test_field_automorphism_matches_full_reduction(nvars):
 # division was a bare ``/`` on Fractions, and monic scaling multiplied by
 # 1/c.  The new layer keeps integral values as ints and must give equal
 # parts, hashes and text.
+
+
+def _p_scale(p, c):
+    if not c:
+        return {}
+    return {e: c * v for e, v in p.items()}
 
 
 def _fr_divexact(p, d):
@@ -1834,7 +1842,7 @@ def test_constructors_and_exact_division_give_ints_when_integral():
         x = Scalar.from_fraction(field, a)
         assert all(_exact_type(c) for c in (*x.num.values(), *x.den.values()))
         assert x.as_fraction() == a and _exact_type(x.as_fraction())
-        y = (t1 + Scalar.from_fraction(field, Fraction(1, 3))).scale_fraction(a)
+        y = (t1 + Scalar.from_fraction(field, Fraction(1, 3))) * a
         assert all(_exact_type(c) for c in (*y.num.values(), *y.den.values()))
     assert all(type(c) is int for c in t1.num.values())
     assert [type(c) for c in Scalar.zero(field).den.values()] == [int]
@@ -1848,7 +1856,7 @@ def _printer_scalars(rng, field):
     out += [Scalar.from_fraction(field, v) for v in (1, -1, 2, Fraction(-1, 2), Fraction(3, 4))]
     for name in field.names:
         t = Scalar.transcendental(field, name)
-        out += [t, -t, t * t, t.inverse(), (t + 1).inverse().scale_fraction(-3)]
+        out += [t, -t, t * t, t.inverse(), (t + 1).inverse() * -3]
     for _ in range(20):
         num = _fr_poly(rng, field.size, rng.randrange(1, 4))
         den = _fr_poly(rng, field.size, rng.randrange(1, 3), top=1)
@@ -2226,3 +2234,163 @@ def _assert_product_form_matches_element_product(alg, label):
 def test_product_form_matches_element_product(name, k, bound):
     alg = build_truncated(_variety(name), GeneratorSet.default(k), bound)
     _assert_product_form_matches_element_product(alg, f"{name}/{k}/{bound}")
+
+
+# The products by a constant that ``*`` replaced: the raw ``_p_scale`` (kept
+# above with the Fraction layer, which still uses it), Scalar.scale_fraction,
+# ParamPoly.scale and scale_fraction, and Element.scale, each a function of
+# its old ``self``; a call of a removed method goes to its copy here.  Before
+# that, ``*`` multiplied a ParamPoly by a constant polynomial.  The hashes
+# are the formulas that Scalar and ParamPoly computed before _Exact did.
+
+
+def _old_scalar_scale_fraction(self, value) -> Scalar:
+    """Fast multiply by a rational: no gcd pass is needed."""
+    c = _rational(value)
+    if not c or not self.num:
+        return Scalar.zero(self.field)
+    if c == 1:
+        return self
+    num = {e: _exact(v * c) for e, v in self.num.items()}
+    return Scalar(self.field, num, self.den, _canonical=True)
+
+
+def _old_parampoly_scale(self, value: Scalar) -> ParamPoly:
+    return ParamPoly(self.ctx, _p_scale(self.terms, value))
+
+
+def _old_parampoly_scale_fraction(self, value) -> ParamPoly:
+    f = _rational(value)
+    if not f:
+        return ParamPoly.zero(self.ctx)
+    return ParamPoly(
+        self.ctx, {e: _old_scalar_scale_fraction(c, f) for e, c in self.terms.items()}
+    )
+
+
+def _old_parampoly_mul_constant(self, value: Scalar) -> ParamPoly:
+    constant = ParamPoly.constant(self.ctx, value)
+    return ParamPoly(self.ctx, _p_mul(self.terms, constant.terms))
+
+
+def _old_element_scale(self, value) -> Element:
+    """self times an int, Fraction or Scalar value."""
+    if not value:
+        return Element.zero(self.gens, self.domain)
+    return Element(
+        self.gens, self.domain, {m: c * value for m, c in self.terms.items()}
+    )
+
+
+def _old_scalar_hash(self):
+    return hash((self.field, frozenset(self.num.items()), frozenset(self.den.items())))
+
+
+def _old_parampoly_hash(self):
+    return hash((self.ctx, frozenset(self.terms.items())))
+
+
+def _assert_identical(new, old):
+    """Equal Scalars, stored alike: the same parts, value types and text."""
+    for p, q in ((new.num, old.num), (new.den, old.den)):
+        assert p == q and {e: type(c) for e, c in p.items()} == {
+            e: type(c) for e, c in q.items()
+        }
+    assert new.encode() == old.encode()
+
+
+# zero, one and negatives, as ints and as Fractions
+RATIONAL_CONSTANTS = [
+    0, 1, -1, 3, Fraction(0), Fraction(1), Fraction(-2, 3), Fraction(6, 3)
+]
+
+
+def _constant_seeds(rng, field):
+    """Seeded scalars, the rational constants among them, and those constants."""
+    scalars = _printer_scalars(rng, field)
+    scalars += [Scalar.from_fraction(field, v) for v in RATIONAL_CONSTANTS]
+    return scalars, RATIONAL_CONSTANTS
+
+
+def _seeded_polys(rng, ctx, scalars):
+    polys = [ParamPoly.zero(ctx), ParamPoly.constant(ctx, Scalar.one(ctx.field))]
+    for _ in range(12):
+        terms = {}
+        for _ in range(rng.randrange(1, 4)):
+            terms[(rng.randrange(3), rng.randrange(2))] = rng.choice(scalars)
+        polys.append(ParamPoly(ctx, terms))
+    return polys
+
+
+def test_scalar_product_by_constant_matches_scale_fraction():
+    rng = random.Random("constant-product/scalar")
+    scalars, rationals = _constant_seeds(rng, F)
+    for x in scalars:
+        for c in rationals:
+            want = _old_scalar_scale_fraction(x, c)
+            _assert_identical(x * c, want)
+            _assert_identical(c * x, want)
+        for c in scalars:
+            # the constant is a Scalar: the full product, in both orders
+            f = c.as_fraction()
+            if f is not None:
+                _assert_identical(x * c, _old_scalar_scale_fraction(x, f))
+            full = Scalar(F, _p_mul(x.num, c.num), _p_mul(x.den, c.den))
+            assert x * c == c * x == full
+
+
+def test_parampoly_product_by_constant_matches_scale():
+    rng = random.Random("constant-product/parampoly")
+    scalars, rationals = _constant_seeds(rng, F)
+    for p in _seeded_polys(rng, CTX, scalars):
+        for c in rationals + scalars:
+            value = c if isinstance(c, Scalar) else Scalar.from_fraction(F, c)
+            want = _old_parampoly_scale(p, value)
+            assert p * c == c * p == want == _old_parampoly_mul_constant(p, value)
+            if not isinstance(c, Scalar):
+                assert want == _old_parampoly_scale_fraction(p, c)
+            got = p * c
+            for e, coeff in want.terms.items():
+                _assert_identical(got.terms[e], coeff)
+
+
+def test_element_product_by_constant_matches_scale():
+    rng = random.Random("constant-product/element")
+    scalars, rationals = _constant_seeds(rng, F)
+    polys = _seeded_polys(rng, CTX, scalars)
+    monos = [m for d in (1, 2, 3) for m in enumerate_monomials(G, d)]
+    for _ in range(8):
+        picked = rng.sample(monos, 3)
+        elements = (
+            Element(G, F, {m: rng.choice(scalars) for m in picked}),
+            Element(G, CTX, {m: rng.choice(polys) for m in picked}),
+        )
+        for el in elements:
+            for c in rationals + scalars:
+                want = _old_element_scale(el, c)
+                assert el * c == c * el == want
+                if el.domain == CTX:
+                    value = c if isinstance(c, Scalar) else Scalar.from_fraction(F, c)
+                    terms = el.terms.items()
+                    assert want == Element(G, CTX, {
+                        m: _old_parampoly_mul_constant(p, value) for m, p in terms
+                    })
+
+
+def test_hash_is_the_old_formula():
+    rng = random.Random("exact-hash")
+    scalars = _printer_scalars(rng, F)
+    for x in scalars:
+        assert hash(x) == _old_scalar_hash(x)
+        assert hash(x) == _old_scalar_hash(x)  # the cached value
+    for p in _seeded_polys(rng, CTX, scalars):
+        assert hash(p) == _old_parampoly_hash(p)
+        assert hash(p) == _old_parampoly_hash(p)
+
+
+def test_scalar_encode_caches_its_text():
+    rng = random.Random("exact-text")
+    for x in _printer_scalars(rng, F):
+        first = x.encode()
+        assert x._text is first and x.encode() is first
+        assert first == _old_scalar_encode(x)

@@ -77,10 +77,12 @@ class TestScalar:
             t("t1") + Scalar.one(other)
 
     def test_scale_fraction_matches_mul(self):
+        # a rational factor takes the product's no-gcd path; the constructor
+        # reduces in full
         x = s("(t1 + 2*t2)/(t2 - 3)")
-        assert x.scale_fraction(Fraction(3, 4)) == x * Scalar.from_fraction(
-            F, Fraction(3, 4)
-        )
+        f = Fraction(3, 4)
+        assert x * f == Scalar(F, {e: c * f for e, c in x.num.items()}, x.den)
+        assert x * f == x * Scalar.from_fraction(F, f)
 
     def test_random_cancellation(self):
         rng = random.Random(20260816)
@@ -184,6 +186,18 @@ def p(text):
 
 
 class TestParamPoly:
+    def test_unknown_named_like_a_transcendental(self):
+        with pytest.raises(ValueError) as err:
+            ParamContext(FieldSpec(("rho", "t2")), ("a11", "rho"))
+        assert str(err.value) == (
+            "transcendental 'rho' has the name of a solver unknown;"
+            " the unknowns are a11, rho"
+        )
+
+    def test_duplicate_unknown_name(self):
+        with pytest.raises(ValueError, match="duplicate unknown name 'u'"):
+            ParamContext(F, ("u", "v", "u"))
+
     def test_parse_and_encode(self):
         q = p("(t1 - 1)*a11^2*a12 + rho")
         assert q.encode() == "(t1 - 1)*a11^2*a12 + rho"
