@@ -244,9 +244,12 @@ class Branch:
     root.  substitutions are in elimination order: no image mentions its own
     unknown or an earlier one, which is the order ``substitute_in_order``
     applies them in, one ``ParamPoly.substitute`` pass each; a branch
-    ``name = 0`` has the zero image.  residuals are the remaining equations,
-    already reduced.  A "solved" leaf keeps its residuals as reduction rules
-    (equations that hold on the case but do not isolate any unknown).
+    ``name = 0`` has the zero image.  residuals are the remaining
+    equations, already reduced by the whole chain; a node that adds a pair
+    reduced them, as inherited from its parent, by that pair alone, which
+    gives what ``substitute_in_order`` of the whole chain gives.  A
+    "solved" leaf keeps its residuals as reduction rules (equations that
+    hold on the case but do not isolate any unknown).
     Children share their parent's substitutions and hypotheses, and a
     polynomial keeps its text once encoded, so ``as_dict`` computes the
     text of each shared polynomial once.
@@ -301,17 +304,26 @@ def _is_lone_monic(factors) -> bool:
 
 
 def _try_eliminate(equations, ctx):
-    """A residual of the shape c*v + rest with scalar c: solve for v."""
+    """A residual of the shape c*v + rest with scalar c: solve for v.
+
+    One pass over an equation's terms counts the terms of each unknown; the
+    first equation with an unknown whose only term is c*v is solved for the
+    first such unknown, in the order of ``ctx``.
+    """
+    size = ctx.size
     for eq in equations:
-        for vi, name in enumerate(ctx.names):
-            with_v = [(e, c) for e, c in eq.terms.items() if e[vi]]
-            if len(with_v) != 1:
-                continue
-            e0, c0 = with_v[0]
-            if e0[vi] != 1 or any(e0[j] for j in range(len(e0)) if j != vi):
-                continue
-            rest = ParamPoly(ctx, {e: c for e, c in eq.terms.items() if not e[vi]})
-            return name, -rest * c0.inverse(), eq
+        uses = [0] * size
+        lone = [None] * size
+        for e, c in eq.terms.items():
+            for i, k in enumerate(e):
+                if k:
+                    uses[i] += 1
+            if sum(e) == 1:
+                lone[e.index(1)] = c
+        for vi, c0 in enumerate(lone):
+            if c0 is not None and uses[vi] == 1:
+                rest = ParamPoly(ctx, {e: c for e, c in eq.terms.items() if not e[vi]})
+                return ctx.names[vi], -rest * c0.inverse(), eq
     return None
 
 
@@ -327,24 +339,32 @@ def solve_cases(
     equation equal to a hint up to a scalar is its own lone monic factor.
     A node adds at most one substitution to its parent's chain, and only
     that pair's image is checked against the elimination order
-    (``check_next_substitution``).
+    (``check_next_substitution``).  The equations and hypotheses a node
+    inherits are already reduced by its parent's chain, so the node applies
+    only the pair it adds: one ``ParamPoly.substitute`` pass each, which is
+    the last step of ``substitute_in_order`` on the whole chain, so the
+    result is the same.  Each distinct equation is factored once per tree.
     """
 
     hints = tuple(
         (ParamPoly.parse(h, ctx) if isinstance(h, str) else h).monic()
         for h in hints
     )
+    factored = {}  # equation -> its branch factors, one entry per tree
 
-    def extend(subs, name, image):
-        # a node adds one pair to its parent's chain, which is in order
-        check_next_substitution([n for n, _ in subs], name, image)
-        return subs + ((name, image),)
-
-    def build(subs, nonvan, eqs, depth, note):
-        subs_map = dict(subs)
+    def build(subs, nonvan, held, eqs, depth, note, step=None):
+        # held is nonvan, and eqs are the inherited equations, both reduced
+        # by subs; step is the pair this node adds to the chain, or None
+        pair = None
+        if step is not None:
+            name, image = step
+            # a node adds one pair to its parent's chain, which is in order
+            check_next_substitution([n for n, _ in subs], name, image)
+            subs = subs + (step,)
+            pair = {name: image}
         reduced_nv = []
-        for p in nonvan:
-            r = substitute_in_order(p, subs_map)
+        for p, h in zip(nonvan, held):
+            r = h.substitute(pair) if pair else h
             if r.is_zero:
                 return Branch(
                     subs, nonvan, tuple(eqs), "infeasible",
@@ -354,7 +374,7 @@ def solve_cases(
 
         work = []
         for eq in eqs:
-            r = substitute_in_order(eq, subs_map)
+            r = eq.substitute(pair) if pair else eq
             if r.is_zero:
                 continue
             if r.constant_value() is not None:
@@ -369,25 +389,28 @@ def solve_cases(
         if hit is not None:
             name, image, src = hit
             return build(
-                extend(subs, name, image),
+                subs,
                 nonvan,
+                reduced_nv,
                 [e for e in work if e is not src],
                 depth,
                 note or f"eliminated {name}",
+                (name, image),
             )
 
         if not work:
             return Branch(subs, nonvan, (), "solved", note or "no residuals", ())
 
-        nv_set = list(reduced_nv)
         chosen = None
         for eq in sorted(work, key=lambda p: len(p.terms)):
-            factors = factor_for_branching(eq, hints)
+            factors = factored.get(eq)
+            if factors is None:
+                factors = factored[eq] = factor_for_branching(eq, hints)
             uniq = []
             for f in factors:
                 if all(f != g for g in uniq):
                     uniq.append(f)
-            active = [f for f in uniq if all(f != n for n in nv_set)]
+            active = [f for f in uniq if all(f != n for n in reduced_nv)]
             if not active:
                 return Branch(
                     subs, nonvan, (eq,), "contradiction",
@@ -411,17 +434,18 @@ def solve_cases(
         children = []
         for i, f in enumerate(active):
             hyp = nonvan + tuple(active[:i])
+            held = reduced_nv + active[:i]
             name = _is_variable(f)
             if name is not None:
                 children.append(
                     build(
-                        extend(subs, name, ParamPoly.zero(ctx)),
-                        hyp, list(rest), depth + 1, f"{name} = 0",
+                        subs, hyp, held, list(rest), depth + 1, f"{name} = 0",
+                        (name, ParamPoly.zero(ctx)),
                     )
                 )
             else:
                 children.append(
-                    build(subs, hyp, rest + [f], depth + 1, f"{f.encode()} = 0")
+                    build(subs, hyp, held, rest + [f], depth + 1, f"{f.encode()} = 0")
                 )
         children.append(
             Branch(
@@ -434,7 +458,11 @@ def solve_cases(
             note or f"split on {eq.encode()}", tuple(children)
         )
 
-    return build((), (), list(equations), 0, "")
+    tree = build((), (), [], list(equations), 0, "")
+    # build refers to itself, so its closure lives until the next cyclic
+    # collection; the memo is freed now instead
+    factored.clear()
+    return tree
 
 
 def kernel_contains(

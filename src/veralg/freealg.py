@@ -111,7 +111,8 @@ class Monomial:
     """A nonassociative monomial: a binary product tree over generators.
 
     Obtain instances through :class:`GeneratorSet`; direct construction
-    bypasses interning.
+    bypasses interning.  A monomial never changes, so ``encode`` keeps its
+    text once computed, and a product's text joins its children's.
     """
 
     __slots__ = (
@@ -125,6 +126,7 @@ class Monomial:
         "shape",
         "sort_key",
         "_hash",
+        "_text",
     )
 
     def __init__(self, gens, index=None, left=None, right=None):
@@ -144,6 +146,7 @@ class Monomial:
             self.shape = (1,) + left.shape + right.shape
         self.sort_key = (self.degree, (self.depth, self.shape), self.word)
         self._hash = hash((gens, self.sort_key))
+        self._text = None
 
     @property
     def is_leaf(self) -> bool:
@@ -177,9 +180,14 @@ class Monomial:
         return self.sort_key < other.sort_key
 
     def encode(self) -> str:
-        if self.is_leaf:
-            return self.gens.names[self.index]
-        return f"({self.left.encode()} {self.right.encode()})"
+        text = self._text
+        if text is None:
+            if self.is_leaf:
+                text = self.gens.names[self.index]
+            else:
+                text = f"({self.left.encode()} {self.right.encode()})"
+            self._text = text
+        return text
 
     def __str__(self):
         return self.encode()

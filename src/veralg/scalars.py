@@ -393,9 +393,11 @@ class Scalar(_Exact):
 
     The denominator is monic in graded-lex order, which pins the
     representation uniquely; two scalars are equal iff their parts match.
+    Besides its own text, a scalar keeps the text of its negation once a
+    polynomial printer has asked for it (``_negated_text``).
     """
 
-    __slots__ = ("field", "num", "den")
+    __slots__ = ("field", "num", "den", "_neg_text")
 
     def __init__(self, field: FieldSpec, num, den=None, _canonical=False):
         m = field.size
@@ -413,6 +415,7 @@ class Scalar(_Exact):
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_text", None)
+        object.__setattr__(self, "_neg_text", None)
 
     # -- constructors
 
@@ -581,6 +584,14 @@ class Scalar(_Exact):
         if not _ATOM_RE.fullmatch(ds):
             ds = f"({ds})"
         return f"{ns}/{ds}"
+
+    def _negated_text(self) -> str:
+        """The text of -self, formatted once per scalar."""
+        text = self._neg_text
+        if text is None:
+            text = (-self).encode()
+            object.__setattr__(self, "_neg_text", text)
+        return text
 
     def _int_normalized(self):
         coeffs = list(self.num.values()) + list(self.den.values())
@@ -967,7 +978,7 @@ def _signed_coeff(c: Scalar):
     """Split a scalar into (is_negative, printable absolute value)."""
     _, lc = _p_lead(c.num)
     if lc < 0:
-        return True, (-c).encode()
+        return True, c._negated_text()
     return False, c.encode()
 
 
@@ -1012,7 +1023,10 @@ def substitute_in_order(
     The order is not checked (``check_elimination_order`` does that once
     per chain); when it holds, the result mentions no substituted unknown.
     Each substitution is one ``ParamPoly.substitute`` pass over the terms,
-    and a zero image only drops the terms that mention its unknown.
+    and a zero image only drops the terms that mention its unknown.  A
+    pass whose unknown does not occur in p returns p itself, so on a p
+    already reduced by all but the last pair only the last pass does work;
+    ``solve_cases`` makes just that pass at each node.
     """
     for name, image in substitutions.items():
         p = p.substitute({name: image})
@@ -1033,8 +1047,10 @@ def parampoly_reduce(
     divisible by the leading monomial of any (substituted) vanishing
     polynomial; applying the same reduction again is the identity.  A
     caller that reduces many polynomials by one chain can check it once
-    and call the two steps itself, as ``solve_cases`` and
-    ``kernel_contains`` do.
+    and call the two steps itself, as ``kernel_contains`` does.
+    ``solve_cases`` grows its chains one pair at a time: it checks each
+    new pair alone and substitutes only that pair into polynomials that
+    the rest of the chain has already reduced, with the same result.
     """
     substitutions = substitutions or {}
     check_elimination_order(substitutions)
@@ -1069,7 +1085,8 @@ def factor_for_branching(
             },
         )
         for name, k in zip(ctx.names, mins):
-            out.extend([ParamPoly.variable(ctx, name)] * k)
+            if k:
+                out.extend([ParamPoly.variable(ctx, name)] * k)
     for h in hints:
         if h.constant_value() is not None:
             continue

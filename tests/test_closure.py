@@ -39,6 +39,7 @@ from veralg.scalars import (
     ParamPoly,
     Scalar,
     check_elimination_order,
+    factor_for_branching,
     substitute_in_order,
 )
 from veralg.variety import build_truncated, builtin_variety
@@ -55,6 +56,12 @@ def _alg(variety, bound):
 
 def _rand_scalar(rng):
     return Scalar.from_fraction(F, rng.choice([-3, -2, -1, 1, 2, 3]))
+
+
+def _nodes(branch):
+    yield branch
+    for child in branch.children:
+        yield from _nodes(child)
 
 
 def _rand_ideal_element(alg, rng, maxdeg):
@@ -429,6 +436,30 @@ class TestLieRun:
         full = [l for l in solved if len(l.nonvanishing) == 4]
         assert len(full) == 1
         assert [p.encode() for p in full[0].residuals] == [DET_HINT]
+
+    def test_case_tree_factors_each_equation_once(self, monkeypatch):
+        # each distinct equation is factored once per tree, and again in the
+        # next tree: the memo belongs to the tree
+        _, _, _, cons = self._constraints()
+        factored = []
+
+        def factor(eq, hints=()):
+            factored.append(eq)
+            return factor_for_branching(eq, hints)
+
+        monkeypatch.setattr(closure, "factor_for_branching", factor)
+        per_tree = []
+        for _ in range(2):
+            tree = solve_cases(cons.equations, cons.ctx, hints=(DET_HINT,))
+            per_tree.append(list(factored))
+            factored.clear()
+        first, second = per_tree
+        assert first == second
+        assert len(set(first)) == len(first)
+        # among them the equation of every split, which its last child keeps
+        splits = [n for n in _nodes(tree) if n.status == "split"]
+        assert len(splits) > 1
+        assert {n.children[-1].residuals[0] for n in splits} <= set(first)
 
     def test_certificate(self):
         alg = _alg("lie", 5)

@@ -337,6 +337,24 @@ class TestFactorForBranching:
         assert factor_for_branching(p("t1 + 1")) == []
         assert factor_for_branching(ParamPoly.zero(CTX)) == []
 
+    def test_variables_built_only_for_dividing_unknowns(self, monkeypatch):
+        # one ParamPoly.variable per unknown dividing every term, none when
+        # no unknown does
+        built = []
+        variable = ParamPoly.variable
+
+        def recording(ctx, name):
+            built.append(name)
+            return variable(ctx, name)
+
+        monkeypatch.setattr(ParamPoly, "variable", staticmethod(recording))
+        assert factor_for_branching(p("a11*a22 - a12*a21")) == [p("a11*a22 - a12*a21")]
+        assert factor_for_branching(p("t1*rho + 1")) == [p("rho + 1/t1")]
+        assert built == []
+        got = factor_for_branching(p("a12^2*a21 + a12^2*a21^2*rho"))
+        assert got == [p("a12"), p("a12"), p("a21"), p("a21*rho + 1")]
+        assert built == ["a12", "a21"]
+
     def test_repeated_hint(self):
         det = p("a11*a22 - a12*a21")
         got = factor_for_branching(det * det * p("t1"), hints=[det])
