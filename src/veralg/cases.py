@@ -24,7 +24,7 @@ from .freealg import (
     parse_element,
     parse_monomial,
 )
-from .scalars import FieldSpec, ParamPoly
+from .scalars import FieldSpec, ParamPoly, parse_parampoly
 from .variety import build_truncated, builtin_variety
 from .verbal import VerbalSystem, check_op2, inner_witness, sigma_apply
 
@@ -161,7 +161,7 @@ def _lie_image_coefficients(ctx):
 
     Each one carries the common determinant factor of the generic linear
     map; they are stored factored, as displayed."""
-    parse = lambda s: ParamPoly.parse(s, ctx)
+    parse = lambda s: parse_parampoly(s, ctx)
     det = parse(DET)
     return [
         parse("-t2*a11^2*a12") * det,
@@ -175,11 +175,11 @@ def _lie_image_coefficients(ctx):
 
 def _expected_equations(name, ctx):
     if name in _EXPECTED_EQUATIONS:
-        return [ParamPoly.parse(s, ctx) for s in _EXPECTED_EQUATIONS[name]]
+        return [parse_parampoly(s, ctx) for s in _EXPECTED_EQUATIONS[name]]
     if name == "aut_6":
         alpha = _lie_image_coefficients(ctx)
-        rho = ParamPoly.parse("rho", ctx)
-        t1rho = ParamPoly.parse("t1", ctx) * rho
+        rho = parse_parampoly("rho", ctx)
+        t1rho = parse_parampoly("t1", ctx) * rho
         zero = ParamPoly.zero(ctx)
         # constraint rows follow the basis order of degree 5, which differs
         # from the candidate order; rho enters where the generator lives
@@ -288,7 +288,12 @@ def expand_job(job: dict) -> dict:
     image = []
     for text in job.get("candidates", ()):
         target = alg.normal_form(parse_element(text, gens, field))
-        [(b, c)] = list(target.terms.items())
+        if len(target.terms) != 1:
+            raise ValueError(
+                f"candidate {text!r} has the normal form {target.encode()}:"
+                " an image coefficient needs one basis monomial"
+            )
+        [(b, c)] = target.terms.items()
         image.append({
             "target": text,
             "coefficient": (applied.coefficient(b) * c.inverse()).encode(),

@@ -29,6 +29,7 @@ from .scalars import (
     check_elimination_order,
     check_next_substitution,
     factor_for_branching,
+    parse_parampoly,
     substitute_in_order,
 )
 from .variety import RowReducer, TruncatedAlgebra
@@ -347,7 +348,7 @@ def solve_cases(
     """
 
     hints = tuple(
-        (ParamPoly.parse(h, ctx) if isinstance(h, str) else h).monic()
+        (parse_parampoly(h, ctx) if isinstance(h, str) else h).monic()
         for h in hints
     )
     factored = {}  # equation -> its branch factors, one entry per tree
@@ -559,7 +560,7 @@ def falsify_equation_ideal(
     ideal = ideal_build(alg, system.field, (t,), tail)
     image = sf_image(alg, ideal, system, report)
     cons = gen_constraints(alg, ideal, system)
-    hint_polys = tuple(ParamPoly.parse(h, cons.ctx) for h in hints)
+    hint_polys = tuple(parse_parampoly(h, cons.ctx) for h in hints)
     tree = solve_cases(cons.equations, cons.ctx, hint_polys, max_depth)
 
     leaves = list(tree.leaves())

@@ -21,12 +21,14 @@ from .scalars import (
     ParamContext,
     ParamPoly,
     Scalar,
-    _NAME_RE,
+    _END,
+    _ExprParser,
+    _check_names,
     _join_signed,
     _p_add,
     _p_neg,
     _signed_coeff,
-    parse_scalar,
+    _tokenize,
 )
 
 __all__ = [
@@ -59,13 +61,7 @@ class GeneratorSet:
     names: tuple
 
     def __post_init__(self):
-        seen = set()
-        for n in self.names:
-            if not _NAME_RE.fullmatch(n):
-                raise ValueError(f"bad generator name {n!r}")
-            if n in seen:
-                raise ValueError(f"duplicate generator name {n!r}")
-            seen.add(n)
+        _check_names(self.names, "generator")
 
     @staticmethod
     def default(count: int) -> "GeneratorSet":
@@ -244,10 +240,6 @@ class Element:
     def generator(gens, field, name: str) -> "Element":
         return Element.from_monomial(gens, field, gens.gen(name))
 
-    @classmethod
-    def parse(cls, text: str, gens, field) -> "Element":
-        return parse_element(text, gens, field)
-
     # -- views
 
     @property
@@ -372,101 +364,70 @@ def _wrap_coeff(cs: str) -> str:
     return cs
 
 
-# -- element parsing
+# -- element parsing: the grammar is in scalars.py, next to _tokenize
+
+_SIGNS = {("op", "+"): 1, ("op", "-"): -1}
 
 
-def _split_top_terms(text: str):
-    """Split on top-level + and -, keeping signs; unary operators stay put."""
-    terms = []
-    depth = 0
-    start = 0
-    sign = 1
-    prev = ""
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch in "+-" and depth == 0 and prev not in ("", "*", "/", "^", "(", "+", "-"):
-            terms.append((sign, text[start:i]))
-            sign = 1 if ch == "+" else -1
-            start = i + 1
-        if not ch.isspace():
-            prev = ch
-    terms.append((sign, text[start:]))
-    # a leading '-' on the first chunk
-    first_sign, first = terms[0]
-    stripped = first.lstrip()
-    if stripped.startswith("-"):
-        terms[0] = (-first_sign, stripped[1:])
-    elif stripped.startswith("+"):
-        terms[0] = (first_sign, stripped[1:])
-    return terms
+def _monomial(toks, text: str, gens: GeneratorSet) -> Monomial:
+    """The monomial that toks, a token list ended by _END, spells."""
 
+    def at(pos):
+        kind, val = toks[pos]
+        if kind == "name":
+            return gens.gen(val), pos + 1
+        if val != "(":
+            raise ValueError(f"expected a generator or '(' in monomial {text!r}")
+        left, pos = at(pos + 1)
+        right, pos = at(pos)
+        if toks[pos] != ("op", ")"):
+            raise ValueError(f"expected ')' in monomial {text!r}")
+        return gens.pair(left, right), pos + 1
 
-def parse_monomial(text: str, gens: GeneratorSet) -> Monomial:
-    toks = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "()":
-            toks.append(ch)
-            i += 1
-        else:
-            m = _NAME_RE.match(text, i)
-            if not m:
-                raise ValueError(f"bad character {ch!r} in monomial")
-            toks.append(m.group())
-            i = m.end()
-
-    def rec(pos):
-        if pos >= len(toks):
-            raise ValueError(f"truncated monomial in {text!r}")
-        tok = toks[pos]
-        if tok == "(":
-            left, pos = rec(pos + 1)
-            right, pos = rec(pos)
-            if pos >= len(toks) or toks[pos] != ")":
-                raise ValueError(f"expected ')' in monomial {text!r}")
-            return gens.pair(left, right), pos + 1
-        if tok == ")":
-            raise ValueError(f"unexpected ')' in monomial {text!r}")
-        return gens.gen(tok), pos + 1
-
-    mono, pos = rec(0)
-    if pos != len(toks):
+    mono, pos = at(0)
+    if toks[pos] != _END:
         raise ValueError(f"trailing input in monomial {text!r}")
     return mono
 
 
+def parse_monomial(text: str, gens: GeneratorSet) -> Monomial:
+    return _monomial(_tokenize(text), text, gens)
+
+
 def parse_element(text: str, gens: GeneratorSet, field: FieldSpec) -> Element:
-    text = text.strip()
-    if text == "0":
-        return Element.zero(gens, field)
+    toks = _tokenize(text)
     total = Element.zero(gens, field)
-    for sign, chunk in _split_top_terms(text):
-        chunk = chunk.strip()
-        if not chunk:
-            raise ValueError(f"empty term in element {text!r}")
-        depth = 0
-        split_at = None
-        for i, ch in enumerate(chunk):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "*" and depth == 0:
-                split_at = i
-        if split_at is None:
-            coeff = Scalar.one(field)
-            mono_text = chunk
-        else:
-            coeff = parse_scalar(chunk[:split_at], field)
-            mono_text = chunk[split_at + 1 :]
-        m = parse_monomial(mono_text, gens)
-        total = total + Element.from_monomial(gens, field, m, coeff * sign)
+    if toks == [("int", "0"), _END]:
+        return total
+    sign, start = 1, 0
+    if toks[0] in _SIGNS:
+        sign, start = _SIGNS[toks[0]], 1
+    # one scan: a term ends at a top-level + or - that follows a name, an
+    # integer or ')', and its coefficient is all before its last top-level *
+    depth, star = 0, None
+    for i in range(start, len(toks)):
+        tok = toks[i]
+        if tok == ("op", "("):
+            depth += 1
+        elif tok == ("op", ")"):
+            depth -= 1
+        elif tok == ("op", "*") and depth == 0:
+            star = i
+        elif tok == _END or (
+            tok in _SIGNS
+            and depth == 0
+            and (toks[i - 1][0] != "op" or toks[i - 1] == ("op", ")"))
+        ):
+            if i == start:
+                raise ValueError(f"empty term in element {text!r}")
+            if star is None:
+                coeff = Scalar.one(field)
+            else:
+                coeff = _ExprParser(toks[start:star] + [_END], field).parse()
+                start = star + 1
+            m = _monomial(toks[start:i] + [_END], text, gens)
+            total = total + Element.from_monomial(gens, field, m, coeff * sign)
+            sign, start, star = _SIGNS.get(tok), i + 1, None
     return total
 
 

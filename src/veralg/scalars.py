@@ -34,12 +34,20 @@ __all__ = [
 ]
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+# one token of input text; white space between tokens matches nothing
+_TOKEN_RE = re.compile(
+    r"(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<int>\d+)|(?P<op>[-+*/^()])|(?P<bad>\S)"
+)
 # a coefficient or denominator text printed without parentheses
 _ATOM_RE = re.compile(r"[A-Za-z_0-9]+(\^\d+)?")
 
 # The largest |k| accepted in an input power x^k.  Powers are taken by
 # repeated multiplication, so this bounds the work one power can ask for.
 MAX_EXPONENT = 100
+
+# The deepest parenthesis nesting accepted in an input text.  The readers
+# recurse once per level, so this keeps them far from the recursion limit.
+MAX_NESTING = 100
 
 
 class ZeroInversion(ArithmeticError):
@@ -308,6 +316,17 @@ def _monic_den(num, den):
 # Fields and scalars.
 
 
+def _check_names(names, what: str) -> None:
+    """Raise ValueError on the first name that is not an identifier or repeats."""
+    seen = set()
+    for n in names:
+        if not _NAME_RE.fullmatch(n):
+            raise ValueError(f"bad {what} name {n!r}")
+        if n in seen:
+            raise ValueError(f"duplicate {what} name {n!r}")
+        seen.add(n)
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """The rational-function field Q(names[0], ..., names[-1])."""
@@ -315,13 +334,7 @@ class FieldSpec:
     names: tuple = ()
 
     def __post_init__(self):
-        seen = set()
-        for n in self.names:
-            if not _NAME_RE.fullmatch(n):
-                raise ValueError(f"bad transcendental name {n!r}")
-            if n in seen:
-                raise ValueError(f"duplicate transcendental name {n!r}")
-            seen.add(n)
+        _check_names(self.names, "transcendental")
 
     @staticmethod
     def default(count: int = 2) -> "FieldSpec":
@@ -438,10 +451,6 @@ class Scalar(_Exact):
         i = field.index(name)
         e = tuple(1 if j == i else 0 for j in range(field.size))
         return Scalar(field, {e: 1}, None, _canonical=True)
-
-    @classmethod
-    def parse(cls, text: str, field: FieldSpec) -> "Scalar":
-        return parse_scalar(text, field)
 
     # -- predicates
 
@@ -731,18 +740,13 @@ class ParamContext:
     names: tuple
 
     def __post_init__(self):
-        seen = set()
+        _check_names(self.names, "unknown")
         for n in self.names:
-            if not _NAME_RE.fullmatch(n):
-                raise ValueError(f"bad unknown name {n!r}")
-            if n in seen:
-                raise ValueError(f"duplicate unknown name {n!r}")
             if n in self.field.names:
                 raise ValueError(
                     f"transcendental {n!r} has the name of a solver unknown;"
                     f" the unknowns are {', '.join(self.names)}"
                 )
-            seen.add(n)
 
     @property
     def size(self) -> int:
@@ -779,10 +783,6 @@ class ParamPoly(_Exact):
         i = ctx.index(name)
         e = tuple(1 if j == i else 0 for j in range(ctx.size))
         return ParamPoly(ctx, {e: Scalar.one(ctx.field)})
-
-    @classmethod
-    def parse(cls, text: str, ctx: ParamContext) -> "ParamPoly":
-        return parse_parampoly(text, ctx)
 
     # -- predicates and views
 
@@ -1102,45 +1102,50 @@ def factor_for_branching(
 
 
 # ---------------------------------------------------------------------------
-# Expression parsing.
+# Text input.
 #
-# One grammar covers scalars and parameter polynomials:
+# Every reader runs on the tokens of _tokenize (names, integers and the
+# operators + - * / ^ ( ), white space ignored), which refuses a bad
+# character and nesting deeper than MAX_NESTING.  The grammars:
 #
-#   expr   := term (('+' | '-') term)*
-#   term   := factor (('*' | '/') factor)*
-#   factor := ('-' | '+') factor | atom ('^' ('-')? INT)?
-#   atom   := NAME | INT | '(' expr ')'
+#   parse_scalar, parse_parampoly (_ExprParser):
+#     expr     := term (('+' | '-') term)*
+#     term     := factor (('*' | '/') factor)*
+#     factor   := ('-' | '+')* atom ('^' ('-')? INT)?
+#     atom     := NAME | INT | '(' expr ')'
+#   freealg.parse_monomial:
+#     monomial := GENERATOR | '(' monomial monomial ')'
+#   freealg.parse_element, where a top-level + or - is binary after a name,
+#   an integer or ')', and a term's coefficient ends at its last top-level *:
+#     element  := '0' | ('+' | '-')? eterm (('+' | '-') eterm)*
+#     eterm    := (term '*')? monomial
 #
 # Expressions are evaluated in the fraction field over all names at once and
 # the result is sorted into parameter monomials afterwards, so inputs like
 # (a11 - 1)*(a11 + 1) or (t1*a11 + 1)/(t1 + 1) work; unknowns must cancel
 # out of every denominator.
 
+_END = ("end", "")
+
 
 def _tokenize(text: str):
     toks = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*/^()":
-            toks.append(("op", ch))
-            i += 1
-            continue
-        m = _NAME_RE.match(text, i)
-        if m:
-            toks.append(("name", m.group()))
-            i = m.end()
-            continue
-        m = re.match(r"\d+", text[i:])
-        if m:
-            toks.append(("int", m.group()))
-            i += m.end()
-            continue
-        raise ValueError(f"bad character {ch!r} in expression")
-    toks.append(("end", ""))
+    depth = 0
+    for m in _TOKEN_RE.finditer(text):
+        kind, val = m.lastgroup, m.group()
+        if kind == "bad":
+            raise ValueError(f"bad character {val!r} in {text!r}")
+        if val == "(":
+            depth += 1
+            if depth > MAX_NESTING:
+                raise ValueError(
+                    "parentheses nested too deep: at most"
+                    f" MAX_NESTING = {MAX_NESTING} levels"
+                )
+        elif val == ")":
+            depth -= 1
+        toks.append((kind, val))
+    toks.append(_END)
     return toks
 
 
@@ -1150,38 +1155,36 @@ class _ExprParser:
         self.pos = 0
         self.field = field
 
-    def peek(self):
-        return self.toks[self.pos]
-
     def take(self):
         t = self.toks[self.pos]
         self.pos += 1
         return t
 
-    def expect_op(self, ch):
-        kind, val = self.take()
-        if kind != "op" or val != ch:
-            raise ValueError(f"expected {ch!r}, found {val or 'end of input'!r}")
+    def accept(self, *ops):
+        """If the next token is one of the operators ops, take it and return it."""
+        kind, val = self.toks[self.pos]
+        if kind == "op" and val in ops:
+            self.pos += 1
+            return val
+        return None
 
     def parse(self) -> Scalar:
         v = self.expr()
-        kind, val = self.peek()
+        kind, val = self.toks[self.pos]
         if kind != "end":
             raise ValueError(f"unexpected {val!r} after expression")
         return v
 
     def expr(self):
         v = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            _, op = self.take()
+        while op := self.accept("+", "-"):
             t = self.term()
             v = v + t if op == "+" else v - t
         return v
 
     def term(self):
         v = self.factor()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            _, op = self.take()
+        while op := self.accept("*", "/"):
             f = self.factor()
             if op == "*":
                 v = v * f
@@ -1192,19 +1195,13 @@ class _ExprParser:
         return v
 
     def factor(self):
-        if self.peek() == ("op", "-"):
-            self.take()
-            return -self.factor()
-        if self.peek() == ("op", "+"):
-            self.take()
-            return self.factor()
+        # a run of signs is read in a loop: it is not nesting
+        negate = False
+        while op := self.accept("-", "+"):
+            negate ^= op == "-"
         v = self.atom()
-        if self.peek() == ("op", "^"):
-            self.take()
-            sign = 1
-            if self.peek() == ("op", "-"):
-                self.take()
-                sign = -1
+        if self.accept("^"):
+            sign = -1 if self.accept("-") else 1
             kind, val = self.take()
             if kind != "int":
                 raise ValueError("exponent must be an integer")
@@ -1214,8 +1211,8 @@ class _ExprParser:
                     f"exponent {k} is out of range: its absolute value must be"
                     f" at most MAX_EXPONENT = {MAX_EXPONENT}"
                 )
-            return v**k
-        return v
+            v = v**k
+        return -v if negate else v
 
     def atom(self):
         kind, val = self.take()
@@ -1227,7 +1224,9 @@ class _ExprParser:
             return Scalar.transcendental(self.field, val)
         if (kind, val) == ("op", "("):
             v = self.expr()
-            self.expect_op(")")
+            if not self.accept(")"):
+                found = self.toks[self.pos][1] or "end of input"
+                raise ValueError(f"expected ')', found {found!r}")
             return v
         raise ValueError(f"unexpected {val or 'end of input'!r}")
 
@@ -1250,5 +1249,4 @@ def parse_parampoly(text: str, ctx: ParamContext) -> ParamPoly:
 
 
 def parse_scalar(text: str, field: FieldSpec) -> Scalar:
-    p = parse_parampoly(text, ParamContext(field, ()))
-    return p.constant_value()
+    return _ExprParser(_tokenize(text), field).parse()

@@ -450,7 +450,6 @@ class TruncatedAlgebra:
         "_basis_index",
         "_word_forms",
         "_sigma_memo",
-        "_parts_memo",
     )
 
     def __init__(self, variety, gens, bound, components, rewrite):
@@ -461,9 +460,8 @@ class TruncatedAlgebra:
         self.rewrite = rewrite  # pivot pair monomial -> ((basis monomial, coeff), ...)
         self._basis_index = None
         self._word_forms = {}  # monomial -> its normal form, once asked for
-        self._sigma_memo = {}
         # monomial, or a law of the free algebra -> its rational sigma parts
-        self._parts_memo = {}
+        self._sigma_memo = {}
 
     # -- basis views
 

@@ -99,7 +99,7 @@ def _sigma_parts(alg, m: Monomial) -> tuple:
     depend on the system, so they are memoised per algebra.  Above the
     truncation there are none.
     """
-    memo = alg._parts_memo
+    memo = alg._sigma_memo
     hit = memo.get(m)
     if hit is not None:
         return hit
@@ -145,14 +145,10 @@ def _combine(gens, system: VerbalSystem, parts: tuple) -> Element:
 def word_transform(alg, system: VerbalSystem, m: Monomial) -> Element:
     """sigma on a single monomial: the tree of m evaluated in the new product.
 
-    The result is in normal form; degrees above the truncation vanish.
+    The result is in normal form; degrees above the truncation vanish.  Only
+    the parts are memoised; phi never enters sigma on words.
     """
-    memo = alg._sigma_memo
-    key = (system.a, system.b, m)  # phi never enters sigma on words
-    hit = memo.get(key)
-    if hit is None:
-        hit = memo[key] = _combine(alg.gens, system, _sigma_parts(alg, m))
-    return hit
+    return _combine(alg.gens, system, _sigma_parts(alg, m))
 
 
 def sigma_apply(alg, system: VerbalSystem, el: Element) -> Element:
@@ -174,7 +170,7 @@ def _law_value(variety, system, scheme) -> Element:
     """
     k = scheme.arity
     free = build_truncated(variety, GeneratorSet.default(k), k, multilinear=True)
-    parts = free._parts_memo.get(scheme)
+    parts = free._sigma_memo.get(scheme)
     if parts is None:
         ys = tuple(free.gens.generator(i) for i in range(k))
         acc = [{} for _ in range(k)]
@@ -182,7 +178,7 @@ def _law_value(variety, system, scheme) -> Element:
             for total, part in zip(acc, _sigma_parts(free, m)):
                 for b, v in part.items():
                     total[b] = total.get(b, 0) + c * v
-        parts = free._parts_memo[scheme] = tuple(_clean(t) for t in acc)
+        parts = free._sigma_memo[scheme] = tuple(_clean(t) for t in acc)
     return _combine(free.gens, system, parts)
 
 

@@ -22,7 +22,7 @@ from veralg.freealg import (
     enumerate_monomials,
     parse_element,
 )
-from veralg.scalars import FieldSpec, ParamPoly, Scalar
+from veralg.scalars import FieldSpec, ParamPoly, Scalar, parse_parampoly
 from veralg.variety import build_truncated, builtin_variety, builtin_variety_names
 from veralg.verbal import VerbalSystem, inner_witness, scaling_check, sigma_apply
 
@@ -124,7 +124,7 @@ def test_criterion_02_symbolic_image():
     st = parse_element(LIE_SIGMA_T, G2, F)
     applied = alg.normal_form(alpha.apply(st, alg.bound))
 
-    P = lambda s: ParamPoly.parse(s, ctx)
+    P = lambda s: parse_parampoly(s, ctx)
     det = P("a11*a22 - a12*a21")
     expected = [
         P("-t2*a11^2*a12") * det,

@@ -498,6 +498,72 @@ class TestInputErrors:
         assert code == 2
         assert "MAX_EXPONENT = 100" in self.single_error(err)
 
+    DEEP = "(" * 600 + "1" + ")" * 600
+
+    @pytest.mark.parametrize(
+        "name,changes,commands",
+        (
+            ("aut_1_3_4", {"generator": DEEP + " * (x1 x2)"}, ("falsify", "expand")),
+            ("aut_1_3_4", {"candidates": [DEEP + " * (x1 x2)"]}, ("falsify", "expand")),
+            ("aut_1_3_4", {"hints": [DEEP]}, ("falsify",)),
+            ("s_4", {"word": "(" * 600 + "x1" + " x1)" * 600}, ("falsify", "expand")),
+        ),
+        ids=("generator", "candidate", "hint", "word"),
+    )
+    def test_nesting_guard_on_jobs(self, capsys, tmp_path, name, changes, commands):
+        # the element, polynomial and monomial readers: the first three
+        # ended in RecursionError (exit 3) before the tokenizer bounded
+        # the nesting
+        path = self.job_file(tmp_path, name, **changes)
+        for command in commands:
+            code, out, err = run(capsys, [command, "--spec", path])
+            assert code == 2
+            assert out == ""
+            assert "MAX_NESTING = 100" in self.single_error(err)
+
+    def test_nesting_guard_on_scalars(self, capsys):
+        code, _, err = run(capsys, ["op2", "--variety", "lie", "--a", self.DEEP])
+        assert code == 2
+        assert "MAX_NESTING = 100" in self.single_error(err)
+        ok = "(" * 100 + "2" + ")" * 100
+        assert run(capsys, ["op2", "--variety", "lie", "--a", ok])[:2] == run(
+            capsys, ["op2", "--variety", "lie", "--a", "2"]
+        )[:2]
+
+    def test_run_of_signs_is_not_nesting(self, capsys, tmp_path):
+        # 3,000 signs ended in RecursionError (exit 3); an even run is +
+        code, out, _ = run(capsys, ["op2", "--variety", "lie", "--a=" + "-" * 3000 + "2"])
+        assert (code, out) == run(capsys, ["op2", "--variety", "lie", "--a", "2"])[:2]
+        # the first sign is the term's, the other 2,999 the coefficient's
+        path = self.job_file(
+            tmp_path, "aut_1_3_4", generator="-" * 3000 + "t1 * (x1 x2) + (x2 x1)"
+        )
+        signed = run(capsys, ["falsify", "--spec", path, "--json"])
+        assert signed[0] == 0
+        assert signed[:2] == run(capsys, ["falsify", "--example", "aut_1_3_4", "--json"])[:2]
+
+    @pytest.mark.parametrize(
+        "candidate,normal_form",
+        (
+            ("0", "0"),
+            ("(x1 (x1 x2))", "0"),  # above the bound 2
+            ("(x1 x2) + (x2 x1)", "(x1 x2) + (x2 x1)"),
+        ),
+        ids=("zero", "above-bound", "two-terms"),
+    )
+    def test_expand_needs_one_term_candidates(self, capsys, tmp_path, candidate, normal_form):
+        # falsify takes any candidate; expand exited 2 with a bare
+        # "not enough values to unpack" or "too many values to unpack"
+        path = self.job_file(tmp_path, "aut_1_3_4", candidates=[candidate])
+        assert run(capsys, ["falsify", "--spec", path])[0] == 0
+        code, out, err = run(capsys, ["expand", "--spec", path])
+        assert code == 2
+        assert out == ""
+        assert self.single_error(err) == (
+            f"error: candidate {candidate!r} has the normal form {normal_form}:"
+            " an image coefficient needs one basis monomial"
+        )
+
     def test_permutation_names_unknown_transcendental(self, capsys):
         code, _, err = run(
             capsys, ["op2", "--variety", "lie", "--phi", "perm:t3,t1"]

@@ -40,6 +40,8 @@ from veralg.scalars import (
     Scalar,
     check_elimination_order,
     factor_for_branching,
+    parse_parampoly,
+    parse_scalar,
     substitute_in_order,
 )
 from veralg.variety import build_truncated, builtin_variety
@@ -143,7 +145,7 @@ class TestIdealBuild:
             coords = {}
             for m in alg.all_basis():
                 if rng.random() < 0.4:
-                    coords[alg.basis_index()[m]] = ParamPoly.parse(
+                    coords[alg.basis_index()[m]] = parse_parampoly(
                         rng.choice(["u", "v", "u*v", "u + 1", "2*v"]), ctx
                     )
             sym = ideal.residue(coords)
@@ -217,7 +219,7 @@ class TestTwoDimLinearRun:
         assert [m.encode() for m in cons.basis] == [
             "(x1 x1)", "(x1 x2)", "(x2 x1)", "(x2 x2)",
         ]
-        expected = [ParamPoly.parse(s, cons.ctx) for s in EQUATIONS_2DIM]
+        expected = [parse_parampoly(s, cons.ctx) for s in EQUATIONS_2DIM]
         assert list(cons.equations) == expected
 
     def test_case_split(self):
@@ -246,7 +248,7 @@ class TestTwoDimLinearRun:
         tree = solve_cases(cons.equations, cons.ctx)
         # a rule on every leaf; the good candidate's residue vanishes
         # under the substitutions alone, so every leaf still passes
-        rule = ParamPoly.parse("a11*a22 - t1*rho", cons.ctx)
+        rule = parse_parampoly("a11*a22 - t1*rho", cons.ctx)
         solved = [
             dataclasses.replace(l, residuals=l.residuals + (rule,))
             for l in tree.leaves()
@@ -336,7 +338,7 @@ class TestCommutativeRun:
             "(x1 (x1 x1))", "(x1 (x1 x2))", "(x1 (x2 x2))",
             "(x2 (x1 x1))", "(x2 (x1 x2))", "(x2 (x2 x2))",
         ]
-        expected = [ParamPoly.parse(s, cons.ctx) for s in EQUATIONS_COMM]
+        expected = [parse_parampoly(s, cons.ctx) for s in EQUATIONS_COMM]
         assert list(cons.equations) == expected
 
     def test_case_split(self):
@@ -382,7 +384,7 @@ DET_HINT = "a11*a22 - a12*a21"
 
 
 def _lie_expected_equations(ctx):
-    P = lambda s: ParamPoly.parse(s, ctx)
+    P = lambda s: parse_parampoly(s, ctx)
     det = P(DET_HINT)
     c9 = P("-t2*a11^2*a12") * det
     c10 = P("t2*a11") * det * P("a11*a22 + 2*a12*a21")
@@ -479,7 +481,7 @@ class TestSolveCasesUnits:
     CTX = ParamContext(F, ("x", "y"))
 
     def _p(self, s):
-        return ParamPoly.parse(s, self.CTX)
+        return parse_parampoly(s, self.CTX)
 
     def test_elimination_chain(self):
         tree = solve_cases([self._p("x + 1"), self._p("x*y")], self.CTX)
@@ -520,8 +522,8 @@ class TestSolveCasesUnits:
         # the hint is made monic once, so an equation equal to it up to a
         # scalar is its own lone monic factor and is kept as a rule
         ctx = ParamContext(F, ("a11", "a12", "a21", "a22"))
-        det = ParamPoly.parse("a11*a22 - a12*a21", ctx)
-        hint = det * Scalar.parse(scale, F)
+        det = parse_parampoly("a11*a22 - a12*a21", ctx)
+        hint = det * parse_scalar(scale, F)
         for eq in (hint, -det, det):
             tree = solve_cases([eq], ctx, [hint], max_depth=4)
             assert tree.status == "solved"

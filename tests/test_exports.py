@@ -2,8 +2,9 @@
 
 A name left in ``__all__`` after its definition moved or was deleted makes
 ``from veralg.<module> import *`` raise; this test finds it first.  The
-last tests keep the rewrite rows of a truncation private to variety.py
-and the exact values to one product by a constant and one pair of caches.
+last tests keep the rewrite rows of a truncation private to variety.py,
+the exact values to one product by a constant and one pair of caches, and
+every text to one reader per kind, all on one tokenizer.
 """
 
 import importlib
@@ -53,3 +54,14 @@ def test_one_product_by_a_constant_and_one_cache():
     for cls in (Scalar, ParamPoly):
         assert cls.__hash__ is _Exact.__hash__, cls
         assert cls.encode is _Exact.encode and "encode" not in vars(cls), cls
+
+
+def test_one_reader_per_kind_on_one_tokenizer():
+    # parse_scalar, parse_parampoly and parse_element are the only names of
+    # their readers, and freealg reads its text from scalars._tokenize
+    for cls in (Scalar, ParamPoly, Element):
+        assert not hasattr(cls, "parse"), cls
+    text = (Path(veralg.__file__).parent / "freealg.py").read_text(encoding="utf-8")
+    assert "_tokenize(" in text
+    for scanner in ("import re", "_NAME_RE", "isspace", "_split_top_terms"):
+        assert scanner not in text, scanner

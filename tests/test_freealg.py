@@ -15,7 +15,7 @@ from veralg.freealg import (
     parse_element,
     parse_monomial,
 )
-from veralg.scalars import FieldSpec, ParamPoly, Scalar
+from veralg.scalars import FieldSpec, ParamPoly, Scalar, parse_parampoly
 from veralg.variety import build_truncated, builtin_variety
 
 from test_oracles import monomials_of_multidegree
@@ -125,6 +125,21 @@ def _rand_scalar(rng):
     return Scalar(F, num) if num else Scalar.one(F)
 
 
+def _rand_poly_scalar(rng):
+    """A nonzero polynomial of Q(t1, t2) with 1 to 3 rational coefficients."""
+    num = {}
+    while not num:
+        for _ in range(rng.randrange(1, 4)):
+            e = (rng.randrange(3), rng.randrange(3))
+            num[e] = Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))
+        num = {e: c for e, c in num.items() if c}
+    return Scalar(F, num)
+
+
+def _lead_negative(p):
+    return p[max(p, key=lambda e: (sum(e), e))] < 0
+
+
 def _rand_element(rng, max_degree=3, size=3):
     el = Element.zero(G, F)
     for _ in range(size):
@@ -174,6 +189,17 @@ class TestElement:
         for _ in range(20):
             el = _rand_element(rng)
             assert parse_element(el.encode(), G, F) == el
+        # rational-function coefficients: denominators, fractions and
+        # negative leading terms
+        signs = [0, 0]
+        for _ in range(60):
+            el = Element.zero(G, F)
+            for _ in range(rng.randrange(1, 4)):
+                c = _rand_poly_scalar(rng) / _rand_poly_scalar(rng)
+                signs[_lead_negative(c.num)] += 1
+                el = el + Element.from_monomial(G, F, _rand_monomial(rng, 4), c)
+            assert parse_element(el.encode(), G, F) == el
+        assert min(signs) > 10, signs
 
     def test_context_mismatch(self):
         other = GeneratorSet(("y1", "y2"))
@@ -241,7 +267,7 @@ class TestSymbolicEndomorphism:
         image = alpha.apply(el)
         assert not image.is_zero
         coeff = image.coefficient(parse_monomial("(x1 x1)", G))
-        assert coeff == ParamPoly.parse("t1*a11*a12", ctx)
+        assert coeff == parse_parampoly("t1*a11*a12", ctx)
 
 
 class TestSymbolicEndomorphismContext:

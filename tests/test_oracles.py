@@ -24,8 +24,11 @@ cancellation that ran the primitive PRS on every pair of nonconstant
 arguments, and the spellings of a product by a constant that ``*``
 replaced (with the hash formulas of Scalar and ParamPoly), the case solver
 whose nodes substituted their whole chain and factored every equation anew
-(with the elimination that listed the terms of each unknown apart), and the
-monomial printer that recursed on every call.  The ``_fr_*``
+(with the elimination that listed the terms of each unknown apart), the
+monomial printer that recursed on every call, and the element and monomial
+readers that scanned characters on their own (with the scalar reader that
+went through ``parse_parampoly``), which must accept and reject the same
+texts as the readers on one tokenizer and read the same values.  The ``_fr_*``
 helpers and ``_FrScalar`` keep the Q(t) layer in which every coefficient
 was a Fraction; ``_FrScalar`` prints with the old printer.
 The old build and the rank oracle of the admissibility check run on the
@@ -43,6 +46,7 @@ of basis monomials, so the pair-space build picks another basis of the
 same algebra.
 """
 
+import importlib.util
 import itertools
 import operator
 import random
@@ -50,6 +54,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from pathlib import Path
 from typing import Sequence
 
 import pytest
@@ -73,6 +78,7 @@ from veralg.freealg import (
     SymbolicEndomorphism,
     enumerate_monomials,
     parse_element,
+    parse_monomial,
 )
 from veralg.scalars import (
     CyclicSubstitution,
@@ -81,6 +87,8 @@ from veralg.scalars import (
     ParamContext,
     ParamPoly,
     Scalar,
+    ZeroInversion,
+    _NAME_RE,
     _cancel,
     _div,
     _exact,
@@ -104,6 +112,8 @@ from veralg.scalars import (
     check_next_substitution,
     factor_for_branching,
     parampoly_reduce,
+    parse_parampoly,
+    parse_scalar,
     substitute_in_order,
 )
 from veralg.variety import (
@@ -1319,7 +1329,7 @@ def test_reduce_matches_old_on_case_trees(name):
     t = parse_element(job["generator"], gens, field)
     ideal = ideal_build(alg, field, (t,), int(job["tail"]))
     cons = gen_constraints(alg, ideal, system)
-    hints = [ParamPoly.parse(h, cons.ctx) for h in job.get("hints", ())]
+    hints = [parse_parampoly(h, cons.ctx) for h in job.get("hints", ())]
     tree = solve_cases(cons.equations, cons.ctx, hints)
     candidates = [parse_element(c, gens, field) for c in job["candidates"]]
     alpha = _generic_oracle(gens, field)
@@ -1354,7 +1364,7 @@ def _rand_chain_poly(rng, ctx, names):
 def test_reduce_matches_old_on_seeded_chains():
     # the k-th image mentions none of the first k names, as in solve_cases
     ctx = ParamContext(F, ("rho", "a11", "a12", "a21", "a22"))
-    det = ParamPoly.parse("a11*a22 - a12*a21", ctx)
+    det = parse_parampoly("a11*a22 - a12*a21", ctx)
     rng = random.Random("reduce-chains")
     for _ in range(60):
         order = rng.sample(ctx.names, rng.randrange(1, 4))
@@ -1452,7 +1462,7 @@ def _case_tree(job):
     t = parse_element(job["generator"], gens, field)
     ideal = ideal_build(alg, field, (t,), int(job["tail"]))
     cons = gen_constraints(alg, ideal, system)
-    hints = [ParamPoly.parse(h, cons.ctx) for h in job.get("hints", ())]
+    hints = [parse_parampoly(h, cons.ctx) for h in job.get("hints", ())]
     return solve_cases(cons.equations, cons.ctx, hints), hints
 
 
@@ -1469,7 +1479,7 @@ def test_lone_monic_factor_matches_old_trivial_test():
         trees[name] = _case_tree(job)
     # a repeated hint factor, and a lone hint whose leading coefficient is -1
     ctx = ParamContext(F, ("a11", "a12", "a21", "a22"))
-    det = ParamPoly.parse("a11*a22 - a12*a21", ctx)
+    det = parse_parampoly("a11*a22 - a12*a21", ctx)
     for name, eq, hint in (("det^2", det * det, det), ("-det", -det, -det)):
         trees[name] = solve_cases([eq], ctx, [hint], max_depth=3), [hint]
     outcomes = []
@@ -2439,7 +2449,7 @@ def _old_solve_cases(
     """
 
     hints = tuple(
-        (ParamPoly.parse(h, ctx) if isinstance(h, str) else h).monic()
+        (parse_parampoly(h, ctx) if isinstance(h, str) else h).monic()
         for h in hints
     )
 
@@ -2560,7 +2570,7 @@ def test_incremental_case_tree_matches_old(name):
     alg, field, gens, system = cases.job_context(job)
     t = parse_element(job["generator"], gens, field)
     cons = gen_constraints(alg, ideal_build(alg, field, (t,), int(job["tail"])), system)
-    hints = [ParamPoly.parse(h, cons.ctx) for h in job.get("hints", ())]
+    hints = [parse_parampoly(h, cons.ctx) for h in job.get("hints", ())]
     for depth in (12, 0):
         new = solve_cases(cons.equations, cons.ctx, hints, depth)
         _assert_same_tree(new, _old_solve_cases(cons.equations, cons.ctx, hints, depth))
@@ -2577,7 +2587,7 @@ def _rand_factor(rng, ctx):
     if kind == 0:
         return ParamPoly.variable(ctx, rng.choice(ctx.names))
     if kind == 1:
-        return ParamPoly.parse("a11*a22 - a12*a21", ctx)
+        return parse_parampoly("a11*a22 - a12*a21", ctx)
     out = ParamPoly.constant(ctx, _rand_scalar(rng)) if kind == 2 else ParamPoly.zero(ctx)
     for _ in range(rng.randrange(1, 3)):
         e = tuple(rng.randrange(2) for _ in ctx.names)
@@ -2587,7 +2597,7 @@ def _rand_factor(rng, ctx):
 
 def test_incremental_case_tree_matches_old_on_seeded_systems():
     ctx = ParamContext(F, ("rho", "a11", "a12", "a21", "a22"))
-    hint = ParamPoly.parse("a11*a22 - a12*a21", ctx)
+    hint = parse_parampoly("a11*a22 - a12*a21", ctx)
     rng = random.Random("incremental-case-tree")
     seen = set()
     for _ in range(40):
@@ -2663,3 +2673,218 @@ def test_negative_coefficient_text_matches_old_and_is_kept(monkeypatch):
     polys = [ParamPoly(CTX, {(1, 0): x, (0, 1): -x}) for x in scalars]
     assert [p.encode() for p in polys] == [_old_parampoly_encode(p) for p in polys]
     assert len(scalars) > 5
+
+
+# The element and monomial readers that scanned characters on their own,
+# and the scalar reader that went through parse_parampoly.
+
+
+def _old_parse_scalar(text: str, field: FieldSpec) -> Scalar:
+    p = parse_parampoly(text, ParamContext(field, ()))
+    return p.constant_value()
+
+
+def _old_split_top_terms(text: str):
+    """Split on top-level + and -, keeping signs; unary operators stay put."""
+    terms = []
+    depth = 0
+    start = 0
+    sign = 1
+    prev = ""
+    for i, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch in "+-" and depth == 0 and prev not in ("", "*", "/", "^", "(", "+", "-"):
+            terms.append((sign, text[start:i]))
+            sign = 1 if ch == "+" else -1
+            start = i + 1
+        if not ch.isspace():
+            prev = ch
+    terms.append((sign, text[start:]))
+    # a leading '-' on the first chunk
+    first_sign, first = terms[0]
+    stripped = first.lstrip()
+    if stripped.startswith("-"):
+        terms[0] = (-first_sign, stripped[1:])
+    elif stripped.startswith("+"):
+        terms[0] = (first_sign, stripped[1:])
+    return terms
+
+
+def _old_parse_monomial(text: str, gens: GeneratorSet) -> Monomial:
+    toks = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch in "()":
+            toks.append(ch)
+            i += 1
+        else:
+            m = _NAME_RE.match(text, i)
+            if not m:
+                raise ValueError(f"bad character {ch!r} in monomial")
+            toks.append(m.group())
+            i = m.end()
+
+    def rec(pos):
+        if pos >= len(toks):
+            raise ValueError(f"truncated monomial in {text!r}")
+        tok = toks[pos]
+        if tok == "(":
+            left, pos = rec(pos + 1)
+            right, pos = rec(pos)
+            if pos >= len(toks) or toks[pos] != ")":
+                raise ValueError(f"expected ')' in monomial {text!r}")
+            return gens.pair(left, right), pos + 1
+        if tok == ")":
+            raise ValueError(f"unexpected ')' in monomial {text!r}")
+        return gens.gen(tok), pos + 1
+
+    mono, pos = rec(0)
+    if pos != len(toks):
+        raise ValueError(f"trailing input in monomial {text!r}")
+    return mono
+
+
+def _old_parse_element(text: str, gens: GeneratorSet, field: FieldSpec) -> Element:
+    text = text.strip()
+    if text == "0":
+        return Element.zero(gens, field)
+    total = Element.zero(gens, field)
+    for sign, chunk in _old_split_top_terms(text):
+        chunk = chunk.strip()
+        if not chunk:
+            raise ValueError(f"empty term in element {text!r}")
+        depth = 0
+        split_at = None
+        for i, ch in enumerate(chunk):
+            if ch == "(":
+                depth += 1
+            elif ch == ")":
+                depth -= 1
+            elif ch == "*" and depth == 0:
+                split_at = i
+        if split_at is None:
+            coeff = Scalar.one(field)
+            mono_text = chunk
+        else:
+            coeff = _old_parse_scalar(chunk[:split_at], field)
+            mono_text = chunk[split_at + 1 :]
+        m = _old_parse_monomial(mono_text, gens)
+        total = total + Element.from_monomial(gens, field, m, coeff * sign)
+    return total
+
+
+# The fragments of the seeded texts: generator names (x3 is unknown), field
+# names, integers, the operators, spaces and one bad character.
+READER_FRAGMENTS = (
+    ("x1", "x2", "x3", "t1", "t2", "0", "1", "2", "12")
+    + tuple("+-*/^()")
+    + (" ", "  ", "$")
+)
+
+
+def _read(reader, *args):
+    """('ok', value) or ('error', None); the two error classes both exit 2."""
+    try:
+        return "ok", reader(*args)
+    except (ValueError, ZeroInversion):
+        return "error", None
+
+
+def _assert_same_reading(text, gens, field):
+    for new, old, args in (
+        (parse_element, _old_parse_element, (gens, field)),
+        (parse_monomial, _old_parse_monomial, (gens,)),
+        (parse_scalar, _old_parse_scalar, (field,)),
+    ):
+        got, want = _read(new, text, *args), _read(old, text, *args)
+        assert got == want, (new.__name__, text, got, want)
+        if got[0] == "ok" and new is not parse_monomial:
+            assert got[1].encode() == want[1].encode(), (new.__name__, text)
+    return _read(parse_element, text, gens, field)[0] == "ok"
+
+
+def _fragment_text(rng):
+    return "".join(rng.choice(READER_FRAGMENTS) for _ in range(rng.randrange(1, 13)))
+
+
+def _coefficient_text(rng):
+    """A product of small factors from the fragments, some signed or bracketed."""
+    factors = []
+    for _ in range(rng.randrange(1, 4)):
+        f = rng.choice(("t1", "t2", "1", "2", "12", "(t1 + 2)", "(t2 - t1)", "-t1", "+2"))
+        if rng.random() < 0.2:
+            f += rng.choice(("^2", "^-1", "^0"))
+        factors.append(f)
+    return rng.choice(("*", " * ", "/", " / ")).join(factors)
+
+
+def _monomial_text(rng, degree):
+    if degree == 1:
+        return rng.choice(("x1", "x2") * 4 + ("x3",))
+    k = rng.randrange(1, degree)
+    return f"({_monomial_text(rng, k)} {_monomial_text(rng, degree - k)})"
+
+
+def _near_element_text(rng):
+    """An element-like text, with one fragment inserted, deleted or replaced
+    in a third of them."""
+    parts = []
+    for j in range(rng.randrange(1, 4)):
+        if j or rng.random() < 0.3:
+            parts.append(rng.choice((" + ", " - ", "+", "-", " - -", "- ")))
+        if rng.random() < 0.6:
+            parts.append(_coefficient_text(rng) + rng.choice((" * ", "*")))
+        parts.append(_monomial_text(rng, rng.randrange(1, 5)))
+    text = "".join(parts)
+    if rng.random() < 1 / 3:
+        i = rng.randrange(len(text) + 1)
+        cut = i + rng.choice((0, 1))
+        text = text[:i] + rng.choice(READER_FRAGMENTS + ("",)) + text[cut:]
+    return text
+
+
+def _pinned_texts():
+    """(text, gens, field, (reader, *its arguments)) of every text of the
+    pinned jobs, the slow jobs and the sweep corpus, with the reader that
+    reads it."""
+    spec = importlib.util.spec_from_file_location(
+        "sweep_jobs", Path(__file__).resolve().parents[1] / "perfbench" / "sweep_jobs.py"
+    )
+    sweep_jobs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep_jobs)
+    jobs = [cases.load_job(name) for name in cases.EXAMPLE_IDS if name in cases._JOBS]
+    jobs += [job for job, _, _ in SLOW_JOBS.values()]
+    jobs += sweep_jobs.corpus(sweep_jobs.CORPUS_SEED, sweep_jobs.load_top_basis())
+    for job in jobs:
+        gens = GeneratorSet.default(job["gens"])
+        field = FieldSpec(tuple(job["field"]))
+        for text in [job.get("generator"), *job.get("candidates", ())]:
+            if text is not None:
+                yield text, gens, field, (parse_element, gens, field)
+        if "word" in job:
+            yield job["word"], gens, field, (parse_monomial, gens)
+        for text in (job["system"]["a"], job["system"]["b"]):
+            yield text, gens, field, (parse_scalar, field)
+
+
+def test_readers_match_old_on_pinned_texts():
+    pinned = list(_pinned_texts())
+    for text, gens, field, (reader, *args) in pinned:
+        _assert_same_reading(text, gens, field)
+        assert _read(reader, text, *args)[0] == "ok", text
+    assert len(pinned) > 600, len(pinned)
+
+
+def test_readers_match_old_on_seeded_texts():
+    rng = random.Random("one-reader")
+    accepted = 0
+    for k in range(12_000):
+        text = _fragment_text(rng) if k % 2 else _near_element_text(rng)
+        accepted += _assert_same_reading(text, G, F)
+    assert 1_000 < accepted < 11_000, accepted

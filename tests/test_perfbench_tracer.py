@@ -22,7 +22,7 @@ import layers
 
 tracer = layers.Tracer().install()
 # imported after install, so that the names bound here are the wrapped ones
-from veralg.freealg import Element, GeneratorSet
+from veralg.freealg import GeneratorSet, parse_element
 from veralg.scalars import FieldSpec
 from veralg.variety import build_truncated, builtin_variety
 from veralg.verbal import VerbalSystem, check_op2, sigma_apply
@@ -34,7 +34,7 @@ check_op2(builtin_variety("lie"), system, gens, 3)
 # a/b = t1 is not rational, so check_op2 needs neither sigma on words nor a
 # normal form; reach both directly
 alg = build_truncated(builtin_variety("lie"), gens, 3)
-u = Element.parse("((x1 x2) x1) + (x2 x1)", gens, field)
+u = parse_element("((x1 x2) x1) + (x2 x1)", gens, field)
 sigma_apply(alg, system, alg.normal_form(u))
 print(json.dumps(tracer.report()["calls"]))
 """

@@ -8,7 +8,14 @@ from fractions import Fraction
 import pytest
 
 from veralg.cases import OP2_GRID
-from veralg.freealg import Element, GeneratorSet, enumerate_monomials, parse_monomial
+from veralg.freealg import (
+    Element,
+    GeneratorSet,
+    Monomial,
+    enumerate_monomials,
+    parse_element,
+    parse_monomial,
+)
 from veralg.scalars import FieldSpec, Scalar, parse_scalar
 from veralg.variety import (
     IdentityScheme,
@@ -20,6 +27,7 @@ from veralg.variety import (
 from veralg.verbal import (
     PreconditionError,
     VerbalSystem,
+    _sigma_parts,
     check_op2,
     inner_witness,
     scaling_check,
@@ -89,10 +97,17 @@ class TestWordTransform:
             assert got == nf * Fraction(2) ** (m.degree - 1)
 
     def test_memoised(self):
+        # sigma's parts are memoised once per algebra and word, whatever the
+        # system; word_transform combines them on each call
         alg = build_truncated(builtin_variety("commutative"), G2, 3)
-        w = _sys(Q, "id", "1", "1")
         m = parse_monomial("(x1 (x1 x2))", G2)
-        assert word_transform(alg, w, m) is word_transform(alg, w, m)
+        got = word_transform(alg, _sys(Q, "id", "1", "1"), m)
+        parts = alg._sigma_memo[m]
+        assert _sigma_parts(alg, m) is parts
+        assert word_transform(alg, _sys(Q, "id", "1", "1"), m) == got
+        word_transform(alg, _sys(Q, "id", "2", "3"), m)
+        assert alg._sigma_memo[m] is parts
+        assert all(isinstance(k, Monomial) for k in alg._sigma_memo)
 
     def test_generator_in_normal_form(self):
         alg = build_truncated(TRIVIAL, G2, 3)
@@ -112,14 +127,14 @@ class TestSigmaApply:
         w = _sys(F2, "swap", "1", "0")
         t1 = Scalar.transcendental(F2, "t1")
         t2 = Scalar.transcendental(F2, "t2")
-        u = Element.parse("(x1 x2)", G2, F2)
+        u = parse_element("(x1 x2)", G2, F2)
         assert sigma_apply(alg, w, u * t1) == sigma_apply(alg, w, u) * t2
 
     def test_additive(self):
         alg = build_truncated(builtin_variety("commutative"), G2, 3)
         w = _sys(Q, "id", "2", "1")
-        u = Element.parse("(x1 x2) + 2 * (x2 (x1 x1))", G2, Q)
-        v = Element.parse("(x1 (x1 x2)) - x1", G2, Q)
+        u = parse_element("(x1 x2) + 2 * (x2 (x1 x1))", G2, Q)
+        v = parse_element("(x1 (x1 x2)) - x1", G2, Q)
         assert sigma_apply(alg, w, u + v) == sigma_apply(alg, w, u) + sigma_apply(
             alg, w, v
         )
