@@ -310,8 +310,14 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="comma-separated transcendentals (default t1,t2)")
         p.add_argument("--phi", default="id",
                        help="field automorphism: id, swap, or a permutation")
-        p.add_argument("--a", default="1", help="left product coefficient")
-        p.add_argument("--b", default="0", help="right product coefficient")
+        # argparse reads a value that starts with '-' and is not a number
+        # as an option, so such a value needs the --a=-t1 form
+        p.add_argument("--a", default="1",
+                       help="left product coefficient; write one that starts"
+                       " with '-' as --a=-t1")
+        p.add_argument("--b", default="0",
+                       help="right product coefficient; write one that starts"
+                       " with '-' as --b=-t1")
 
     def common_job(p):
         group = p.add_mutually_exclusive_group(required=True)

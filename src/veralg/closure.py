@@ -84,19 +84,6 @@ class TruncatedIdeal:
     def rank(self) -> int:
         return self.reducer.rank
 
-    def span_elements(self) -> tuple:
-        basis = self.alg.all_basis()
-        out = []
-        for row in self.reducer.pivots.values():
-            out.append(
-                Element(
-                    self.alg.gens,
-                    self.field,
-                    {basis[c]: v for c, v in row.items()},
-                )
-            )
-        return tuple(out)
-
     def residue(self, coords: dict) -> dict:
         """Coordinates modulo the ideal, with Scalar or ParamPoly values."""
         return self.reducer.reduce(coords)

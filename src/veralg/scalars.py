@@ -41,8 +41,10 @@ _TOKEN_RE = re.compile(
 # a coefficient or denominator text printed without parentheses
 _ATOM_RE = re.compile(r"[A-Za-z_0-9]+(\^\d+)?")
 
-# The largest |k| accepted in an input power x^k.  Powers are taken by
-# repeated multiplication, so this bounds the work one power can ask for.
+# The largest |k| accepted in an input power x^k, and the largest degree of
+# the power (the degree of x times |k|), so that nested powers are bounded
+# too.  Powers are taken by repeated multiplication, so this bounds the work
+# one power can ask for.
 MAX_EXPONENT = 100
 
 # The deepest parenthesis nesting accepted in an input text.  The readers
@@ -1210,6 +1212,13 @@ class _ExprParser:
                 raise ValueError(
                     f"exponent {k} is out of range: its absolute value must be"
                     f" at most MAX_EXPONENT = {MAX_EXPONENT}"
+                )
+            degree = abs(k) * max(sum(e) for part in (v.num, v.den) for e in part)
+            if degree > MAX_EXPONENT:
+                raise ValueError(
+                    f"power of degree {degree} is out of range: the degree of"
+                    " the base times the exponent's absolute value must be at"
+                    f" most MAX_EXPONENT = {MAX_EXPONENT}"
                 )
             v = v**k
         return -v if negate else v

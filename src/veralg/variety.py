@@ -43,6 +43,7 @@ __all__ = [
     "builtin_variety",
     "builtin_variety_names",
     "polarize",
+    "slot_symmetries",
 ]
 
 RATIONALS = FieldSpec(())  # the prime field: no transcendentals
@@ -77,11 +78,6 @@ class IdentityScheme:
             raise ValueError(f"no slot variables found in {text!r}")
         ygens = _slot_gens(arity)
         return IdentityScheme(arity, parse_element(text, ygens, RATIONALS))
-
-    @property
-    def is_multilinear(self) -> bool:
-        target = (1,) * self.arity
-        return all(m.multidegree == target for m in self.element.terms)
 
     def substitute(self, images: Sequence[Monomial], gens: GeneratorSet) -> dict:
         """The instance at a tuple of monomials, as {monomial: coefficient}."""
@@ -197,6 +193,81 @@ def polarize(scheme: IdentityScheme) -> tuple:
             seen.add(s.key())
             unique.append(s)
     return tuple(unique)
+
+
+def slot_symmetries(scheme: IdentityScheme) -> tuple:
+    """The slot permutations that fix a scheme up to sign, identity first.
+
+    A permutation p fixes the scheme when putting y<p[i]+1> in slot i, for
+    every i, maps the law to plus or minus itself; then the instance at
+    fillers f is plus or minus the instance at (f[p[0]], f[p[1]], ...).
+    They form a group, listed in lexicographic order.  Memoised per scheme.
+    """
+    return _slot_plan(scheme)[1]
+
+
+def _slot_plan(scheme: IdentityScheme) -> tuple:
+    """(terms, symmetries, steps, extra) of a multilinear scheme, memoised.
+
+    ``terms`` are the scheme's (slot trees of the two factors, coefficient)
+    pairs and ``symmetries`` its slot symmetries.  The transpositions among
+    these join the slots into blocks, and they generate the full symmetric
+    group of each block (a polarised scheme's blocks hold at least the
+    slots of one variable it was polarised in).  The other symmetries are
+    found by trying one permutation per coset of that subgroup, the one
+    that increases on every block.  A filler tuple is the least of its
+    orbit exactly when it increases weakly along each pair of ``steps``
+    (neighbouring slots of one block) and no permutation in ``extra`` (the
+    symmetries that move a slot out of its block) makes it smaller.
+    """
+    key = scheme.key()
+    plan = _SLOT_MEMO.get(key)
+    if plan is not None:
+        return plan
+    n = scheme.arity
+    own = {(m.shape, m.word): c for m, c in scheme._terms}
+    neg = {k: -c for k, c in own.items()}
+
+    def fixes(perm) -> bool:
+        image = {
+            (shape, tuple(perm[i] for i in word)): c
+            for (shape, word), c in own.items()
+        }
+        return image == own or image == neg
+
+    block = list(range(n))  # slot -> the least slot of its block
+    for i, j in itertools.combinations(range(n), 2):
+        perm = list(range(n))
+        perm[i], perm[j] = j, i
+        if block[i] != block[j] and fixes(perm):
+            old, new = sorted((block[i], block[j]))
+            block = [old if b == new else b for b in block]
+    blocks = [[i for i in range(n) if block[i] == b] for b in sorted(set(block))]
+    steps = tuple(pair for b in blocks for pair in zip(b, b[1:]))
+    within = []  # the permutations of slots inside their blocks
+    for parts in itertools.product(*(itertools.permutations(b) for b in blocks)):
+        h = list(range(n))
+        for b, part in zip(blocks, parts):
+            for i, v in zip(b, part):
+                h[i] = v
+        within.append(h)
+    symmetries = []
+    extra = []
+    for c in itertools.permutations(range(n)):
+        if any(c[i] > c[j] for i, j in steps):
+            continue
+        inside = all(block[v] == block[i] for i, v in enumerate(c))
+        if inside or fixes(c):
+            coset = [tuple(c[i] for i in h) for h in within]
+            symmetries.extend(coset)
+            if not inside:
+                extra.extend(coset)
+    terms = tuple((_tree(m), f) for m, f in scheme._terms)
+    plan = _SLOT_MEMO[key] = (terms, tuple(sorted(symmetries)), steps, tuple(extra))
+    return plan
+
+
+_SLOT_MEMO = {}
 
 
 class VarietyPresentation:
@@ -654,14 +725,14 @@ def _number(tree, leaves: Sequence[int], prod: dict) -> int:
     return prod[_number(tree[0], leaves, prod), _number(tree[1], leaves, prod)]
 
 
-def _instance(terms, fillers: Sequence[Monomial], form_of: dict, prod: dict) -> dict:
-    """A multilinear scheme's instance at fillers, on normal-form numbers.
+def _instance(terms, leaves: Sequence[int], prod: dict) -> dict:
+    """A multilinear scheme's instance at numbered fillers, on form numbers.
 
     ``terms`` are the scheme's (slot tree, coefficient) pairs, each tree a
-    product.  The result maps (number of nf(l), number of nf(r)) to the
-    summed coefficient of the terms that give (l r).
+    product, and ``leaves`` the numbers of the fillers' normal forms.  The
+    result maps (number of nf(l), number of nf(r)) to the summed
+    coefficient of the terms that give (l r).
     """
-    leaves = [form_of[m] for m in fillers]
     out = {}
     for (left, right), f in terms:
         key = (_number(left, leaves, prod), _number(right, leaves, prod))
@@ -741,12 +812,16 @@ def build_truncated(
     them when an instance first needs it.  At a tuple of fillers, a slot of
     a scheme term maps to its filler's number, an inner node to ``prod`` of
     its factors' numbers, and the top node to the pair of numbers that phi
-    takes; coefficients are summed per pair.  An instance that repeats one
-    already inserted in the degree, as a polarised scheme gives at permuted
-    fillers, is skipped.  Two numbers can name one form (a basis monomial,
-    and a pair monomial that rewrites to it alone), but phi reads only the
-    forms, so either number gives the same row.  A law of arity 1 acts in
-    degree 1 only, where its instances are substituted as monomials.
+    takes; coefficients are summed per pair.  A scheme's instances are
+    computed once per orbit of its slot symmetries (``slot_symmetries``):
+    a permutation that maps the law to plus or minus itself maps the
+    instance at fillers f to plus or minus the instance at f permuted, so
+    of the tuples in one orbit only the least (by basis numbers) is
+    computed, and the span is the same.  Two numbers can name one form (a
+    basis monomial, and a pair monomial that rewrites to it alone), but phi
+    reads only the forms, so either number gives the same row.  A law of
+    arity 1 acts in degree 1 only, where its instances are substituted as
+    monomials.
     """
     if bound < 1:
         raise ValueError("the degree bound must be at least 1")
@@ -758,16 +833,11 @@ def build_truncated(
     schemes = variety.multilinear()
     components = {}
     rewrite = {}
-    generators = tuple(gens.generator(i) for i in range(gens.size))
-    # degree -> its basis monomials in canonical order; in degree 1 the
-    # generators stand in until their components are built
-    fillers = {1: generators}
-    mdeg_of = {g: g.multidegree for g in generators}
+    numbers = {}  # degree -> the numbers of its basis monomials, canonical order
+    mdeg_of = {}  # number of a basis monomial -> its multidegree
     form_of = {}  # basis monomial below the bound -> its number
     prod = _Products()
     forms = prod.forms
-    # each scheme's terms as (slot trees of the two factors, coefficient)
-    trees = {s: tuple((_tree(m), f) for m, f in s._terms) for s in schemes}
     for d in range(1, bound + 1):
         mss = {}  # built multidegree -> its pair monomials
         keys = {}  # built multidegree -> the basis numbers of their factors
@@ -798,30 +868,29 @@ def build_truncated(
             return {k: v for k, v in acc.items() if v}
 
         reducers = {md: RowReducer() for md in mss}
-        # instances already inserted: a polarised scheme is symmetric in the
-        # slots of one variable, so permuted fillers repeat an instance
-        seen = set()
         for s in schemes:
             if s.arity > d or (s.arity == 1 and d > 1):
-                # a law of arity 1 kills degree 1, and with it every product
                 continue
+            if d == 1:
+                # a law of arity 1 kills degree 1, and with it every product
+                for md, fillers in mss.items():
+                    inst = s.substitute(fillers, gens)
+                    reducers[md].insert({0: f for f in inst.values()})
+                continue
+            terms, _, steps, extra = _slot_plan(s)
             for degs in _compositions(s.arity, d):
-                for combo in itertools.product(*(fillers[k] for k in degs)):
-                    md = tuple(map(sum, zip(*(mdeg_of[m] for m in combo))))
-                    red = reducers.get(md)
-                    if red is None:
+                if any(degs[i] > degs[j] for i, j in steps):
+                    continue  # numbers grow with degree: no tuple here is least
+                for leaves in itertools.product(*(numbers[k] for k in degs)):
+                    # one instance per orbit of the slot symmetries: the least
+                    if any(leaves[i] > leaves[j] for i, j in steps) or any(
+                        tuple(leaves[i] for i in p) < leaves for p in extra
+                    ):
                         continue
-                    if d == 1:
-                        ms = mss[md]
-                        inst = s.substitute(combo, gens)
-                        red.insert({ms.index(m): f for m, f in inst.items()})
-                    else:
-                        inst = frozenset(
-                            _instance(trees[s], combo, form_of, prod).items()
-                        )
-                        if inst not in seen:
-                            seen.add(inst)
-                            red.insert(phi(inst))
+                    md = tuple(map(sum, zip(*(mdeg_of[n] for n in leaves))))
+                    red = reducers.get(md)
+                    if red is not None:
+                        red.insert(phi(_instance(terms, leaves, prod).items()))
 
         degree_basis = []
         for md, ms in mss.items():
@@ -835,8 +904,8 @@ def build_truncated(
                 )
             if d < bound:
                 for b in basis:
-                    form_of[b] = prod.basis_number()
-                    mdeg_of[b] = md
+                    form_of[b] = n = prod.basis_number()
+                    mdeg_of[n] = md
                 for key, m in zip(keys.get(md, ()), ms):
                     rw = rewrite.get(m)
                     prod[key] = (
@@ -844,8 +913,9 @@ def build_truncated(
                         if rw is None
                         else prod.number(tuple((form_of[b], f) for b, f in rw))
                     )
-        degree_basis.sort(key=lambda m: m.sort_key)
-        fillers[d] = tuple(degree_basis)
+        if d < bound:
+            degree_basis.sort(key=lambda m: m.sort_key)
+            numbers[d] = tuple(form_of[b] for b in degree_basis)
 
     out = TruncatedAlgebra(variety, gens, bound, components, rewrite)
     _BUILD_MEMO[memo_key] = out

@@ -17,6 +17,15 @@ from veralg.scalars import FieldSpec, ParamContext, ParamPoly, Scalar
 from veralg.variety import RowReducer
 
 
+def span_elements(ideal: TruncatedIdeal) -> tuple:
+    """The pivot rows of an ideal's span, as elements."""
+    basis = ideal.alg.all_basis()
+    return tuple(
+        Element(ideal.alg.gens, ideal.field, {basis[c]: v for c, v in row.items()})
+        for row in ideal.reducer.pivots.values()
+    )
+
+
 def evaluate(el: Element, assignment: Mapping[str, Scalar]) -> Element:
     """Substitute Scalars for the unknowns of ParamPoly coefficients."""
     return Element(
@@ -115,7 +124,7 @@ def closure_sampled(alg, ideal: TruncatedIdeal, endos: Sequence[Endomorphism]) -
     among them the result is the ideal's own span back again.
     """
     for alpha in endos:
-        for g in ideal.span_elements():
+        for g in span_elements(ideal):
             if not ideal.contains(alg.normal_form(alpha.apply(g, alg.bound))):
                 raise PreconditionError(
                     "sampled endomorphism does not preserve the ideal"

@@ -188,6 +188,21 @@ class TestOp2:
         assert code == 0
         assert d["a"] == "t1" and d["b"] == "1/2"
 
+    @pytest.mark.parametrize("flag", ("--a", "--b"))
+    def test_negative_coefficient_needs_equals_form(self, capsys, flag):
+        # argparse reads a value that starts with '-' as an option unless it
+        # is a number; the --a=-t1 form always works
+        argv = ["op2", "--variety", "alllinear"]
+        code, _, err = run(capsys, argv + [flag, "-t1"])
+        assert code == 2
+        assert f"argument {flag}: expected one argument" in err
+        code, d, _ = run_json(capsys, argv + [f"{flag}=-t1"])
+        assert code == 0
+        assert d[flag[2:]] == "-t1"
+        code, d, _ = run_json(capsys, argv + [flag, "-1"])
+        assert code == 0
+        assert d[flag[2:]] == "-1"
+
 
 class TestInner:
     def test_scaling_change_is_inner(self, capsys):
@@ -497,6 +512,19 @@ class TestInputErrors:
         code, _, err = run(capsys, ["falsify", "--spec", path])
         assert code == 2
         assert "MAX_EXPONENT = 100" in self.single_error(err)
+
+    def test_nested_powers_are_bounded_by_degree(self, capsys):
+        # the degree of a power, its base's times |k|, is guarded before the
+        # power is taken: unguarded, ((t1 + t2 + 1)^10)^100 would expand a
+        # polynomial of degree 1000
+        for text in ("(t1^2)^51", "(t1^-10)^-11", "((t1 + t2 + 1)^10)^100"):
+            code, _, err = run(capsys, ["op2", "--variety", "lie", "--a", text])
+            assert code == 2
+            message = self.single_error(err)
+            assert "power of degree" in message and "MAX_EXPONENT = 100" in message
+        for text in ("(t1^2)^50", "(t1^-10)^-10", "(t1/t2^2)^50"):
+            code, _, _ = run(capsys, ["op2", "--variety", "lie", "--a", text])
+            assert code == 0
 
     DEEP = "(" * 600 + "1" + ")" * 600
 

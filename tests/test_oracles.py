@@ -130,6 +130,7 @@ from veralg.variety import (
     builtin_variety,
     builtin_variety_names,
     polarize,
+    slot_symmetries,
 )
 from veralg.verbal import VerbalSystem, check_op2, word_transform
 
@@ -714,7 +715,7 @@ def _old_phi_build(variety, gens, bound, multilinear=False):
                         inst = s.substitute(combo, gens)
                         red.insert({ms.index(m): f for m, f in inst.items()})
                     else:
-                        inst = _instance(trees[s], combo, form_of, prod)
+                        inst = _instance(trees[s], [form_of[m] for m in combo], prod)
                         red.insert(phi(inst.items()))
 
         degree_basis = []
@@ -1027,8 +1028,9 @@ def test_arity_one_law_build_matches_old(multilinear):
 def _old_instance_rows(schemes, d, fillers, mdeg_of, built, gens):
     """The graft-based instance step of the build in degree d.
 
-    Per built multidegree, each nonzero instance at a tuple of basis fillers
-    as {monomial: coefficient}; the build then took phi of
+    Per built multidegree, the instance at every tuple of basis fillers, in
+    the order the build enumerates them, as (scheme, fillers, instance) with
+    the instance {monomial: coefficient}; the build then took phi of
     ((form_of[m.left], form_of[m.right]), f) over its items.
     """
     rows = {md: [] for md in built}
@@ -1040,10 +1042,20 @@ def _old_instance_rows(schemes, d, fillers, mdeg_of, built, gens):
             for combo in itertools.product(*(fillers[k] for k in degs)):
                 md = tuple(map(sum, zip(*(mdeg_of[m] for m in combo))))
                 if md in rows:
-                    inst = s.substitute(combo, gens)
-                    if inst:
-                        rows[md].append(inst)
+                    rows[md].append((s, combo, s.substitute(combo, gens)))
     return rows
+
+
+def _brute_symmetries(scheme):
+    """Every slot permutation p with scheme(y_p[0], y_p[1], ...) = +-scheme."""
+    slots = [scheme.ygens.generator(i) for i in range(scheme.arity)]
+    own = scheme.substitute(slots, scheme.ygens)
+    neg = {m: -c for m, c in own.items()}
+    return [
+        p
+        for p in itertools.permutations(range(scheme.arity))
+        if scheme.substitute([slots[i] for i in p], scheme.ygens) in (own, neg)
+    ]
 
 
 def _pair_phi(pairs, nf):
@@ -1057,20 +1069,25 @@ def _pair_phi(pairs, nf):
 
 
 def _assert_instance_rows_match_old(monkeypatch, variety, k, bound, multilinear=False):
-    """phi of the build's number-based instances equals phi of the grafted
-    ones, multidegree by multidegree and in order.  Returns the algebra,
-    the build's normal-form numbers (number -> form) and the count of
-    nonzero rows compared."""
+    """The build computes one instance per orbit of its scheme's slot
+    symmetries, and phi of it equals phi of the grafted instance.
+
+    Per multidegree, the build's number-based instances are paired with the
+    grafted ones at the same fillers, which come in the build's order; a
+    skipped tuple of fillers is not the least of its orbit (by the build's
+    basis numbers), the least one is computed, and the grafted row of the
+    skipped one is plus or minus the grafted row of the least.  Returns the
+    algebra, the build's normal-form numbers (number -> form) and the count
+    of nonzero grafted rows.
+    """
     gens = GeneratorSet.default(k)
-    calls = []  # (fillers, instance on normal-form numbers)
-    numbering = {}  # basis monomial -> its number
+    calls = []  # (terms, numbers of the fillers, instance on form numbers)
     forms = []  # number -> its form on basis numbers
     real = variety_module._instance
 
-    def recording(terms, fillers, form_of, prod):
-        out = real(terms, fillers, form_of, prod)
-        calls.append((fillers, out))
-        numbering.update(form_of)
+    def recording(terms, leaves, prod):
+        out = real(terms, leaves, prod)
+        calls.append((terms, leaves, out))
         forms[:] = prod.forms
         return out
 
@@ -1085,32 +1102,63 @@ def _assert_instance_rows_match_old(monkeypatch, variety, k, bound, multilinear=
     def nf(m):
         return ((m, 1),) if m in basis else rows[m]
 
-    monomial = {n: m for m, n in numbering.items()}
+    # a basis monomial's form is its own number alone; the build numbers
+    # them degree by degree, multidegree by multidegree, in basis order
+    numbers = [n for n, f in enumerate(forms) if f == ((n, 1),)]
+    numbered = [
+        b
+        for d in range(1, bound)
+        for md in alg.multidegrees(d)
+        for b in alg.basis_of_multidegree(md)
+    ]
+    assert len(numbers) == len(numbered) or not calls
+    monomial = dict(zip(numbers, numbered))
+    number = {m: n for n, m in monomial.items()}
     form = {  # number -> its form
         n: tuple((monomial[b], c) for b, c in f) for n, f in enumerate(forms)
     }
-    new = {md: [] for md in alg.components}
-    for fillers, inst in calls:
-        md = tuple(map(sum, zip(*(m.multidegree for m in fillers))))
-        new[md].append(_pair_phi(inst.items(), form.__getitem__))
+    schemes = variety.multilinear()
+    scheme_of = {tuple((_tree(m), f) for m, f in s._terms): s for s in schemes}
+    new = {}  # (scheme, fillers) -> phi row, in the order computed
+    for terms, leaves, inst in calls:
+        key = (scheme_of[terms], tuple(monomial[n] for n in leaves))
+        assert key not in new, key
+        new[key] = _pair_phi(inst.items(), form.__getitem__)
 
+    symmetries = {s: _brute_symmetries(s) for s in schemes}
     fillers = {d: alg.basis_of_degree(d) for d in range(1, bound)}
     mdeg_of = {m: m.multidegree for m in basis}
-    old = {}
+    nonzero = 0
+    computed = {}  # multidegree -> the keys of new in it, in grafted order
     for d in range(2, bound + 1):
         built = [md for md in alg.components if sum(md) == d]
         for md, insts in _old_instance_rows(
-            variety.multilinear(), d, fillers, mdeg_of, built, gens
+            schemes, d, fillers, mdeg_of, built, gens
         ).items():
-            old[md] = [
-                _pair_phi((((m.left, m.right), f) for m, f in inst.items()), nf)
-                for inst in insts
-            ]
-    for md in alg.components:
-        if sum(md) == 1:
-            continue
-        assert [r for r in new[md] if r] == [r for r in old[md] if r], md
-    return alg, form, sum(1 for rows in old.values() for r in rows if r)
+            old = {
+                (s, combo): _pair_phi(
+                    (((m.left, m.right), f) for m, f in inst.items()), nf
+                )
+                for s, combo, inst in insts
+            }
+            nonzero += sum(1 for r in old.values() if r)
+            for (s, combo), row in old.items():
+                orbit = {tuple(combo[i] for i in p) for p in symmetries[s]}
+                least = min(orbit, key=lambda t: [number[m] for m in t])
+                assert (s, least) in new, (md, s, least)
+                if combo == least:
+                    computed.setdefault(md, []).append((s, combo))
+                    assert new[s, combo] == row, (md, s, combo)
+                else:
+                    assert (s, combo) not in new, (md, s, combo)
+                    rep = old[s, least]
+                    assert row in (rep, {c: -v for c, v in rep.items()}), (md, s, combo)
+    order = {}  # multidegree -> the keys of new in it, in computed order
+    for s, combo in new:
+        md = tuple(map(sum, zip(*(mdeg_of[m] for m in combo))))
+        order.setdefault(md, []).append((s, combo))
+    assert order == computed
+    return alg, form, nonzero
 
 
 @pytest.mark.parametrize("name", builtin_variety_names())
@@ -1159,6 +1207,101 @@ def test_arity_one_law_instance_rows_match_grafted(monkeypatch, multilinear):
         monkeypatch, _custom_variety("(y1 y2) - y1"), 2, 4, multilinear
     )
     assert not alg.all_basis()
+
+
+# every multilinear scheme of a built-in variety, then of each custom law
+SCHEMES = tuple(
+    s for name in builtin_variety_names() for s in builtin_variety(name).multilinear()
+) + tuple(s for law in CUSTOM_LAWS for s in _custom_variety(law).multilinear())
+
+
+@pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.encode())
+def test_slot_symmetries_are_a_group_that_fixes_the_scheme(scheme):
+    group = slot_symmetries(scheme)
+    assert group[0] == tuple(range(scheme.arity))
+    assert list(group) == sorted(set(group)) == _brute_symmetries(scheme)
+    assert {tuple(p[i] for i in q) for p in group for q in group} == set(group)
+    # at random fillers of the free algebra, each permutation of the fillers
+    # gives the instance times one sign
+    gens = GeneratorSet.default(2)
+    pool = build_truncated(builtin_variety("alllinear"), gens, 3).all_basis()
+    rng = random.Random(f"slot-symmetries/{scheme.encode()}")
+    for p in group:
+        signs = set()
+        for _ in range(30):
+            fillers = [rng.choice(pool) for _ in range(scheme.arity)]
+            inst = scheme.substitute(fillers, gens)
+            moved = scheme.substitute([fillers[i] for i in p], gens)
+            if moved == inst:
+                signs.add(1 if inst else 0)
+            else:
+                assert moved == {m: -c for m, c in inst.items()}, (p, fillers)
+                signs.add(-1)
+        assert len(signs - {0}) == 1, (p, signs)
+
+
+def test_builtin_slot_symmetries():
+    # polarisation makes a law symmetric in the slots of each variable; the
+    # Jacobi law is only cyclic
+    found = {s.encode(): len(slot_symmetries(s)) for s in SCHEMES}
+    assert found["(y1 y2) - (y2 y1)"] == found["(y1 y2) + (y2 y1)"] == 2
+    assert found["((y1 y2) y3) + ((y2 y3) y1) + ((y3 y1) y2)"] == 3
+    orders = [
+        len(slot_symmetries(s)) for s in builtin_variety("powerassociative").multilinear()
+    ]
+    assert orders == [6, 24]
+    assert [len(slot_symmetries(s)) for s in builtin_variety("jordan").multilinear()] == [2, 6]
+    assert all(len(slot_symmetries(s)) == 1 for s in SCHEMES[-3:])
+
+
+BASIS_SPECS = (  # the builds of the basis benchmark
+    ("lie", 2, 7),
+    ("alternative", 2, 6),
+    ("jordan", 2, 6),
+    ("powerassociative", 2, 5),
+    ("lie", 3, 5),
+    ("alternative", 3, 5),
+    ("alllinear", 2, 6),
+)
+
+
+@pytest.mark.parametrize("name,k,bound", BASIS_SPECS)
+def test_each_instance_is_computed_once(monkeypatch, name, k, bound):
+    # no built-in law has arity 1, so every row is inserted in a degree of
+    # at least 2, and each is one computed instance
+    assert all(s.arity > 1 for s in builtin_variety(name).multilinear())
+    instances = []
+    inserts = []
+    real_instance = variety_module._instance
+    real_insert = RowReducer.insert
+
+    def instance(terms, leaves, prod):
+        out = real_instance(terms, leaves, prod)
+        instances.append((terms, leaves, out))
+        return out
+
+    def insert(self, row):
+        inserts.append(row)
+        return real_insert(self, row)
+
+    monkeypatch.setattr(variety_module, "_BUILD_MEMO", {})
+    monkeypatch.setattr(variety_module, "_instance", instance)
+    monkeypatch.setattr(RowReducer, "insert", insert)
+    build_truncated(builtin_variety(name), GeneratorSet.default(k), bound)
+    monkeypatch.undo()
+    assert len(instances) == len(inserts)
+    assert len({(terms, leaves) for terms, leaves, _ in instances}) == len(instances)
+    # no instance repeats another, nor, of one law, its negative (a law
+    # that a swap of two slots negates vanishes where they are filled alike)
+    rows = [frozenset(out.items()) for _, _, out in instances]
+    assert len(set(rows)) == len(rows)
+    nonzero = [(terms, out) for terms, _, out in instances if any(out.values())]
+    signed = {
+        (terms, frozenset((key, sign * v) for key, v in out.items()))
+        for terms, out in nonzero
+        for sign in (1, -1)
+    }
+    assert len(signed) == 2 * len(nonzero)
 
 
 def _old_content(coeffs):
