@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from typing import Mapping, Optional, Sequence
 
 __all__ = [
@@ -46,6 +46,12 @@ _ATOM_RE = re.compile(r"[A-Za-z_0-9]+(\^\d+)?")
 # too.  Powers are taken by repeated multiplication, so this bounds the work
 # one power can ask for.
 MAX_EXPONENT = 100
+
+# The most terms an input power x^k may have in its numerator or its
+# denominator, counted before it is taken: a part of n terms has at most
+# C(n + |k| - 1, |k|) terms in its |k|-th power, so a power of one term is
+# never refused.
+MAX_POWER_TERMS = 500
 
 # The deepest parenthesis nesting accepted in an input text.  The readers
 # recurse once per level, so this keeps them far from the recursion limit.
@@ -1219,6 +1225,16 @@ class _ExprParser:
                     f"power of degree {degree} is out of range: the degree of"
                     " the base times the exponent's absolute value must be at"
                     f" most MAX_EXPONENT = {MAX_EXPONENT}"
+                )
+            n = max(len(v.num), len(v.den))
+            terms = comb(n + abs(k) - 1, abs(k))
+            if terms > MAX_POWER_TERMS:
+                raise ValueError(
+                    f"power of up to {terms} terms is out of range: a"
+                    f" numerator or denominator of {n} terms to the power"
+                    f" {abs(k)} may have C({n} + {abs(k)} - 1, {abs(k)}) terms,"
+                    f" and at most MAX_POWER_TERMS = {MAX_POWER_TERMS} are"
+                    " accepted"
                 )
             v = v**k
         return -v if negate else v

@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
+from math import gcd, lcm
 from operator import sub
 from typing import Optional, Sequence
 
@@ -207,14 +208,16 @@ def slot_symmetries(scheme: IdentityScheme) -> tuple:
 
 
 def _slot_plan(scheme: IdentityScheme) -> tuple:
-    """(terms, symmetries, steps, extra) of a multilinear scheme, memoised.
+    """(terms, symmetries, signs, steps, extra) of a multilinear scheme, memoised.
 
     ``terms`` are the scheme's (slot trees of the two factors, coefficient)
-    pairs and ``symmetries`` its slot symmetries.  The transpositions among
-    these join the slots into blocks, and they generate the full symmetric
-    group of each block (a polarised scheme's blocks hold at least the
-    slots of one variable it was polarised in).  The other symmetries are
-    found by trying one permutation per coset of that subgroup, the one
+    pairs, ``symmetries`` its slot symmetries and ``signs[i]`` the sign,
+    1 or -1, that ``symmetries[i]`` maps the law to.  The transpositions
+    among these join the slots into blocks, and they generate the full
+    symmetric group of each block (a polarised scheme's blocks hold at least
+    the slots of one variable it was polarised in); the transpositions of
+    one block are conjugate, so they share one sign.  The other symmetries
+    are found by trying one permutation per coset of that subgroup, the one
     that increases on every block.  A filler tuple is the least of its
     orbit exactly when it increases weakly along each pair of ``steps``
     (neighbouring slots of one block) and no permutation in ``extra`` (the
@@ -228,42 +231,56 @@ def _slot_plan(scheme: IdentityScheme) -> tuple:
     own = {(m.shape, m.word): c for m, c in scheme._terms}
     neg = {k: -c for k, c in own.items()}
 
-    def fixes(perm) -> bool:
+    def sign(perm) -> int:
+        """1 or -1 when perm maps the law to that multiple of itself, else 0."""
         image = {
             (shape, tuple(perm[i] for i in word)): c
             for (shape, word), c in own.items()
         }
-        return image == own or image == neg
+        return 1 if image == own else -1 if image == neg else 0
 
     block = list(range(n))  # slot -> the least slot of its block
+    block_sign = [1] * n  # least slot of a block -> the sign of its transpositions
     for i, j in itertools.combinations(range(n), 2):
         perm = list(range(n))
         perm[i], perm[j] = j, i
-        if block[i] != block[j] and fixes(perm):
+        if block[i] != block[j] and (s := sign(perm)):
             old, new = sorted((block[i], block[j]))
             block = [old if b == new else b for b in block]
+            block_sign[old] = s
     blocks = [[i for i in range(n) if block[i] == b] for b in sorted(set(block))]
     steps = tuple(pair for b in blocks for pair in zip(b, b[1:]))
-    within = []  # the permutations of slots inside their blocks
+    within = []  # (a permutation of slots inside their blocks, its sign)
     for parts in itertools.product(*(itertools.permutations(b) for b in blocks)):
         h = list(range(n))
+        s = 1
         for b, part in zip(blocks, parts):
             for i, v in zip(b, part):
                 h[i] = v
-        within.append(h)
+            if block_sign[b[0]] < 0:
+                s *= (-1) ** sum(x > y for x, y in itertools.combinations(part, 2))
+        within.append((h, s))
     symmetries = []
     extra = []
     for c in itertools.permutations(range(n)):
         if any(c[i] > c[j] for i, j in steps):
             continue
         inside = all(block[v] == block[i] for i, v in enumerate(c))
-        if inside or fixes(c):
-            coset = [tuple(c[i] for i in h) for h in within]
+        s = 1 if inside else sign(c)
+        if s:
+            coset = [(tuple(c[i] for i in h), s * t) for h, t in within]
             symmetries.extend(coset)
             if not inside:
-                extra.extend(coset)
+                extra.extend(p for p, _ in coset)
+    symmetries.sort()
     terms = tuple((_tree(m), f) for m, f in scheme._terms)
-    plan = _SLOT_MEMO[key] = (terms, tuple(sorted(symmetries)), steps, tuple(extra))
+    plan = _SLOT_MEMO[key] = (
+        terms,
+        tuple(p for p, _ in symmetries),
+        tuple(s for _, s in symmetries),
+        steps,
+        tuple(extra),
+    )
     return plan
 
 
@@ -393,18 +410,55 @@ class RowReducer:
     (earliest independent) columns are exactly the surviving basis and every
     pivot row reads as: pivot monomial = combination of basis monomials.
 
-    One rule covers every value type.  A pivot is inverted by the exact
-    division ``_div``, never by float division, and every value that
-    ``reduce`` returns or ``insert`` stores passes through ``_exact``: on
-    rational rows it is an int when it is integral and a Fraction otherwise
-    (most values of a build are integers, and int arithmetic is several
-    times cheaper); Scalars pass through unchanged.
+    Rational rows are eliminated fraction-free (Bareiss, Math. Comp. 1968).
+    A row of ints and Fractions is cleared to ints over one denominator, and
+    a stored rational row is primitive (its entries have gcd 1) with a
+    positive pivot entry d: it stands for itself divided by d.  A row r
+    whose entry at the pivot column of a stored row p is c becomes
+    (d/g) r - (c/g) p, with g = gcd(c, d), and each row that back-elimination
+    changes is made primitive again, so no Fraction is formed inside the
+    class.  ``pivots`` and ``reduce`` divide on the way out, giving an int
+    where the value is integral and a Fraction only where it is not.  A row
+    with any other value (a Scalar or a ParamPoly) is divided by its pivot
+    entry when it is stored: it is the d = 1 case of the same step, and its
+    values never reach ``gcd``.
     """
 
-    __slots__ = ("pivots",)
+    __slots__ = ("_rows",)
 
     def __init__(self):
-        self.pivots = {}  # pivot column -> row dict, row[pivot] == 1
+        self._rows = {}  # pivot column -> stored row, d at the pivot column
+
+    @property
+    def pivots(self) -> dict:
+        """{pivot column: its row divided by the pivot entry}, as new dicts."""
+        out = {}
+        for c, row in self._rows.items():
+            d = row[c]
+            if type(d) is int and d != 1:  # a primitive int row
+                out[c] = {k: _div(v, d) for k, v in row.items()}
+            else:
+                out[c] = {k: _exact(v) for k, v in row.items()}
+        return out
+
+    def _reduce(self, row: dict) -> tuple:
+        """(r, den): the row modulo the span is r / den, for an int den."""
+        r, den = _cleared(row)
+        out = {}
+        rows = self._rows
+        while r:
+            c = max(r)
+            e = r.pop(c)
+            p = rows.get(c)
+            if p is None:
+                out[c] = e
+                continue
+            a = _eliminate(r, p, c, e)
+            if a != 1:
+                den *= a
+                for k in out:
+                    out[k] *= a
+        return out, den
 
     def reduce(self, row: dict) -> dict:
         """The row modulo the span: every pivot column eliminated.
@@ -412,64 +466,111 @@ class RowReducer:
         Row values may be any exact type the pivot values multiply into:
         ints and Fractions, Scalars, or ParamPolys with unknowns in them.
         """
-        r = dict(row)
-        out = {}
-        while r:
-            c = max(r)
-            p = self.pivots.get(c)
-            if p is None:
-                out[c] = _exact(r.pop(c))
-                continue
-            coef = r.pop(c)
-            for k, v in p.items():
-                if k == c:
-                    continue
-                s = r.get(k, 0) - coef * v
-                if not s:
-                    r.pop(k, None)
-                else:
-                    r[k] = s
-        return out
+        r, den = self._reduce(row)
+        if den == 1:
+            return {k: _exact(v) for k, v in r.items()}
+        return {k: _over(v, den) for k, v in r.items()}
 
     def insert(self, row: dict) -> bool:
         """Reduce and add the row; False when it was already in the span."""
-        r = self.reduce(row)
+        r = self._reduce(row)[0]
         if not r:
             return False
         c = max(r)
-        x = r[c]
-        if x == 1:
-            new = r
-        else:
-            inv = _div(1, x)
-            new = {k: _exact(v * inv) for k, v in r.items()}
-        for pr in self.pivots.values():
-            coef = pr.get(c)
-            if coef is None:
+        new = _stored(r, c)
+        rows = self._rows
+        for cp, pr in rows.items():
+            e = pr.pop(c, None)
+            if e is None:
                 continue
-            del pr[c]
-            for k, v in new.items():
-                if k == c:
-                    continue
-                s = pr.get(k, 0) - coef * v
-                if not s:
-                    pr.pop(k, None)
-                elif type(s) is Fraction and s.denominator == 1:
-                    pr[k] = s.numerator
-                else:
-                    pr[k] = s
-        self.pivots[c] = new
+            a = _eliminate(pr, new, c, e)
+            # a row with an int pivot entry is made primitive again, or is
+            # divided by that entry if it took a Scalar; a Scalar pivot
+            # entry stays one unless the row was scaled
+            if a != 1 or type(pr[cp]) is int:
+                rows[cp] = _stored(pr, cp)
+        rows[c] = new
         return True
 
     def contains(self, row: dict) -> bool:
-        return not self.reduce(row)
+        return not self._reduce(row)[0]
 
     @property
     def rank(self) -> int:
-        return len(self.pivots)
+        return len(self._rows)
 
     def equals(self, other: "RowReducer") -> bool:
         return self.pivots == other.pivots
+
+
+def _cleared(row: dict) -> tuple:
+    """(ints, den) with row = ints / den for a row of ints and Fractions;
+    a row with any other value as a copy, over 1."""
+    den = 1
+    ints = True
+    for v in row.values():
+        if type(v) is not int:
+            if type(v) is not Fraction:
+                return dict(row), 1
+            ints = False
+            den = lcm(den, v.denominator)
+    if ints:
+        return dict(row), 1
+    return {
+        k: v * den if type(v) is int else v.numerator * (den // v.denominator)
+        for k, v in row.items()
+    }, den
+
+
+def _over(v, d: int):
+    """v / d for an int d > 0: an int where integral, else a Fraction, or a
+    Scalar or ParamPoly scaled by 1/d."""
+    return _div(v, d) if type(v) is int else _exact(v * Fraction(1, d))
+
+
+def _eliminate(r: dict, p: dict, c, e) -> int:
+    """Cancel the entry e, popped from r, at the pivot column c of p.
+
+    r becomes a r - b p: with p's pivot entry d an int other than 1 and e an
+    int, a = d/g and b = e/g for g = gcd(e, d); otherwise a = 1 and b = e/d
+    (b = e when p was divided by its pivot entry).  Returns a.
+    """
+    d = p[c]
+    if type(d) is not int or d == 1:
+        a, b = 1, e
+    elif type(e) is int:
+        g = gcd(e, d)
+        a, b = d // g, e // g
+        if a != 1:
+            for k in r:
+                r[k] *= a
+    else:
+        a, b = 1, _over(e, d)
+    for k, v in p.items():
+        if k == c:
+            continue
+        s = r.get(k, 0) - b * v
+        if s:
+            r[k] = s
+        else:
+            r.pop(k, None)
+    return a
+
+
+def _stored(row: dict, c) -> dict:
+    """The row as it is kept, pivot at c: primitive ints with a positive
+    pivot entry, or any other row divided by its pivot entry."""
+    x = row[c]
+    if x == 1:
+        return row
+    values = row.values()
+    if all(type(v) is int for v in values):
+        g = gcd(*values)
+        if x < 0:
+            g = -g
+        return row if g == 1 else {k: v // g for k, v in row.items()}
+    inv = _div(1, x)
+    return {k: _exact(v * inv) for k, v in row.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -817,7 +918,9 @@ def build_truncated(
     a permutation that maps the law to plus or minus itself maps the
     instance at fillers f to plus or minus the instance at f permuted, so
     of the tuples in one orbit only the least (by basis numbers) is
-    computed, and the span is the same.  Two numbers can name one form (a
+    computed, and the span is the same.  When a symmetry of sign -1 fixes
+    that tuple, the instance there equals its own negative, so it is zero
+    and is not computed either.  Two numbers can name one form (a
     basis monomial, and a pair monomial that rewrites to it alone), but phi
     reads only the forms, so either number gives the same row.  A law of
     arity 1 acts in degree 1 only, where its instances are substituted as
@@ -877,14 +980,18 @@ def build_truncated(
                     inst = s.substitute(fillers, gens)
                     reducers[md].insert({0: f for f in inst.values()})
                 continue
-            terms, _, steps, extra = _slot_plan(s)
+            terms, group, signs, steps, extra = _slot_plan(s)
+            odd = [p for p, sign in zip(group, signs) if sign < 0]
             for degs in _compositions(s.arity, d):
                 if any(degs[i] > degs[j] for i, j in steps):
                     continue  # numbers grow with degree: no tuple here is least
                 for leaves in itertools.product(*(numbers[k] for k in degs)):
-                    # one instance per orbit of the slot symmetries: the least
-                    if any(leaves[i] > leaves[j] for i, j in steps) or any(
-                        tuple(leaves[i] for i in p) < leaves for p in extra
+                    # one instance per orbit of the slot symmetries: the least,
+                    # unless a symmetry of sign -1 fixes it and it is zero
+                    if (
+                        any(leaves[i] > leaves[j] for i, j in steps)
+                        or any(tuple(leaves[i] for i in p) < leaves for p in extra)
+                        or any(tuple(leaves[i] for i in p) == leaves for p in odd)
                     ):
                         continue
                     md = tuple(map(sum, zip(*(mdeg_of[n] for n in leaves))))

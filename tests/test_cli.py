@@ -526,6 +526,20 @@ class TestInputErrors:
             code, _, _ = run(capsys, ["op2", "--variety", "lie", "--a", text])
             assert code == 0
 
+    def test_power_terms_are_bounded(self, capsys):
+        # a base of n terms to the power k may have C(n + k - 1, k) terms:
+        # unguarded, op2 took 3.3 s on (t1 + t2 + 1)^50 (1,326 terms)
+        for text in ("(t1 + t2 + 1)^50", "(t1 + t2 + 1)^31", "1/(t1 + t2 + 1)^-31"):
+            code, _, err = run(capsys, ["op2", "--variety", "lie", "--a", text])
+            assert code == 2
+            message = self.single_error(err)
+            assert "528" in message or "1326" in message
+            assert "MAX_POWER_TERMS = 500" in message
+        # 496 terms, and powers of one or two terms up to the exponent bound
+        for text in ("(t1 + t2 + 1)^30", "(t1 + 1)^100", "(t1/t2^2)^-50"):
+            code, _, _ = run(capsys, ["op2", "--variety", "lie", "--a", text])
+            assert code == 0
+
     DEEP = "(" * 600 + "1" + ")" * 600
 
     @pytest.mark.parametrize(

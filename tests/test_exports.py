@@ -3,19 +3,23 @@
 A name left in ``__all__`` after its definition moved or was deleted makes
 ``from veralg.<module> import *`` raise; this test finds it first.  The
 last tests keep the rewrite rows of a truncation private to variety.py,
-the exact values to one product by a constant and one pair of caches, and
-every text to one reader per kind, all on one tokenizer.
+the exact values to one product by a constant and one pair of caches,
+every text to one reader per kind, all on one tokenizer, and the rational
+rows of a build to ints inside the one row reducer.
 """
 
 import importlib
+import inspect
 import pkgutil
 import re
+from math import gcd
 from pathlib import Path
 
 import pytest
 
 import veralg
-from veralg.freealg import Element
+from veralg import variety
+from veralg.freealg import Element, GeneratorSet
 from veralg.scalars import ParamPoly, Scalar, _Exact
 
 # __main__ runs the command line when imported
@@ -65,3 +69,27 @@ def test_one_reader_per_kind_on_one_tokenizer():
     assert "_tokenize(" in text
     for scanner in ("import re", "_NAME_RE", "isspace", "_split_top_terms"):
         assert scanner not in text, scanner
+
+
+def test_build_rows_are_ints(monkeypatch):
+    # a build stores its rational rows as ints over one denominator each,
+    # in the one RowReducer, which takes no arguments; Jordan's pivots of 2
+    # would leave Fractions in rows divided by their pivots
+    denominators = set()
+    real = variety.RowReducer.insert
+
+    def insert(self, row):
+        out = real(self, row)
+        for c, r in self._rows.items():
+            # ints with no common factor, over a positive pivot entry
+            assert all(type(v) is int for v in r.values()), r
+            assert r[c] > 0 and gcd(*r.values()) == 1, r
+            denominators.add(r[c])
+        return out
+
+    monkeypatch.setattr(variety, "_BUILD_MEMO", {})
+    monkeypatch.setattr(variety.RowReducer, "insert", insert)
+    variety.build_truncated(variety.builtin_variety("jordan"), GeneratorSet.default(2), 6)
+    monkeypatch.undo()
+    assert 2 in denominators
+    assert not inspect.signature(variety.RowReducer).parameters

@@ -18,7 +18,9 @@ compared with the equation made monic, the field automorphism that reduced
 its image by a full gcd, and the kernel test that recomputed alpha(v) and
 its residue for every leaf, the two polynomial printers of Scalar and
 ParamPoly, the row reducer whose rational flag chose how to normalise a
-pivot, the build's identity instances that grafted each scheme term into a
+pivot (and ``_UnitPivotRowReducer``, the one after it, which divided every
+row by its pivot entry as it stored it, with Fractions where that left
+any), the build's identity instances that grafted each scheme term into a
 monomial before taking normal forms of its two children, and the gcd and
 cancellation that ran the primitive PRS on every pair of nonconstant
 arguments, and the spellings of a product by a constant that ``*``
@@ -32,9 +34,9 @@ texts as the readers on one tokenizer and read the same values.  The ``_fr_*``
 helpers and ``_FrScalar`` keep the Q(t) layer in which every coefficient
 was a Fraction; ``_FrScalar`` prints with the old printer.
 The old build and the rank oracle of the admissibility check run on the
-old row reducer; the rank oracle takes sigma from the two-normal-form
-step.  The rational tables of ``SymbolicEndomorphism`` on words are
-checked against the image-based ``Endomorphism.apply`` of
+old row reducer, and ``_old_phi_build`` on ``_UnitPivotRowReducer``; the
+rank oracle takes sigma from the two-normal-form step.  The rational
+tables of ``SymbolicEndomorphism`` on words are checked against the image-based ``Endomorphism.apply`` of
 ``endomorphism_oracle`` on the generic map, which expands every product in
 the free magma; that map also stands in for alpha in the old kernel test.
 ``TruncatedAlgebra.product_form`` is checked against the normal form of
@@ -699,7 +701,7 @@ def _old_phi_build(variety, gens, bound, multilinear=False):
                         acc[k] = v if s is None else s + v
             return {k: v for k, v in acc.items() if v}
 
-        reducers = {md: RowReducer() for md in mss}
+        reducers = {md: _UnitPivotRowReducer() for md in mss}
         for s in schemes:
             if s.arity > d or (s.arity == 1 and d > 1):
                 # a law of arity 1 kills degree 1, and with it every product
@@ -867,6 +869,74 @@ class _RationalFlagRowReducer:
         return True
 
 
+class _UnitPivotRowReducer:
+    """The row reducer that divided every row by its pivot entry as it
+    stored it: one pivot rule (``_div``, then ``_exact``) for ints,
+    Fractions and Scalars, and Fractions inside its rows wherever a pivot
+    was not 1.  Replaced by the fraction-free rows of ``RowReducer``.
+    """
+
+    __slots__ = ("pivots",)
+
+    def __init__(self):
+        self.pivots = {}  # pivot column -> row dict, row[pivot] == 1
+
+    def reduce(self, row: dict) -> dict:
+        r = dict(row)
+        out = {}
+        while r:
+            c = max(r)
+            p = self.pivots.get(c)
+            if p is None:
+                out[c] = _exact(r.pop(c))
+                continue
+            coef = r.pop(c)
+            for k, v in p.items():
+                if k == c:
+                    continue
+                s = r.get(k, 0) - coef * v
+                if not s:
+                    r.pop(k, None)
+                else:
+                    r[k] = s
+        return out
+
+    def insert(self, row: dict) -> bool:
+        r = self.reduce(row)
+        if not r:
+            return False
+        c = max(r)
+        x = r[c]
+        if x == 1:
+            new = r
+        else:
+            inv = _div(1, x)
+            new = {k: _exact(v * inv) for k, v in r.items()}
+        for pr in self.pivots.values():
+            coef = pr.get(c)
+            if coef is None:
+                continue
+            del pr[c]
+            for k, v in new.items():
+                if k == c:
+                    continue
+                s = pr.get(k, 0) - coef * v
+                if not s:
+                    pr.pop(k, None)
+                elif type(s) is Fraction and s.denominator == 1:
+                    pr[k] = s.numerator
+                else:
+                    pr[k] = s
+        self.pivots[c] = new
+        return True
+
+    def contains(self, row: dict) -> bool:
+        return not self.reduce(row)
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
 def _assert_exact_value(v):
     """An int when integral and a Fraction otherwise; a Scalar of such."""
     if isinstance(v, Scalar):
@@ -907,6 +977,51 @@ def test_row_reducer_matches_rational_flag_reducer(kind):
                 _assert_exact_value(v)
     assert pivots_not_one
 
+
+
+def _typed(row: dict) -> dict:
+    return {k: (type(v), v) for k, v in row.items()}
+
+
+@pytest.mark.parametrize("kind", ("int", "Fraction", "mixed"))
+def test_row_reducer_matches_unit_pivot_reducer(kind):
+    # fraction-free rows give the same inserts, pivots and residues, value
+    # types included; a mixed reducer takes rows of ints and rows with
+    # Scalars among ints, and an int row meets a Scalar row's pivot
+    rng = random.Random(f"unit-pivot-reducer/{kind}")
+
+    def draw_row(cols):
+        if kind == "int":
+            draw = lambda: rng.randrange(-6, 7)
+        elif kind == "Fraction":
+            draw = lambda: Fraction(rng.randrange(-6, 7), rng.randrange(1, 5))
+        elif rng.randrange(2):
+            draw = lambda: rng.randrange(-4, 5)
+        else:
+            draw = lambda: _rand_scalar(rng) if rng.randrange(3) else rng.randrange(-2, 3)
+        row = {c: draw() for c in range(cols) if rng.randrange(3)}
+        return {c: v for c, v in row.items() if v}
+
+    size = 5 if kind == "mixed" else 8
+    denominators = 0
+    for _ in range(40 if kind == "mixed" else 150):
+        cols = rng.randrange(2, size)
+        new, old = RowReducer(), _UnitPivotRowReducer()
+        for _ in range(rng.randrange(1, size)):
+            row = draw_row(cols)
+            assert new.insert(row) == old.insert(row)
+            assert {c: _typed(r) for c, r in new.pivots.items()} == {
+                c: _typed(r) for c, r in old.pivots.items()
+            }
+            denominators += any(
+                type(r[c]) is int and r[c] != 1 for c, r in new._rows.items()
+            )
+        probe = draw_row(cols)
+        assert _typed(new.reduce(probe)) == _typed(old.reduce(probe))
+        assert new.contains(probe) == old.contains(probe)
+        assert new.rank == old.rank
+    # rows over a denominator other than 1 were stored and eliminated
+    assert denominators
 
 def _assert_build_matches_old(variety, k, bound, multilinear=False):
     """The build has the old basis, and every old rewrite row.
@@ -1046,16 +1161,23 @@ def _old_instance_rows(schemes, d, fillers, mdeg_of, built, gens):
     return rows
 
 
-def _brute_symmetries(scheme):
-    """Every slot permutation p with scheme(y_p[0], y_p[1], ...) = +-scheme."""
+def _brute_signed_symmetries(scheme):
+    """(p, s) for every slot permutation p with
+    scheme(y_p[0], y_p[1], ...) = s scheme, s = 1 or -1."""
     slots = [scheme.ygens.generator(i) for i in range(scheme.arity)]
     own = scheme.substitute(slots, scheme.ygens)
     neg = {m: -c for m, c in own.items()}
-    return [
-        p
-        for p in itertools.permutations(range(scheme.arity))
-        if scheme.substitute([slots[i] for i in p], scheme.ygens) in (own, neg)
-    ]
+    out = []
+    for p in itertools.permutations(range(scheme.arity)):
+        moved = scheme.substitute([slots[i] for i in p], scheme.ygens)
+        if moved in (own, neg):
+            out.append((p, 1 if moved == own else -1))
+    return out
+
+
+def _brute_symmetries(scheme):
+    """Every slot permutation p with scheme(y_p[0], y_p[1], ...) = +-scheme."""
+    return [p for p, _ in _brute_signed_symmetries(scheme)]
 
 
 def _pair_phi(pairs, nf):
@@ -1076,9 +1198,11 @@ def _assert_instance_rows_match_old(monkeypatch, variety, k, bound, multilinear=
     grafted ones at the same fillers, which come in the build's order; a
     skipped tuple of fillers is not the least of its orbit (by the build's
     basis numbers), the least one is computed, and the grafted row of the
-    skipped one is plus or minus the grafted row of the least.  Returns the
-    algebra, the build's normal-form numbers (number -> form) and the count
-    of nonzero grafted rows.
+    skipped one is plus or minus the grafted row of the least.  An orbit
+    whose least tuple a symmetry of sign -1 fixes is not computed at all,
+    and its grafted rows are zero.  Returns the algebra, the build's
+    normal-form numbers (number -> form) and the count of nonzero grafted
+    rows.
     """
     gens = GeneratorSet.default(k)
     calls = []  # (terms, numbers of the fillers, instance on form numbers)
@@ -1125,7 +1249,7 @@ def _assert_instance_rows_match_old(monkeypatch, variety, k, bound, multilinear=
         assert key not in new, key
         new[key] = _pair_phi(inst.items(), form.__getitem__)
 
-    symmetries = {s: _brute_symmetries(s) for s in schemes}
+    symmetries = {s: _brute_signed_symmetries(s) for s in schemes}
     fillers = {d: alg.basis_of_degree(d) for d in range(1, bound)}
     mdeg_of = {m: m.multidegree for m in basis}
     nonzero = 0
@@ -1143,8 +1267,14 @@ def _assert_instance_rows_match_old(monkeypatch, variety, k, bound, multilinear=
             }
             nonzero += sum(1 for r in old.values() if r)
             for (s, combo), row in old.items():
-                orbit = {tuple(combo[i] for i in p) for p in symmetries[s]}
+                orbit = {tuple(combo[i] for i in p) for p, _ in symmetries[s]}
                 least = min(orbit, key=lambda t: [number[m] for m in t])
+                if any(
+                    sign < 0 and tuple(least[i] for i in p) == least
+                    for p, sign in symmetries[s]
+                ):
+                    assert (s, combo) not in new and not row, (md, s, combo)
+                    continue
                 assert (s, least) in new, (md, s, least)
                 if combo == least:
                     computed.setdefault(md, []).append((s, combo))
@@ -1220,6 +1350,8 @@ def test_slot_symmetries_are_a_group_that_fixes_the_scheme(scheme):
     group = slot_symmetries(scheme)
     assert group[0] == tuple(range(scheme.arity))
     assert list(group) == sorted(set(group)) == _brute_symmetries(scheme)
+    _, _, signs, *_ = variety_module._slot_plan(scheme)
+    assert list(zip(group, signs)) == _brute_signed_symmetries(scheme)
     assert {tuple(p[i] for i in q) for p in group for q in group} == set(group)
     # at random fillers of the free algebra, each permutation of the fillers
     # gives the instance times one sign
@@ -1265,6 +1397,28 @@ BASIS_SPECS = (  # the builds of the basis benchmark
 )
 
 
+@pytest.mark.parametrize(
+    "name,k,bound", BASIS_SPECS + (("jordan", 2, 7), ("powerassociative", 2, 6))
+)
+def test_build_matches_unit_pivot_reducer(monkeypatch, name, k, bound):
+    # the rewrite tables of fraction-free rows and of rows divided by their
+    # pivots are the same, value types included
+    def build(reducer):
+        monkeypatch.setattr(variety_module, "_BUILD_MEMO", {})
+        monkeypatch.setattr(variety_module, "RowReducer", reducer)
+        alg = build_truncated(builtin_variety(name), GeneratorSet.default(k), bound)
+        monkeypatch.undo()
+        return alg.all_basis(), {
+            m: tuple((b, type(v), v) for b, v in row) for m, row in alg.rewrite.items()
+        }
+
+    new = build(RowReducer)
+    assert new == build(_UnitPivotRowReducer)
+    types = {t for row in new[1].values() for _, t, _ in row}
+    # only Jordan's halves leave a value that is not an integer
+    assert types == ({int, Fraction} if name == "jordan" else {int} if new[1] else set())
+
+
 @pytest.mark.parametrize("name,k,bound", BASIS_SPECS)
 def test_each_instance_is_computed_once(monkeypatch, name, k, bound):
     # no built-in law has arity 1, so every row is inserted in a degree of
@@ -1291,8 +1445,16 @@ def test_each_instance_is_computed_once(monkeypatch, name, k, bound):
     monkeypatch.undo()
     assert len(instances) == len(inserts)
     assert len({(terms, leaves) for terms, leaves, _ in instances}) == len(instances)
-    # no instance repeats another, nor, of one law, its negative (a law
-    # that a swap of two slots negates vanishes where they are filled alike)
+    # a law that a symmetry of sign -1 maps to its negative vanishes at the
+    # fillers that symmetry fixes (two slots that a swap negates, filled
+    # alike): no such tuple is computed
+    odd = {}  # a scheme's terms -> its symmetries of sign -1
+    for s in builtin_variety(name).multilinear():
+        terms, group, signs, *_ = variety_module._slot_plan(s)
+        odd[terms] = [p for p, sign in zip(group, signs) if sign < 0]
+    for terms, leaves, _ in instances:
+        assert all(tuple(leaves[i] for i in p) != leaves for p in odd[terms]), leaves
+    # no instance repeats another, nor, of one law, its negative
     rows = [frozenset(out.items()) for _, _, out in instances]
     assert len(set(rows)) == len(rows)
     nonzero = [(terms, out) for terms, _, out in instances if any(out.values())]

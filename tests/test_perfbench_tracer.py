@@ -2,7 +2,9 @@
 
 ``perfbench/layers.py`` patches veralg functions and methods by name.  A
 rename or deletion in veralg would make ``Tracer().install()`` raise inside
-a benchmark run; this test makes it fail here instead.  A second test runs
+a benchmark run; this test makes it fail here instead, and it checks that
+a build's rows still pass through the ``RowReducer.insert`` it wraps.  A
+second test runs
 a falsifier and checks that the generic endomorphism's ``apply`` is counted,
 so that the method the tracer wraps stays on the live path.  Each runs in a
 child interpreter, because the tracer patches the veralg modules in place.
@@ -74,6 +76,8 @@ def test_tracer_installs_and_counts_check_op2():
     calls = _traced_calls(SCRIPT)
     assert calls["verbal.check_op2"] == 1
     assert calls["variety.build"] >= 1
+    # the build's rows go through the RowReducer.insert that the tracer wraps
+    assert calls["variety.insert"] >= 1
     assert calls["verbal.word_transform"] >= 1
     assert calls["variety.normal_form"] >= 1
 
