@@ -8,6 +8,11 @@ candidate space is checked to land inside T under alpha.  A candidate that
 always lands in T but is missing from the transformed ideal certifies that
 the two quotient algebras impose genuinely different closures.
 
+Each step of a job runs once: ``gen_constraints`` computes sigma(t), and
+the transformed ideal is spanned from it.  The span of an ideal is closed
+under products with basis monomials through
+``TruncatedAlgebra.product_form``, the one normal-form product.
+
 Everything is exact: coefficients are rational functions, and case splits
 track their assumptions.  A certificate records the verdict, the equations,
 the case tree and the witness, but not yet the names of the field's
@@ -51,7 +56,6 @@ __all__ = [
     "gen_constraints",
     "ideal_build",
     "kernel_contains",
-    "sf_image",
     "solve_cases",
 ]
 
@@ -64,7 +68,10 @@ def coordinates(alg: TruncatedAlgebra, el: Element) -> dict:
 
 
 class TruncatedIdeal:
-    """An ideal <generators> + (everything of degree >= tail)."""
+    """An ideal <generators> + (everything of degree >= tail).
+
+    ``generators`` are the listed elements in normal form, 0 included.
+    """
 
     __slots__ = ("alg", "field", "tail", "generators", "reducer")
 
@@ -96,8 +103,10 @@ class TruncatedIdeal:
 def ideal_build(alg, field, generators: Sequence[Element], tail: int) -> TruncatedIdeal:
     """Span the ideal generated by the elements plus all of degree >= tail.
 
-    The span is closed under one-sided multiplication by monomials; the
-    worklist only chases vectors that actually enlarge it.
+    The worklist holds normal forms, {basis monomial: Scalar}, and only
+    chases those that enlarge the span.  Each one is multiplied by every
+    basis monomial u on both sides through ``product_form``, less its terms
+    that would go above the bound with u.
     """
     if tail < 2:
         raise ValueError("tail must be at least 2")
@@ -109,30 +118,27 @@ def ideal_build(alg, field, generators: Sequence[Element], tail: int) -> Truncat
             reducer.insert({index[m]: one})
 
     normalized = []
-    pending = []
     for g in generators:
         if g.domain != field or g.gens != alg.gens:
             raise ValueError("generator context mismatch")
-        nf = alg.normal_form(g)
-        if nf.is_zero:
-            continue
-        normalized.append(nf)
-        pending.append(nf)
+        normalized.append(alg.normal_form(g))
+    pending = [nf.terms for nf in normalized if not nf.is_zero]
 
-    monomials = [
-        Element.from_monomial(alg.gens, field, m) for m in alg.all_basis()
-    ]
     while pending:
-        el = pending.pop()
-        if not reducer.insert({index[m]: c for m, c in el.terms.items()}):
+        p = pending.pop()
+        if not reducer.insert({index[m]: c for m, c in p.items()}):
             continue
-        low = min(m.degree for m in el.terms)
-        for u in monomials:
-            if low + u.max_degree() > alg.bound:
-                continue
-            for prod in (alg.multiply(el, u), alg.multiply(u, el)):
-                if not prod.is_zero:
-                    pending.append(prod)
+        # the basis runs by degree, so once no term of p fits, none will
+        for d, words in itertools.groupby(index, lambda m: m.degree):
+            low = {m: c for m, c in p.items() if m.degree + d <= alg.bound}
+            if not low:
+                break
+            for u in words:
+                unit = {u: 1}
+                for pair in ((low, unit), (unit, low)):
+                    prod = alg.product_form((pair,))
+                    if prod:
+                        pending.append(prod)
 
     return TruncatedIdeal(alg, field, tail, tuple(normalized), reducer)
 
@@ -141,6 +147,8 @@ def _single_homogeneous_generator(ideal: TruncatedIdeal) -> Element:
     if len(ideal.generators) != 1:
         raise PreconditionError("the ideal must have a single listed generator")
     t = ideal.generators[0]
+    if t.is_zero:
+        raise PreconditionError("the generator is 0 in this truncation")
     if t.homogeneous_degree() != ideal.tail - 1:
         raise PreconditionError(
             "the generator must be homogeneous of degree tail - 1"
@@ -148,24 +156,9 @@ def _single_homogeneous_generator(ideal: TruncatedIdeal) -> Element:
     return t
 
 
-def sf_image(alg, ideal: TruncatedIdeal, system: VerbalSystem, report=None) -> TruncatedIdeal:
-    """The ideal sigma(T) for T = <t> + tail, assuming the change is admissible.
-
-    For such T the underlying set is k*t plus the tail, so an invertible
-    degree-preserving sigma carries it to <sigma(t)> plus the same tail.
-    """
-    t = _single_homogeneous_generator(ideal)
-    if ideal.field != system.field:
-        raise PreconditionError("ideal and system fields differ")
-    _admissible(alg, system, report)
-    st = sigma_apply(alg, system, t)
-    return ideal_build(alg, system.field, (st,), ideal.tail)
-
-
-def _admissible(alg, system: VerbalSystem, report=None):
+def _admissible(alg, system: VerbalSystem):
     """The change's check_op2 report; PreconditionError unless admissible."""
-    if report is None:
-        report = check_op2(alg.variety, system, alg.gens, alg.bound)
+    report = check_op2(alg.variety, system, alg.gens, alg.bound)
     if not report.admissible:
         raise PreconditionError(
             "operation change is not admissible for this variety: "
@@ -201,7 +194,9 @@ def gen_constraints(alg, ideal: TruncatedIdeal, system: VerbalSystem) -> GenCons
 
     nf(alpha(sigma t)) is combined from the rational tables of alpha on the
     words of sigma t (``SymbolicEndomorphism.apply``); the map, with its
-    tables, stays in the result for the candidates of the same job.
+    tables, stays in the result for the candidates of the same job.  This
+    is the one place a job computes sigma(t): the falsifier spans sigma(T)
+    from ``sigma_generator``.
     """
     t = _single_homogeneous_generator(ideal)
     if ideal.field != system.field:
@@ -209,12 +204,11 @@ def gen_constraints(alg, ideal: TruncatedIdeal, system: VerbalSystem) -> GenCons
     st = sigma_apply(alg, system, t)
     alpha = SymbolicEndomorphism(alg, system.field, extra=("rho",))
     applied = alpha.apply(st)
-    target = alg.normal_form(t)
     rho = ParamPoly.variable(alpha.ctx, "rho")
     equations = []
     basis = alg.basis_of_degree(ideal.tail - 1)
     for b in basis:
-        eq = applied.coefficient(b) - rho * target.coefficient(b)
+        eq = applied.coefficient(b) - rho * t.coefficient(b)
         if not eq.is_zero:
             equations.append(eq)
     return GenConstraints(alpha, tuple(equations), basis, st)
@@ -543,12 +537,14 @@ def falsify_equation_ideal(
     "no_falsification" when no candidate separates, and
     "not_geometrically_equivalent" with a witness otherwise.
     """
-    report = check_op2(alg.variety, system, alg.gens, alg.bound)
     ideal = ideal_build(alg, system.field, (t,), tail)
-    image = sf_image(alg, ideal, system, report)
     cons = gen_constraints(alg, ideal, system)
-    hint_polys = tuple(parse_parampoly(h, cons.ctx) for h in hints)
-    tree = solve_cases(cons.equations, cons.ctx, hint_polys, max_depth)
+    report = _admissible(alg, system)
+    # the underlying set of T is k*t plus the tail, so an admissible sigma,
+    # invertible and degree-preserving, carries it to <sigma(t)> plus the
+    # same tail
+    image = ideal_build(alg, system.field, (cons.sigma_generator,), tail)
+    tree = solve_cases(cons.equations, cons.ctx, hints, max_depth)
 
     leaves = list(tree.leaves())
     solved = [l for l in leaves if l.status == "solved"]

@@ -314,13 +314,6 @@ class Element:
 
     __rmul__ = __mul__
 
-    def truncate(self, bound: int) -> "Element":
-        return Element(
-            self.gens,
-            self.domain,
-            {m: c for m, c in self.terms.items() if m.degree <= bound},
-        )
-
     # -- identity and text form
 
     def __eq__(self, other):

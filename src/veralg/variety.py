@@ -499,9 +499,6 @@ class RowReducer:
     def rank(self) -> int:
         return len(self._rows)
 
-    def equals(self, other: "RowReducer") -> bool:
-        return self.pivots == other.pivots
-
 
 def _cleared(row: dict) -> tuple:
     """(ints, den) with row = ints / den for a row of ints and Fractions;
@@ -715,11 +712,13 @@ class TruncatedAlgebra:
     def product_form(self, factors) -> dict:
         """The normal form of the sum of p q over the pairs (p, q) of factors.
 
-        p and q are normal forms, {basis monomial: rational}, whose degrees
-        add up to at most the bound, and so is the result, with zero values
-        dropped and integral ones ints.  The product of two basis monomials
-        is a pair monomial, so its normal form is itself or its rewrite row.
-        The sum is formed first and made exact once.
+        p and q are normal forms, {basis monomial: value}, whose degrees add
+        up to at most the bound, and so is the result, with zero values
+        dropped and integral ones ints.  The values are rational (sigma's
+        parts, the alpha tables) or Scalars (the span of an ideal).  The
+        product of two basis monomials is a pair monomial, so its normal
+        form is itself or its rewrite row.  The sum is formed first and made
+        exact once.
         """
         pair = self.gens.pair
         acc = {}
@@ -729,15 +728,17 @@ class TruncatedAlgebra:
                     c = x * y
                     w = pair(u, v)
                     rw = self.rewrite.get(w)
+                    # a sum starts at its first term, not at 0, so that a
+                    # Scalar is not coerced from 0 once per monomial
                     if rw is None:
-                        acc[w] = acc.get(w, 0) + c
+                        s = acc.get(w)
+                        acc[w] = c if s is None else s + c
                     else:
                         for b, f in rw:
-                            acc[b] = acc.get(b, 0) + c * f
+                            s = acc.get(b)
+                            t = c * f
+                            acc[b] = t if s is None else s + t
         return {b: _exact(c) for b, c in acc.items() if c}
-
-    def multiply(self, u: Element, v: Element) -> Element:
-        return self.normal_form((u * v).truncate(self.bound))
 
     def failing_tuple(self, law: Element) -> Optional[tuple]:
         """The first tuple of basis monomials at which a multilinear law fails.

@@ -73,10 +73,6 @@ class VerbalSystem:
             parse_scalar(b, field),
         )
 
-    def product(self, u: Element, v: Element) -> Element:
-        """The derived product a(uv) + b(vu) in the free algebra."""
-        return u * v * self.a + v * u * self.b
-
     def encode(self) -> dict:
         return {"phi": self.phi.encode(), "a": self.a.encode(), "b": self.b.encode()}
 

@@ -4,9 +4,13 @@
 product in the free magma; ``generic_linear`` gives the generic linear map
 with ParamPoly coefficients, the independent check on the rational tables
 of ``veralg.freealg.SymbolicEndomorphism``.  ``closure_sampled`` computes
-the subspace that a finite set of such maps keeps inside an ideal.  None
-of this is on the falsifiers' path.  The file name does not start with
-``test_``, so pytest imports it only as a helper.
+the subspace that a finite set of such maps keeps inside an ideal.
+``truncate``, ``product`` and ``truncated_product`` are the free-algebra
+steps they are made of: an element cut at a degree bound, the derived
+product a(uv) + b(vu) of an operation change, and the normal form of the
+truncated free product.  None of this is on the falsifiers' path.  The
+file name does not start with ``test_``, so pytest imports it only as a
+helper.
 """
 
 from typing import Mapping, Optional, Sequence
@@ -15,6 +19,25 @@ from veralg.closure import PreconditionError, TruncatedIdeal, coordinates
 from veralg.freealg import ContextMismatch, Element, GeneratorSet, Monomial
 from veralg.scalars import FieldSpec, ParamContext, ParamPoly, Scalar
 from veralg.variety import RowReducer
+
+
+def truncate(el: Element, bound: int) -> Element:
+    """The terms of the element of degree at most the bound."""
+    return Element(
+        el.gens,
+        el.domain,
+        {m: c for m, c in el.terms.items() if m.degree <= bound},
+    )
+
+
+def product(system, u: Element, v: Element) -> Element:
+    """The derived product a(uv) + b(vu) of the system in the free algebra."""
+    return u * v * system.a + v * u * system.b
+
+
+def truncated_product(alg, u: Element, v: Element) -> Element:
+    """The normal form of the free product u v, cut at the algebra's bound."""
+    return alg.normal_form(truncate(u * v, alg.bound))
 
 
 def span_elements(ideal: TruncatedIdeal) -> tuple:
@@ -94,11 +117,11 @@ class Endomorphism:
             if m.is_leaf:
                 out = self.images[m.index]
                 if bound is not None:
-                    out = out.truncate(bound)
+                    out = truncate(out, bound)
             else:
                 out = self.image_of(m.left, bound) * self.image_of(m.right, bound)
                 if bound is not None:
-                    out = out.truncate(bound)
+                    out = truncate(out, bound)
             self._memo[key] = out
         return out
 

@@ -487,6 +487,22 @@ class TestInputErrors:
         assert out == ""
         assert "not admissible" in self.single_error(err)
 
+    @pytest.mark.parametrize(
+        "changes",
+        (
+            {"generator": "t1 * (x1 (x1 x2))", "tail": 4},
+            {"variety": "anticommutative", "generator": "(x1 x1)"},
+        ),
+        ids=("above-the-bound", "killed-by-the-laws"),
+    )
+    def test_generator_that_is_zero_in_the_truncation(self, capsys, tmp_path, changes):
+        # one generator is listed, but its normal form is 0
+        path = self.job_file(tmp_path, "aut_1_3_4", **changes)
+        code, out, err = run(capsys, ["falsify", "--spec", path])
+        assert code == 2
+        assert out == ""
+        assert "the generator is 0 in this truncation" in self.single_error(err)
+
     @pytest.mark.parametrize("command", ("op2", "inner"))
     def test_swap_needs_two_transcendentals(self, capsys, command):
         argv = [command, "--variety", "lie", "--field", "t1", "--phi", "swap"]

@@ -4,8 +4,9 @@ A name left in ``__all__`` after its definition moved or was deleted makes
 ``from veralg.<module> import *`` raise; this test finds it first.  The
 last tests keep the rewrite rows of a truncation private to variety.py,
 the exact values to one product by a constant and one pair of caches,
-every text to one reader per kind, all on one tokenizer, and the rational
-rows of a build to ints inside the one row reducer.
+every text to one reader per kind, all on one tokenizer, the rational
+rows of a build to ints inside the one row reducer, sigma(t) to one
+computation per falsify job, and products in an ideal to ``product_form``.
 """
 
 import importlib
@@ -18,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import veralg
-from veralg import variety
+from veralg import cases, closure, variety, verbal
 from veralg.freealg import Element, GeneratorSet
 from veralg.scalars import ParamPoly, Scalar, _Exact
 
@@ -93,3 +94,40 @@ def test_build_rows_are_ints(monkeypatch):
     monkeypatch.undo()
     assert 2 in denominators
     assert not inspect.signature(variety.RowReducer).parameters
+
+
+@pytest.mark.parametrize(
+    "name,changes",
+    (("aut_6", {}), ("aut_1_3_4", {"bound": 3})),
+    ids=("aut_6", "tail-inside-the-bound"),
+)
+def test_a_falsify_job_computes_sigma_once(monkeypatch, name, changes):
+    # gen_constraints computes sigma(t), and sigma(T) is spanned from it
+    real = verbal.sigma_apply
+    images = []
+
+    def counted(*args):
+        images.append(real(*args))
+        return images[-1]
+
+    for module in MODULES:
+        mod = importlib.import_module(module)
+        if getattr(mod, "sigma_apply", None) is real:
+            monkeypatch.setattr(mod, "sigma_apply", counted)
+    job = dict(cases.load_job(name), **changes)
+    cert = cases.falsify_job(job)
+    assert [cert.details["sigma_generator"]] == [e.encode() for e in images]
+
+
+def test_one_product_path_in_an_ideal():
+    # the ideal closure multiplies through product_form, and the names that
+    # only the second product path used are gone
+    assert not hasattr(closure, "sf_image")
+    for cls, name in (
+        (variety.TruncatedAlgebra, "multiply"),
+        (variety.RowReducer, "equals"),
+        (verbal.VerbalSystem, "product"),
+        (Element, "truncate"),
+    ):
+        assert not hasattr(cls, name), (cls, name)
+    assert list(inspect.signature(closure._admissible).parameters) == ["alg", "system"]

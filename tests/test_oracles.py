@@ -40,7 +40,10 @@ tables of ``SymbolicEndomorphism`` on words are checked against the image-based 
 ``endomorphism_oracle`` on the generic map, which expands every product in
 the free magma; that map also stands in for alpha in the old kernel test.
 ``TruncatedAlgebra.product_form`` is checked against the normal form of
-the ``Element`` product of the same normal forms.
+the ``Element`` product of the same normal forms.  ``_old_ideal_build``
+is the ideal closure that multiplied ``Element``s through
+``TruncatedAlgebra.multiply`` (``_old_multiply``), before it multiplied
+normal forms through ``product_form``.
 The current code must agree with them exactly.  The one exception is the
 build under ``CUSTOM_LAWS[0]`` on one generator up to degree 8: the old
 basis there has monomials with a rewritten child, which are not products
@@ -66,6 +69,7 @@ from veralg import variety as variety_module
 from veralg.cases import OP2_GRID
 from veralg.closure import (
     Branch,
+    TruncatedIdeal,
     _is_lone_monic,
     _is_variable,
     coordinates,
@@ -136,7 +140,7 @@ from veralg.variety import (
 )
 from veralg.verbal import VerbalSystem, check_op2, word_transform
 
-from endomorphism_oracle import Endomorphism, evaluate
+from endomorphism_oracle import Endomorphism, evaluate, product, truncate
 from test_closure import SLOW_JOBS
 from test_variety import check_identity, rewrite_rows
 
@@ -264,8 +268,8 @@ def _old_word_transform(alg, system, m, memo):
     else:
         left = _old_word_transform(alg, system, m.left, memo)
         right = _old_word_transform(alg, system, m.right, memo)
-        lr = alg.normal_form((left * right).truncate(alg.bound))
-        rl = alg.normal_form((right * left).truncate(alg.bound))
+        lr = alg.normal_form(truncate(left * right, alg.bound))
+        rl = alg.normal_form(truncate(right * left, alg.bound))
         out = lr * system.a + rl * system.b
     memo[m] = out
     return out
@@ -277,7 +281,7 @@ def _derived_eval(alg, system, m: Monomial, images: Sequence[Element]) -> Elemen
         return images[m.index]
     left = _derived_eval(alg, system, m.left, images)
     right = _derived_eval(alg, system, m.right, images)
-    return alg.normal_form(system.product(left, right).truncate(alg.bound))
+    return alg.normal_form(truncate(product(system, left, right), alg.bound))
 
 
 def _old_identity_failures(variety, system, gens, bound):
@@ -3193,3 +3197,108 @@ def test_readers_match_old_on_seeded_texts():
         text = _fragment_text(rng) if k % 2 else _near_element_text(rng)
         accepted += _assert_same_reading(text, G, F)
     assert 1_000 < accepted < 11_000, accepted
+
+
+# The ideal closure that multiplied Elements: ``_old_multiply`` was
+# TruncatedAlgebra.multiply, the normal form of the truncated free product,
+# with ``truncate`` for the Element.truncate it called, and
+# ``_old_ideal_build`` calls it where it called ``alg.multiply``.  Every
+# repro and sweep job has one generator of degree tail - 1 = bound, which
+# no product keeps within the bound, so the ideals here have several
+# generators, in more than one degree below the tail, and tail <= bound + 1.
+
+
+def _old_multiply(alg, u: Element, v: Element) -> Element:
+    return alg.normal_form(truncate(u * v, alg.bound))
+
+
+def _old_ideal_build(alg, field, generators: Sequence[Element], tail: int) -> TruncatedIdeal:
+    """Span the ideal generated by the elements plus all of degree >= tail.
+
+    The span is closed under one-sided multiplication by monomials; the
+    worklist only chases vectors that actually enlarge it.
+    """
+    if tail < 2:
+        raise ValueError("tail must be at least 2")
+    index = alg.basis_index()
+    one = Scalar.one(field)
+    reducer = RowReducer()
+    for d in range(tail, alg.bound + 1):
+        for m in alg.basis_of_degree(d):
+            reducer.insert({index[m]: one})
+
+    normalized = []
+    pending = []
+    for g in generators:
+        if g.domain != field or g.gens != alg.gens:
+            raise ValueError("generator context mismatch")
+        nf = alg.normal_form(g)
+        if nf.is_zero:
+            continue
+        normalized.append(nf)
+        pending.append(nf)
+
+    monomials = [
+        Element.from_monomial(alg.gens, field, m) for m in alg.all_basis()
+    ]
+    while pending:
+        el = pending.pop()
+        if not reducer.insert({index[m]: c for m, c in el.terms.items()}):
+            continue
+        low = min(m.degree for m in el.terms)
+        for u in monomials:
+            if low + u.max_degree() > alg.bound:
+                continue
+            for prod in (_old_multiply(alg, el, u), _old_multiply(alg, u, el)):
+                if not prod.is_zero:
+                    pending.append(prod)
+
+    return TruncatedIdeal(alg, field, tail, tuple(normalized), reducer)
+
+
+def _rand_generator(rng, alg, degrees):
+    """Up to three basis monomials of the given degrees, Q(t) coefficients."""
+    pool = [m for d in degrees for m in alg.basis_of_degree(d)]
+    return Element(
+        alg.gens, F, {rng.choice(pool): _rand_scalar(rng) for _ in range(rng.randrange(1, 4))}
+    )
+
+
+@pytest.mark.parametrize("bound", (3, 4))
+@pytest.mark.parametrize("name", builtin_variety_names())
+def test_ideal_closure_matches_old(name, bound):
+    rng = random.Random(f"ideal_closure/{name}/{bound}")
+    alg = build_truncated(builtin_variety(name), G, bound)
+    basis = alg.all_basis()
+    multiplied = 0
+    # tail = bound + 1 as well: there a product that lands on the bound
+    # counts, as it is not in the tail
+    for tail in list(range(2, bound + 2)) * 2:
+        # one to three generators below the tail, some in two degrees
+        gens = [
+            _rand_generator(rng, alg, rng.sample(range(1, tail), min(2, tail - 1)))
+            for _ in range(rng.randrange(1, 4))
+        ]
+        new = ideal_build(alg, F, gens, tail)
+        old = _old_ideal_build(alg, F, gens, tail)
+        assert new.reducer.pivots == old.reducer.pivots, (name, tail)
+        assert new.rank == old.rank
+        listed = _old_ideal_build(alg, F, (), tail).reducer
+        for g in gens:
+            listed.insert(coordinates(alg, g))
+        multiplied += new.rank > listed.rank
+        rows = list(new.reducer.pivots.values())
+        for _ in range(6):
+            # a combination of span rows, nudged off the span half the time
+            coords = {}
+            for row in rng.sample(rows, min(2, len(rows))):
+                c = _rand_scalar(rng)
+                for k, v in row.items():
+                    coords[k] = coords.get(k, 0) + c * v
+            if rng.random() < 0.5:
+                k = rng.randrange(len(basis))
+                coords[k] = coords.get(k, 0) + _rand_scalar(rng)
+            el = Element(G, F, {basis[k]: v for k, v in coords.items()})
+            assert new.contains(el) == old.contains(el)
+    # the products of generators with monomials grew the span somewhere
+    assert multiplied, name

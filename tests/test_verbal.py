@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from endomorphism_oracle import product
 from veralg.cases import OP2_GRID
 from veralg.freealg import (
     Element,
@@ -68,7 +69,7 @@ class TestVerbalSystem:
         w = _sys(Q, "id", "2", "3")
         u = Element.generator(G2, Q, "x1")
         v = Element.generator(G2, Q, "x2")
-        assert w.product(u, v).encode() == "2 * (x1 x2) + 3 * (x2 x1)"
+        assert product(w, u, v).encode() == "2 * (x1 x2) + 3 * (x2 x1)"
 
 
 class TestWordTransform:
