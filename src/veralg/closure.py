@@ -31,7 +31,6 @@ from .scalars import (
     ParamContext,
     ParamPoly,
     Scalar,
-    check_elimination_order,
     check_next_substitution,
     factor_for_branching,
     parse_parampoly,
@@ -234,7 +233,11 @@ class Branch:
     hold on the case but do not isolate any unknown).
     Children share their parent's substitutions and hypotheses, and a
     polynomial keeps its text once encoded, so ``as_dict`` computes the
-    text of each shared polynomial once.
+    text of each shared polynomial once.  A child's chain holds the very
+    pair objects of its parent's, so ``kernel_contains`` can tell a shared
+    prefix by identity and reduce by it once for all the leaves below it.
+    Only the work depends on that sharing: a leaf whose pairs are equal but
+    not the same objects is reduced by its own chain, with the same result.
     """
 
     substitutions: tuple
@@ -325,7 +328,10 @@ def solve_cases(
     inherits are already reduced by its parent's chain, so the node applies
     only the pair it adds: one ``ParamPoly.substitute`` pass each, which is
     the last step of ``substitute_in_order`` on the whole chain, so the
-    result is the same.  Each distinct equation is factored once per tree.
+    result is the same.  A node's distinct residuals are collected in a
+    dict keyed by the polynomial, which keeps the first occurrence of each
+    in order, so finding them costs one hash per residual.  Each distinct
+    equation is factored once per tree.
     """
 
     hints = tuple(
@@ -354,7 +360,7 @@ def solve_cases(
                 )
             reduced_nv.append(r)
 
-        work = []
+        work = {}  # the distinct residuals, first occurrences in order
         for eq in eqs:
             r = eq.substitute(pair) if pair else eq
             if r.is_zero:
@@ -364,8 +370,8 @@ def solve_cases(
                     subs, nonvan, (r,), "contradiction",
                     f"constant residual {r.encode()}", ()
                 )
-            if all(r != w for w in work):
-                work.append(r)
+            work.setdefault(r)
+        work = list(work)
 
         hit = _try_eliminate(work, ctx)
         if hit is not None:
@@ -460,11 +466,22 @@ def kernel_contains(
     are computed once, and not at all when there are no leaves.  alpha(el)
     is combined from the rational tables of alpha on el's words, kept in
     ``constraints.alpha``, so a word met by ``gen_constraints`` or an
-    earlier candidate is not expanded again.  Each leaf then reduces every coordinate of the residue as
+    earlier candidate is not expanded again.
+
+    Each leaf reduces every coordinate of the residue as
     ``parampoly_reduce`` does, by its substitutions and then modulo its
-    rules; the leaf's elimination order is checked once and its rules are
-    substituted once, not once per coordinate.  The first leaf that leaves
-    a nonzero coordinate decides, and later leaves are not tried.
+    rules, but the leaves walk their chains together.  The walk keeps each
+    coordinate reduced by each prefix of the current chain, once asked
+    for; the next leaf reuses the longest prefix whose pairs are the same
+    objects as its own, as the leaves of one ``solve_cases`` tree share
+    their parents' pairs.  Each pair after that prefix is checked once
+    (``check_next_substitution``) and applied to a coordinate by one
+    ``ParamPoly.substitute``, and a zero coordinate stays zero, so a pair
+    shared by many leaves is checked and applied once per call.  A leaf's
+    rules are still reduced by its whole chain (``substitute_in_order``),
+    once per leaf, since a caller may pass rules that the chain has not
+    reduced.  Coordinates are reduced one at a time: the first nonzero one
+    decides, and later coordinates and leaves are not reduced.
     """
     if not leaves:
         return True
@@ -472,17 +489,34 @@ def kernel_contains(
     index = alg.basis_index()
     residue = ideal.residue({index[m]: c for m, c in applied.terms.items()})
     coords = list(residue.values())
+    chain = []  # the pairs of the chain walked last
+    # levels[i][j]: coordinate j reduced by chain[:i], None until asked for
+    levels = [coords]
     for leaf in leaves:
-        subs = dict(leaf.substitutions)
-        check_elimination_order(subs)
+        subs = leaf.substitutions
+        k = 0
+        while k < min(len(chain), len(subs)) and subs[k] is chain[k]:
+            k += 1
+        del chain[k:], levels[k + 1:]
+        for step in subs[k:]:
+            name, image = step
+            check_next_substitution([n for n, _ in chain], name, image)
+            chain.append(step)
+            levels.append([None] * len(coords))
         rules = [
-            v for v in (substitute_in_order(v, subs) for v in leaf.residuals) if v
+            v for v in (substitute_in_order(v, dict(subs)) for v in leaf.residuals) if v
         ]
-        for q in coords:
-            r = substitute_in_order(q, subs)
-            if r and rules:
-                r = r.reduce_by(rules)
-            if r:
+        for j in range(len(coords)):
+            i = len(chain)
+            while levels[i][j] is None:
+                i -= 1
+            r = levels[i][j]
+            for name, image in chain[i:]:
+                if r:
+                    r = r.substitute({name: image})
+                i += 1
+                levels[i][j] = r
+            if r and (not rules or r.reduce_by(rules)):
                 return False
     return True
 

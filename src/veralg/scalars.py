@@ -11,7 +11,7 @@ case solver is built from.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Mapping, Optional, Sequence
@@ -337,9 +337,26 @@ def _check_names(names, what: str) -> None:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """The rational-function field Q(names[0], ..., names[-1])."""
+    """The rational-function field Q(names[0], ..., names[-1]).
+
+    A field memoises two things for as long as it lives, each keyed by
+    value: ``_products``, the product of two non-rational scalars
+    (``Scalar.__mul__``), and ``_texts``, the text of a scalar or of a
+    polynomial over the field (``_Exact.encode``).  A falsify job makes one
+    field, so its memos die with the job; their values refer back to the
+    field, and the cyclic collector frees them.  The memos are not
+    constructor arguments and take no part in ``==``, hashing or ``repr``.
+    A memoised product is shared by every caller, which is safe because no
+    code writes into a scalar's ``num`` or ``den``.
+    """
 
     names: tuple = ()
+    _products: dict = field(
+        default_factory=dict, init=False, compare=False, hash=False, repr=False
+    )
+    _texts: dict = field(
+        default_factory=dict, init=False, compare=False, hash=False, repr=False
+    )
 
     def __post_init__(self):
         _check_names(self.names, "transcendental")
@@ -364,11 +381,14 @@ class FieldSpec:
 class _Exact:
     """The operators and caches Scalar and ParamPoly share, written once for both.
 
-    A subclass gives ``_key()``, the tuple its hash is taken of, and
-    ``_format()``, its text.  The value never changes, so ``_hash`` and
-    ``_text`` keep both once computed; each ``__init__`` sets them to None.  A
-    subclass that defines ``__eq__`` must bind ``__hash__ = _Exact.__hash__``,
-    as Python sets ``__hash__`` to None on such a class.
+    A subclass gives ``_key()``, the tuple its hash is taken of,
+    ``_format()``, its text, and ``_field()``, the field it lives over.  The
+    value never changes, so ``_hash`` and ``_text`` keep both once computed;
+    each ``__init__`` sets them to None.  Equal values built apart share
+    their text through the field's ``_texts`` memo, so each distinct value
+    is formatted once per field.  A subclass that defines ``__eq__`` must
+    bind ``__hash__ = _Exact.__hash__``, as Python sets ``__hash__`` to None
+    on such a class.
     """
 
     __slots__ = ("_hash", "_text")
@@ -386,7 +406,10 @@ class _Exact:
     def encode(self) -> str:
         text = self._text
         if text is None:
-            text = self._format()
+            texts = self._field()._texts
+            text = texts.get(self)
+            if text is None:
+                text = texts[self] = self._format()
             object.__setattr__(self, "_text", text)
         return text
 
@@ -414,11 +437,9 @@ class Scalar(_Exact):
 
     The denominator is monic in graded-lex order, which pins the
     representation uniquely; two scalars are equal iff their parts match.
-    Besides its own text, a scalar keeps the text of its negation once a
-    polynomial printer has asked for it (``_negated_text``).
     """
 
-    __slots__ = ("field", "num", "den", "_neg_text")
+    __slots__ = ("field", "num", "den")
 
     def __init__(self, field: FieldSpec, num, den=None, _canonical=False):
         m = field.size
@@ -436,7 +457,6 @@ class Scalar(_Exact):
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_text", None)
-        object.__setattr__(self, "_neg_text", None)
 
     # -- constructors
 
@@ -522,12 +542,17 @@ class Scalar(_Exact):
         f = self.as_fraction()
         if f is not None:
             return o._scaled(f)
-        # each factor is in lowest terms, so only a numerator and the other
-        # factor's denominator can share a factor
-        n1, d2 = _cancel(self.num, o.den)
-        n2, d1 = _cancel(o.num, self.den)
-        num, den = _monic_den(_p_mul(n1, n2), _p_mul(d1, d2))
-        return Scalar(self.field, num, den, _canonical=True)
+        memo = self.field._products
+        key = (self, o)
+        out = memo.get(key)
+        if out is None:
+            # each factor is in lowest terms, so only a numerator and the
+            # other factor's denominator can share a factor
+            n1, d2 = _cancel(self.num, o.den)
+            n2, d1 = _cancel(o.num, self.den)
+            num, den = _monic_den(_p_mul(n1, n2), _p_mul(d1, d2))
+            out = memo[key] = Scalar(self.field, num, den, _canonical=True)
+        return out
 
     __rmul__ = __mul__
 
@@ -586,6 +611,9 @@ class Scalar(_Exact):
     def _key(self):
         return self.field, frozenset(self.num.items()), frozenset(self.den.items())
 
+    def _field(self):
+        return self.field
+
     # -- text form
 
     def _format(self) -> str:
@@ -601,14 +629,6 @@ class Scalar(_Exact):
         if not _ATOM_RE.fullmatch(ds):
             ds = f"({ds})"
         return f"{ns}/{ds}"
-
-    def _negated_text(self) -> str:
-        """The text of -self, formatted once per scalar."""
-        text = self._neg_text
-        if text is None:
-            text = (-self).encode()
-            object.__setattr__(self, "_neg_text", text)
-        return text
 
     def _int_normalized(self):
         coeffs = list(self.num.values()) + list(self.den.values())
@@ -976,6 +996,9 @@ class ParamPoly(_Exact):
     def _key(self):
         return self.ctx, frozenset(self.terms.items())
 
+    def _field(self):
+        return self.ctx.field
+
     # -- text form
 
     def _format(self) -> str:
@@ -986,7 +1009,7 @@ def _signed_coeff(c: Scalar):
     """Split a scalar into (is_negative, printable absolute value)."""
     _, lc = _p_lead(c.num)
     if lc < 0:
-        return True, c._negated_text()
+        return True, (-c).encode()
     return False, c.encode()
 
 
@@ -1053,12 +1076,11 @@ def parampoly_reduce(
     substituted (``substitute_in_order``), and p is divided by the nonzero
     results (``ParamPoly.reduce_by``).  The result contains no term
     divisible by the leading monomial of any (substituted) vanishing
-    polynomial; applying the same reduction again is the identity.  A
-    caller that reduces many polynomials by one chain can check it once
-    and call the two steps itself, as ``kernel_contains`` does.
-    ``solve_cases`` grows its chains one pair at a time: it checks each
-    new pair alone and substitutes only that pair into polynomials that
-    the rest of the chain has already reduced, with the same result.
+    polynomial; applying the same reduction again is the identity.
+    ``solve_cases`` and ``kernel_contains`` grow their chains one pair at a
+    time: they check each new pair alone (``check_next_substitution``) and
+    substitute only that pair into polynomials that the rest of the chain
+    has already reduced, with the same result.
     """
     substitutions = substitutions or {}
     check_elimination_order(substitutions)

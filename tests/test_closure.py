@@ -42,7 +42,7 @@ from veralg.scalars import (
     ParamContext,
     ParamPoly,
     Scalar,
-    check_elimination_order,
+    check_next_substitution,
     factor_for_branching,
     parse_parampoly,
     parse_scalar,
@@ -262,7 +262,9 @@ class TestTwoDimLinearRun:
         assert not kernel_contains(alg, ideal, cons, solved, bad)
         assert kernel_contains(alg, ideal, cons, [], bad)
 
-    def test_kernel_checks_and_substitutes_rules_once_per_leaf(self, monkeypatch):
+    def test_kernel_substitutes_rules_per_leaf_and_pairs_per_candidate(
+        self, monkeypatch
+    ):
         alg, ideal, cons = self._constraints()
         tree = solve_cases(cons.equations, cons.ctx)
         # a rule on every leaf; the good candidate's residue vanishes
@@ -274,24 +276,50 @@ class TestTwoDimLinearRun:
             if l.status == "solved"
         ]
         good = alg.normal_form(parse_element("(x1 x2)", G, F))
-        checked, substituted = [], []
+        checked, substituted, applied = [], [], []
+        in_chain = []
+        real_substitute = ParamPoly.substitute
 
-        def check(subs):
-            checked.append(subs)
-            return check_elimination_order(subs)
+        def check(earlier, name, image):
+            checked.append((name, id(image)))
+            return check_next_substitution(earlier, name, image)
 
-        def substitute(p, subs):
+        def substitute_chain(p, subs):
             substituted.append(p)
-            return substitute_in_order(p, subs)
+            in_chain.append(True)
+            try:
+                return substitute_in_order(p, subs)
+            finally:
+                in_chain.pop()
 
-        monkeypatch.setattr(closure, "check_elimination_order", check)
-        monkeypatch.setattr(closure, "substitute_in_order", substitute)
+        def substitute(p, mapping):
+            if not in_chain:
+                [(name, image)] = mapping.items()
+                applied.append((name, id(image)))
+            return real_substitute(p, mapping)
+
+        monkeypatch.setattr(closure, "check_next_substitution", check)
+        monkeypatch.setattr(closure, "substitute_in_order", substitute_chain)
+        monkeypatch.setattr(ParamPoly, "substitute", substitute)
         assert kernel_contains(alg, ideal, cons, solved, good)
-        assert [dict(l.substitutions) for l in solved] == checked
+        monkeypatch.undo()
+        # the rules are substituted by the chain once per leaf
         assert sum(p is rule for p in substituted) == len(solved)
-        # the other calls substitute each coordinate of the residue once a leaf
-        coords, rest = divmod(len(substituted) - len(solved), len(solved))
-        assert rest == 0 and coords > 1
+        # a pair is one object however many leaves share it; each is
+        # checked once
+        uses = {}
+        for l in solved:
+            for name, image in l.substitutions:
+                key = (name, id(image))
+                uses[key] = uses.get(key, 0) + 1
+        assert any(n > 1 for n in uses.values())
+        assert sorted(checked) == sorted(uses)
+        # and applied once per coordinate at most, not once per leaf
+        coords = len(ideal.residue(coordinates(alg, cons.alpha.apply(good))))
+        assert set(applied) <= set(uses)
+        assert all(applied.count(key) <= coords for key in uses)
+        per_leaf = sum(n * coords for n in uses.values())
+        assert 0 < len(applied) < per_leaf
 
     def test_certificate(self):
         alg = _alg("alllinear", 2)

@@ -43,7 +43,9 @@ the free magma; that map also stands in for alpha in the old kernel test.
 the ``Element`` product of the same normal forms.  ``_old_ideal_build``
 is the ideal closure that multiplied ``Element``s through
 ``TruncatedAlgebra.multiply`` (``_old_multiply``), before it multiplied
-normal forms through ``product_form``.
+normal forms through ``product_form``.  ``_flat_kernel_contains`` is the
+kernel test that reduced every leaf by its whole chain, before the leaves
+walked their chains together.
 The current code must agree with them exactly.  The one exception is the
 build under ``CUSTOM_LAWS[0]`` on one generator up to degree 8: the old
 basis there has monomials with a rewritten child, which are not products
@@ -51,6 +53,7 @@ of basis monomials, so the pair-space build picks another basis of the
 same algebra.
 """
 
+import dataclasses
 import importlib.util
 import itertools
 import operator
@@ -75,6 +78,7 @@ from veralg.closure import (
     coordinates,
     gen_constraints,
     ideal_build,
+    kernel_contains,
     solve_cases,
 )
 from veralg.freealg import (
@@ -115,6 +119,7 @@ from veralg.scalars import (
     _signed_int,
     _split_last,
     _uni_prem,
+    check_elimination_order,
     check_next_substitution,
     factor_for_branching,
     parampoly_reduce,
@@ -2254,6 +2259,17 @@ def test_certificate_scalars_are_never_floats(name, monkeypatch):
 
 
 @lru_cache(maxsize=1)
+def _sweep_jobs_module():
+    """perfbench/sweep_jobs.py, the seeded job generator of the benchmark."""
+    spec = importlib.util.spec_from_file_location(
+        "sweep_jobs", Path(__file__).resolve().parents[1] / "perfbench" / "sweep_jobs.py"
+    )
+    sweep_jobs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep_jobs)
+    return sweep_jobs
+
+
+@lru_cache(maxsize=1)
 def _generic_oracle(gens, field):
     """The image-based generic map over the constraints' unknowns.
 
@@ -2287,6 +2303,111 @@ def test_kernel_once_per_candidate_matches_per_leaf(name, monkeypatch):
     assert new["details"]["kernel"] == old["details"]["kernel"]
     assert new["verdict"] == old["verdict"]
     assert new == old
+
+
+# kernel_contains before the chain walk: each leaf checked its whole chain
+# and substituted it into every coordinate, one pass per pair.
+
+
+def _flat_kernel_contains(
+    alg,
+    ideal: TruncatedIdeal,
+    constraints,
+    leaves: Sequence[Branch],
+    el: Element,
+) -> bool:
+    """Does alpha(el) lie in the ideal for every alpha of every given case?
+
+    alpha(el) and its residue modulo the ideal depend only on el, so they
+    are computed once, and not at all when there are no leaves.  alpha(el)
+    is combined from the rational tables of alpha on el's words, kept in
+    ``constraints.alpha``, so a word met by ``gen_constraints`` or an
+    earlier candidate is not expanded again.  Each leaf then reduces every coordinate of the residue as
+    ``parampoly_reduce`` does, by its substitutions and then modulo its
+    rules; the leaf's elimination order is checked once and its rules are
+    substituted once, not once per coordinate.  The first leaf that leaves
+    a nonzero coordinate decides, and later leaves are not tried.
+    """
+    if not leaves:
+        return True
+    applied = constraints.alpha.apply(el)
+    index = alg.basis_index()
+    residue = ideal.residue({index[m]: c for m, c in applied.terms.items()})
+    coords = list(residue.values())
+    for leaf in leaves:
+        subs = dict(leaf.substitutions)
+        check_elimination_order(subs)
+        rules = [
+            v for v in (substitute_in_order(v, subs) for v in leaf.residuals) if v
+        ]
+        for q in coords:
+            r = substitute_in_order(q, subs)
+            if r and rules:
+                r = r.reduce_by(rules)
+            if r:
+                return False
+    return True
+
+
+def _walk_jobs():
+    """The pinned equation-ideal examples, SLOW_JOBS, and seeded draws."""
+    jobs = _oracle_jobs()
+    sweep_jobs = _sweep_jobs_module()
+    rng = random.Random("kernel-walk")
+    top = sweep_jobs.load_top_basis()
+    for variety in sweep_jobs.VARIETIES:
+        for gens, bound in ((2, 2), (2, 3), (3, 2)):
+            jobs[f"{variety}_{gens}_{bound}_seeded"] = sweep_jobs.draw_job(
+                rng, variety, gens, bound, top
+            )
+    return jobs
+
+
+def _unreduced_rule(leaf, ctx):
+    """v - image + w for the leaf's first pair v = image and an unknown w
+    that its chain leaves free: the chain reduces the rule to w."""
+    (name, image), done = leaf.substitutions[0], dict(leaf.substitutions)
+    rule = ParamPoly.variable(ctx, name) - image
+    free = [n for n in ctx.names if n not in done]
+    return rule + ParamPoly.variable(ctx, free[0]) if free else rule
+
+
+@pytest.mark.parametrize("name", sorted(_walk_jobs()))
+def test_kernel_walk_matches_flat(name):
+    job = _walk_jobs()[name]
+    alg, field, gens, system = cases.job_context(job)
+    t = parse_element(job["generator"], gens, field)
+    ideal = ideal_build(alg, field, (t,), int(job["tail"]))
+    cons = gen_constraints(alg, ideal, system)
+    tree = solve_cases(cons.equations, cons.ctx, job.get("hints", ()))
+    solved = [l for l in tree.leaves() if l.status == "solved"]
+    rng = random.Random(f"kernel-walk/{name}")
+    # the walk backtracks on reversed and shuffled lists; copied pairs are
+    # equal to the tree's but not the same objects; unreduced rules mention
+    # substituted unknowns
+    copied = [
+        dataclasses.replace(l, substitutions=tuple((n, p) for n, p in l.substitutions))
+        for l in solved
+    ]
+    unreduced = [
+        dataclasses.replace(l, residuals=l.residuals + (_unreduced_rule(l, cons.ctx),))
+        for l in solved
+        if l.substitutions
+    ]
+    lists = [
+        solved,
+        solved[::-1],
+        rng.sample(solved, len(solved)),
+        copied,
+        unreduced,
+        rng.sample(solved + unreduced, len(solved) + len(unreduced)),
+    ] + [[l] for l in solved]
+    candidates = [parse_element(c, gens, field) for c in job["candidates"]]
+    for v in candidates:
+        for leaves in lists:
+            want = _flat_kernel_contains(alg, ideal, cons, leaves, v)
+            assert kernel_contains(alg, ideal, cons, leaves, v) == want, (name, v)
+    assert solved and candidates
 
 
 # The gcd and cancellation before the exact shortcuts: every pair of
@@ -3162,11 +3283,7 @@ def _pinned_texts():
     """(text, gens, field, (reader, *its arguments)) of every text of the
     pinned jobs, the slow jobs and the sweep corpus, with the reader that
     reads it."""
-    spec = importlib.util.spec_from_file_location(
-        "sweep_jobs", Path(__file__).resolve().parents[1] / "perfbench" / "sweep_jobs.py"
-    )
-    sweep_jobs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sweep_jobs)
+    sweep_jobs = _sweep_jobs_module()
     jobs = [cases.load_job(name) for name in cases.EXAMPLE_IDS if name in cases._JOBS]
     jobs += [job for job, _, _ in SLOW_JOBS.values()]
     jobs += sweep_jobs.corpus(sweep_jobs.CORPUS_SEED, sweep_jobs.load_top_basis())

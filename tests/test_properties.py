@@ -93,6 +93,20 @@ class TestFieldAxioms:
         assert _lead_coeff(x.den) == 1
 
 
+class TestFieldMemos:
+    @PROPS
+    @given(scalars, scalars)
+    def test_memoised_product_equals_a_fresh_fields(self, x, y):
+        # x * y goes through F's memo, which the earlier examples filled;
+        # the fresh field's memo is empty
+        fresh = FieldSpec(F.names)
+        want = Scalar(fresh, x.num, x.den) * Scalar(fresh, y.num, y.den)
+        assert x * y == want and y * x == want
+        assert (x * y).encode() == want.encode()
+        if x.as_fraction() is None and y.as_fraction() is None:
+            assert x * y is x * y
+
+
 class TestGcdContract:
     @PROPS
     @given(wide_polys, wide_polys)

@@ -123,6 +123,53 @@ class TestScalar:
             assert parse_scalar(x.encode(), F) == x
 
 
+class TestFieldMemos:
+    """A field memoises its non-rational products and its texts by value."""
+
+    def _filled(self):
+        field = FieldSpec(("t1", "t2"))
+        x = parse_scalar("(t1 + 1)/t2", field)
+        y = parse_scalar("t1 - t2", field)
+        (x * y).encode()
+        ParamPoly(ParamContext(field, ("u",)), {(1,): x}).encode()
+        assert field._products and field._texts
+        return field
+
+    def test_memos_take_no_part_in_identity(self):
+        filled, fresh = self._filled(), FieldSpec(("t1", "t2"))
+        assert filled == fresh and hash(filled) == hash(fresh)
+        assert repr(filled) == repr(fresh) == "FieldSpec(names=('t1', 't2'))"
+        assert not fresh._products and not fresh._texts
+
+    def test_memos_are_not_constructor_arguments(self):
+        with pytest.raises(TypeError):
+            FieldSpec(("t1", "t2"), {})
+        with pytest.raises(TypeError):
+            FieldSpec(("t1", "t2"), _products={})
+
+    def test_a_product_of_two_non_rational_scalars_is_memoised(self):
+        a, b = s("t1 + 1"), s("1/(t1 - t2)")
+        assert a * b is a * b
+        assert a * b == parse_scalar("(t1 + 1)/(t1 - t2)", FieldSpec(F.names))
+        # a rational factor takes the no-gcd path, which memoises nothing
+        assert a * 2 is not a * 2
+
+    def test_equal_scalars_of_two_fields_print_the_same(self):
+        one, other = self._filled(), FieldSpec(("t1", "t2"))
+        for text in ("(t1 + 1)/t2", "-(t1 + 1)/t2", "t1^2 - 3*t2/2", "-7"):
+            x, y = parse_scalar(text, one), parse_scalar(text, other)
+            assert x == y and x is not y
+            assert x.encode() == y.encode() == str(y)
+            assert (-x).encode() == (-y).encode()
+            assert parse_scalar(x.encode(), other) == y
+            # a polynomial prints a negative coefficient from its negation
+            px, py = (
+                ParamPoly(ParamContext(f, ("u",)), {(1,): c, (0,): -c})
+                for f, c in ((one, x), (other, y))
+            )
+            assert px.encode() == py.encode()
+
+
 def _rand_poly(rng, nonzero=False):
     while True:
         p = {}
