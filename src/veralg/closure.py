@@ -34,7 +34,6 @@ from .scalars import (
     check_next_substitution,
     factor_for_branching,
     parse_parampoly,
-    substitute_in_order,
 )
 from .variety import RowReducer, TruncatedAlgebra
 from .verbal import (
@@ -226,18 +225,17 @@ class Branch:
     unknown or an earlier one, which is the order ``substitute_in_order``
     applies them in, one ``ParamPoly.substitute`` pass each; a branch
     ``name = 0`` has the zero image.  residuals are the remaining
-    equations, already reduced by the whole chain; a node that adds a pair
-    reduced them, as inherited from its parent, by that pair alone, which
-    gives what ``substitute_in_order`` of the whole chain gives.  A
-    "solved" leaf keeps its residuals as reduction rules (equations that
-    hold on the case but do not isolate any unknown).
+    equations, reduced by the whole chain but on an "infeasible" leaf; a
+    node that adds a pair reduced them, as inherited from its parent, by
+    that pair alone, which gives what ``substitute_in_order`` of the whole
+    chain gives.  A "solved" leaf keeps its residuals as reduction rules
+    (equations that hold on the case but do not isolate any unknown).  An
+    "infeasible" leaf stops when the last pair of its chain makes an
+    assumed-nonzero polynomial vanish, before it reduces its equations, so
+    its residuals are the ones it inherited, not reduced by that last pair.
     Children share their parent's substitutions and hypotheses, and a
     polynomial keeps its text once encoded, so ``as_dict`` computes the
-    text of each shared polynomial once.  A child's chain holds the very
-    pair objects of its parent's, so ``kernel_contains`` can tell a shared
-    prefix by identity and reduce by it once for all the leaves below it.
-    Only the work depends on that sharing: a leaf whose pairs are equal but
-    not the same objects is reduced by its own chain, with the same result.
+    text of each shared polynomial once.
     """
 
     substitutions: tuple
@@ -390,15 +388,12 @@ def solve_cases(
             return Branch(subs, nonvan, (), "solved", note or "no residuals", ())
 
         chosen = None
+        assumed = set(reduced_nv)
         for eq in sorted(work, key=lambda p: len(p.terms)):
             factors = factored.get(eq)
             if factors is None:
                 factors = factored[eq] = factor_for_branching(eq, hints)
-            uniq = []
-            for f in factors:
-                if all(f != g for g in uniq):
-                    uniq.append(f)
-            active = [f for f in uniq if all(f != n for n in reduced_nv)]
+            active = [f for f in dict.fromkeys(factors) if f not in assumed]
             if not active:
                 return Branch(
                     subs, nonvan, (eq,), "contradiction",
@@ -457,68 +452,54 @@ def kernel_contains(
     alg,
     ideal: TruncatedIdeal,
     constraints: GenConstraints,
-    leaves: Sequence[Branch],
+    tree: Branch,
     el: Element,
 ) -> bool:
-    """Does alpha(el) lie in the ideal for every alpha of every given case?
+    """Does alpha(el) lie in the ideal for every alpha of every solved case?
 
-    alpha(el) and its residue modulo the ideal depend only on el, so they
-    are computed once, and not at all when there are no leaves.  alpha(el)
-    is combined from the rational tables of alpha on el's words, kept in
+    The cases are the solved leaves of the ``solve_cases`` tree.  alpha(el)
+    and its residue modulo the ideal depend only on el, so they are
+    computed once, and not at all when no leaf is solved.  alpha(el) is
+    combined from the rational tables of alpha on el's words, kept in
     ``constraints.alpha``, so a word met by ``gen_constraints`` or an
     earlier candidate is not expanded again.
 
-    Each leaf reduces every coordinate of the residue as
-    ``parampoly_reduce`` does, by its substitutions and then modulo its
-    rules, but the leaves walk their chains together.  The walk keeps each
-    coordinate reduced by each prefix of the current chain, once asked
-    for; the next leaf reuses the longest prefix whose pairs are the same
-    objects as its own, as the leaves of one ``solve_cases`` tree share
-    their parents' pairs.  Each pair after that prefix is checked once
-    (``check_next_substitution``) and applied to a coordinate by one
-    ``ParamPoly.substitute``, and a zero coordinate stays zero, so a pair
-    shared by many leaves is checked and applied once per call.  A leaf's
-    rules are still reduced by its whole chain (``substitute_in_order``),
-    once per leaf, since a caller may pass rules that the chain has not
-    reduced.  Coordinates are reduced one at a time: the first nonzero one
-    decides, and later coordinates and leaves are not reduced.
+    Each coordinate of the residue then walks the tree (``_vanishes_below``)
+    and is reduced on every solved leaf as ``parampoly_reduce`` would
+    reduce it; the first that some leaf leaves nonzero decides, and later
+    coordinates are not reduced.
     """
-    if not leaves:
+    if all(leaf.status != "solved" for leaf in tree.leaves()):
         return True
     applied = constraints.alpha.apply(el)
     index = alg.basis_index()
     residue = ideal.residue({index[m]: c for m, c in applied.terms.items()})
-    coords = list(residue.values())
-    chain = []  # the pairs of the chain walked last
-    # levels[i][j]: coordinate j reduced by chain[:i], None until asked for
-    levels = [coords]
-    for leaf in leaves:
-        subs = leaf.substitutions
-        k = 0
-        while k < min(len(chain), len(subs)) and subs[k] is chain[k]:
-            k += 1
-        del chain[k:], levels[k + 1:]
-        for step in subs[k:]:
-            name, image = step
-            check_next_substitution([n for n, _ in chain], name, image)
-            chain.append(step)
-            levels.append([None] * len(coords))
-        rules = [
-            v for v in (substitute_in_order(v, dict(subs)) for v in leaf.residuals) if v
-        ]
-        for j in range(len(coords)):
-            i = len(chain)
-            while levels[i][j] is None:
-                i -= 1
-            r = levels[i][j]
-            for name, image in chain[i:]:
-                if r:
-                    r = r.substitute({name: image})
-                i += 1
-                levels[i][j] = r
-            if r and (not rules or r.reduce_by(rules)):
-                return False
-    return True
+    return all(_vanishes_below(tree, r, 0) for r in residue.values())
+
+
+def _vanishes_below(node: Branch, r: ParamPoly, done: int) -> bool:
+    """Is r zero on every solved leaf below the node?
+
+    r is already reduced by the first ``done`` pairs of the node's chain,
+    its parent's, so the node substitutes only the pairs it adds, one
+    ``ParamPoly.substitute`` pass each, and the walk goes on depth first;
+    a pair that many leaves share is applied once.  A leaf that is not
+    solved holds no case and returns before any substitution.  A solved
+    leaf divides what is left by its residuals as they stand:
+    ``solve_cases`` checked the order of each pair and reduced the
+    residuals by the chain as it built the tree.
+    """
+    if not node.children and node.status != "solved":
+        return True
+    for name, image in node.substitutions[done:]:
+        if r:
+            r = r.substitute({name: image})
+    if not r:
+        return True
+    if not node.children:
+        return bool(node.residuals) and not r.reduce_by(node.residuals)
+    done = len(node.substitutions)
+    return all(_vanishes_below(child, r, done) for child in node.children)
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +566,7 @@ def falsify_equation_ideal(
     stuck = [l for l in leaves if l.status == "stuck"]
 
     kernel = {
-        v.encode(): kernel_contains(alg, ideal, cons, solved, v)
+        v.encode(): kernel_contains(alg, ideal, cons, tree, v)
         for v in candidates
     }
 
@@ -641,11 +622,15 @@ def falsify_smallest_closed(alg, system: VerbalSystem, word: Monomial) -> Certif
     The span of alpha(word) over all linear alpha is computed exactly from
     the generic alpha; when sigma(word) falls outside it, the transformed
     word generates a strictly different closed set, and the verdict is
-    "not_geometrically_equivalent" with sigma(word) as witness.  A change
-    that is not admissible is refused, as for the equation-ideal falsifier.
+    "not_geometrically_equivalent" with sigma(word) as witness.  A word
+    whose normal form is 0 (above the bound, or killed by the laws) and a
+    change that is not admissible are refused, as for the equation-ideal
+    falsifier.
     """
-    report = _admissible(alg, system)
     element = Element.from_monomial(alg.gens, system.field, word)
+    if alg.normal_form(element).is_zero:
+        raise PreconditionError("the word is 0 in this truncation")
+    report = _admissible(alg, system)
     applied = SymbolicEndomorphism(alg, system.field).apply(element)
     index = alg.basis_index()
 

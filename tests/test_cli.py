@@ -503,6 +503,28 @@ class TestInputErrors:
         assert out == ""
         assert "the generator is 0 in this truncation" in self.single_error(err)
 
+    @pytest.mark.parametrize(
+        "name,changes",
+        (
+            ("s_1_3", {"bound": 2}),
+            (
+                "s_4",
+                {
+                    "variety": "anticommutative", "word": "(x1 x1)",
+                    "system": {"phi": "id", "a": "2", "b": "0"},
+                },
+            ),
+        ),
+        ids=("above-the-bound", "killed-by-the-laws"),
+    )
+    def test_word_that_is_zero_in_the_truncation(self, capsys, tmp_path, name, changes):
+        # the smallest closed set of 0 is refused, not reported as a verdict
+        path = self.job_file(tmp_path, name, **changes)
+        code, out, err = run(capsys, ["falsify", "--spec", path])
+        assert code == 2
+        assert out == ""
+        assert "the word is 0 in this truncation" in self.single_error(err)
+
     @pytest.mark.parametrize("command", ("op2", "inner"))
     def test_swap_needs_two_transcendentals(self, capsys, command):
         argv = [command, "--variety", "lie", "--field", "t1", "--phi", "swap"]

@@ -19,7 +19,7 @@ from endomorphism_oracle import (
     span_elements,
     truncated_product,
 )
-from veralg import cases, closure
+from veralg import cases, closure, scalars
 from veralg.closure import (
     Certificate,
     coordinates,
@@ -42,11 +42,9 @@ from veralg.scalars import (
     ParamContext,
     ParamPoly,
     Scalar,
-    check_next_substitution,
     factor_for_branching,
     parse_parampoly,
     parse_scalar,
-    substitute_in_order,
 )
 from veralg.variety import build_truncated, builtin_variety
 from veralg.verbal import PreconditionError, VerbalSystem, check_op2, sigma_apply
@@ -255,68 +253,69 @@ class TestTwoDimLinearRun:
         good = alg.normal_form(parse_element("(x1 x2)", G, F))
         bad = alg.normal_form(parse_element("(x1 x1)", G, F))
         solved = [l for l in tree.leaves() if l.status == "solved"]
-        assert all(kernel_contains(alg, ideal, cons, [l], good) for l in solved)
-        assert not all(kernel_contains(alg, ideal, cons, [l], bad) for l in solved)
-        # one call over all solved leaves gives the conjunction of the above
-        assert kernel_contains(alg, ideal, cons, solved, good)
-        assert not kernel_contains(alg, ideal, cons, solved, bad)
-        assert kernel_contains(alg, ideal, cons, [], bad)
+        # a solved leaf is a tree of one case
+        assert all(kernel_contains(alg, ideal, cons, l, good) for l in solved)
+        assert not all(kernel_contains(alg, ideal, cons, l, bad) for l in solved)
+        # one call over the whole tree gives the conjunction of the above
+        assert kernel_contains(alg, ideal, cons, tree, good)
+        assert not kernel_contains(alg, ideal, cons, tree, bad)
+        # a tree without a solved leaf holds no case
+        unsolved = [l for l in tree.leaves() if l.status != "solved"]
+        assert unsolved
+        for l in unsolved:
+            assert kernel_contains(alg, ideal, cons, l, bad)
 
-    def test_kernel_substitutes_rules_per_leaf_and_pairs_per_candidate(
-        self, monkeypatch
-    ):
+    def test_kernel_applies_each_pair_once_per_candidate(self, monkeypatch):
         alg, ideal, cons = self._constraints()
-        tree = solve_cases(cons.equations, cons.ctx)
-        # a rule on every leaf; the good candidate's residue vanishes
+        # a rule on every solved leaf; the good candidate's residue vanishes
         # under the substitutions alone, so every leaf still passes
         rule = parse_parampoly("a11*a22 - t1*rho", cons.ctx)
-        solved = [
-            dataclasses.replace(l, residuals=l.residuals + (rule,))
-            for l in tree.leaves()
-            if l.status == "solved"
-        ]
+
+        def with_rule(node):
+            if node.children:
+                children = tuple(with_rule(c) for c in node.children)
+                return dataclasses.replace(node, children=children)
+            if node.status == "solved":
+                return dataclasses.replace(node, residuals=node.residuals + (rule,))
+            return node
+
+        tree = with_rule(solve_cases(cons.equations, cons.ctx))
+        solved = [l for l in tree.leaves() if l.status == "solved"]
         good = alg.normal_form(parse_element("(x1 x2)", G, F))
-        checked, substituted, applied = [], [], []
-        in_chain = []
+        checked, chained, applied, substituted = [], [], [], []
         real_substitute = ParamPoly.substitute
 
-        def check(earlier, name, image):
-            checked.append((name, id(image)))
-            return check_next_substitution(earlier, name, image)
-
-        def substitute_chain(p, subs):
-            substituted.append(p)
-            in_chain.append(True)
-            try:
-                return substitute_in_order(p, subs)
-            finally:
-                in_chain.pop()
-
         def substitute(p, mapping):
-            if not in_chain:
-                [(name, image)] = mapping.items()
-                applied.append((name, id(image)))
+            [(name, image)] = mapping.items()
+            applied.append((name, id(image)))
+            substituted.append(p)
             return real_substitute(p, mapping)
 
-        monkeypatch.setattr(closure, "check_next_substitution", check)
-        monkeypatch.setattr(closure, "substitute_in_order", substitute_chain)
+        for module in (closure, scalars):
+            for name, calls in (
+                ("check_next_substitution", checked),
+                ("substitute_in_order", chained),
+            ):
+                monkeypatch.setattr(
+                    module, name, lambda *a, calls=calls: calls.append(a), raising=False
+                )
         monkeypatch.setattr(ParamPoly, "substitute", substitute)
-        assert kernel_contains(alg, ideal, cons, solved, good)
+        assert kernel_contains(alg, ideal, cons, tree, good)
         monkeypatch.undo()
-        # the rules are substituted by the chain once per leaf
-        assert sum(p is rule for p in substituted) == len(solved)
-        # a pair is one object however many leaves share it; each is
-        # checked once
+        # the solver checked the order and reduced the rules: neither is
+        # done again
+        assert not checked and not chained
+        assert all(p is not rule for p in substituted)
+        # a pair is one object however many leaves share it
         uses = {}
         for l in solved:
             for name, image in l.substitutions:
                 key = (name, id(image))
                 uses[key] = uses.get(key, 0) + 1
         assert any(n > 1 for n in uses.values())
-        assert sorted(checked) == sorted(uses)
-        # and applied once per coordinate at most, not once per leaf
+        # and is applied once per coordinate at most, not once per leaf
         coords = len(ideal.residue(coordinates(alg, cons.alpha.apply(good))))
-        assert set(applied) <= set(uses)
+        assert applied and set(applied) <= set(uses)
         assert all(applied.count(key) <= coords for key in uses)
         per_leaf = sum(n * coords for n in uses.values())
         assert 0 < len(applied) < per_leaf
@@ -633,6 +632,22 @@ class TestSmallestClosed:
             cert = falsify_smallest_closed(alg, trivial, parse_monomial(word, G))
             assert cert.verdict == "no_falsification"
             assert cert.details["witness"] is None
+
+    @pytest.mark.parametrize(
+        "variety,bound,word,b",
+        (
+            ("alllinear", 2, "((x1 x1) x2)", "1"),
+            ("anticommutative", 3, "(x1 x1)", "0"),
+            ("anticommutative", 3, "(x1 x1)", "1"),
+        ),
+        ids=("above-the-bound", "killed-by-the-laws", "before-admissibility"),
+    )
+    def test_word_that_is_zero_in_the_truncation(self, variety, bound, word, b):
+        # a = 2, b = 1 is not admissible on Anticommutative; the word is
+        # refused first
+        system = VerbalSystem.parse(F, "id", "2", b)
+        with pytest.raises(PreconditionError, match="the word is 0 in this truncation"):
+            falsify_smallest_closed(_alg(variety, bound), system, parse_monomial(word, G))
 
     @pytest.mark.parametrize("name", ("s_1_3", "s_4", "aut_1_3_4", "aut_2_5", "aut_6"))
     def test_sigma_is_already_in_normal_form(self, name):

@@ -6,9 +6,12 @@ last tests keep the rewrite rows of a truncation private to variety.py,
 the exact values to one product by a constant and one pair of caches,
 every text to one reader per kind, all on one tokenizer, the rational
 rows of a build to ints inside the one row reducer, sigma(t) to one
-computation per falsify job, and products in an ideal to ``product_form``.
+computation per falsify job, products in an ideal to ``product_form``, and
+the chain of each case to ``solve_cases``, which ``kernel_contains`` walks
+without checking or rebuilding it.
 """
 
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -19,7 +22,7 @@ from pathlib import Path
 import pytest
 
 import veralg
-from veralg import cases, closure, variety, verbal
+from veralg import cases, closure, scalars, variety, verbal
 from veralg.freealg import Element, GeneratorSet
 from veralg.scalars import ParamPoly, Scalar, _Exact
 
@@ -131,3 +134,68 @@ def test_one_product_path_in_an_ideal():
     ):
         assert not hasattr(cls, name), (cls, name)
     assert list(inspect.signature(closure._admissible).parameters) == ["alg", "system"]
+
+
+def _copied_pairs(node):
+    """The tree with each pair a new tuple: equal pairs, no shared objects."""
+    return dataclasses.replace(
+        node,
+        substitutions=tuple((n, p) for n, p in node.substitutions),
+        children=tuple(_copied_pairs(c) for c in node.children),
+    )
+
+
+def _kernel_calls(monkeypatch, copied):
+    """Calls made inside kernel_contains on aut_6, pairs copied or not."""
+    calls = {"kernel": 0, "substitute": 0}
+    inside = []
+    real_kernel, real_substitute = closure.kernel_contains, ParamPoly.substitute
+
+    def kernel(*args):
+        calls["kernel"] += 1
+        inside.append(True)
+        try:
+            return real_kernel(*args)
+        finally:
+            inside.pop()
+
+    def substitute(p, mapping):
+        calls["substitute"] += bool(inside)
+        return real_substitute(p, mapping)
+
+    for name in ("check_next_substitution", "substitute_in_order"):
+        real = getattr(scalars, name)
+        calls[name] = 0
+
+        def counted(*args, name=name, real=real):
+            calls[name] += bool(inside)
+            return real(*args)
+
+        for module in MODULES:
+            mod = importlib.import_module(module)
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counted)
+    if copied:
+        real_solve = closure.solve_cases
+        monkeypatch.setattr(
+            closure, "solve_cases", lambda *a: _copied_pairs(real_solve(*a))
+        )
+    monkeypatch.setattr(closure, "kernel_contains", kernel)
+    monkeypatch.setattr(ParamPoly, "substitute", substitute)
+    cases.falsify_job(cases.load_job("aut_6"))
+    monkeypatch.undo()
+    return calls
+
+
+def test_kernel_walks_the_case_tree(monkeypatch):
+    # kernel_contains takes the case tree and trusts solve_cases with each
+    # chain: it checks no pair's order and substitutes no chain again, and
+    # it does the same work whether or not a child's pairs are its
+    # parent's objects, so it tells no shared prefix by identity
+    params = inspect.signature(closure.kernel_contains).parameters
+    assert list(params) == ["alg", "ideal", "constraints", "tree", "el"]
+    shared = _kernel_calls(monkeypatch, copied=False)
+    assert shared["kernel"] == len(cases.load_job("aut_6")["candidates"])
+    assert shared["substitute"] > 0
+    assert shared["check_next_substitution"] == shared["substitute_in_order"] == 0
+    assert _kernel_calls(monkeypatch, copied=True) == shared

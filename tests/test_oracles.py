@@ -44,8 +44,8 @@ the ``Element`` product of the same normal forms.  ``_old_ideal_build``
 is the ideal closure that multiplied ``Element``s through
 ``TruncatedAlgebra.multiply`` (``_old_multiply``), before it multiplied
 normal forms through ``product_form``.  ``_flat_kernel_contains`` is the
-kernel test that reduced every leaf by its whole chain, before the leaves
-walked their chains together.
+kernel test that reduced every leaf of a list by its whole chain, before
+``kernel_contains`` walked the case tree.
 The current code must agree with them exactly.  The one exception is the
 build under ``CUSTOM_LAWS[0]`` on one generator up to degree 8: the old
 basis there has monomials with a rewritten child, which are not products
@@ -53,7 +53,6 @@ of basis monomials, so the pair-space build picks another basis of the
 same algebra.
 """
 
-import dataclasses
 import importlib.util
 import itertools
 import operator
@@ -2294,9 +2293,13 @@ def test_kernel_once_per_candidate_matches_per_leaf(name, monkeypatch):
     job = _oracle_jobs()[name]
     new = cases.falsify_job(job).as_dict()
 
-    def per_leaf(alg, ideal, cons, leaves, v):
+    def per_leaf(alg, ideal, cons, tree, v):
         # the old loop: one call, with its own alpha(v) and residue, per leaf
-        return all(_old_kernel_contains(alg, ideal, cons, leaf, v) for leaf in leaves)
+        return all(
+            _old_kernel_contains(alg, ideal, cons, leaf, v)
+            for leaf in tree.leaves()
+            if leaf.status == "solved"
+        )
 
     monkeypatch.setattr(closure, "kernel_contains", per_leaf)
     old = cases.falsify_job(job).as_dict()
@@ -2363,51 +2366,46 @@ def _walk_jobs():
     return jobs
 
 
-def _unreduced_rule(leaf, ctx):
-    """v - image + w for the leaf's first pair v = image and an unknown w
-    that its chain leaves free: the chain reduces the rule to w."""
-    (name, image), done = leaf.substitutions[0], dict(leaf.substitutions)
-    rule = ParamPoly.variable(ctx, name) - image
-    free = [n for n in ctx.names if n not in done]
-    return rule + ParamPoly.variable(ctx, free[0]) if free else rule
-
-
-@pytest.mark.parametrize("name", sorted(_walk_jobs()))
-def test_kernel_walk_matches_flat(name):
-    job = _walk_jobs()[name]
+def _walk_tree(job):
+    """The job's truncation, ideal, constraints, case tree and candidates."""
     alg, field, gens, system = cases.job_context(job)
     t = parse_element(job["generator"], gens, field)
     ideal = ideal_build(alg, field, (t,), int(job["tail"]))
     cons = gen_constraints(alg, ideal, system)
     tree = solve_cases(cons.equations, cons.ctx, job.get("hints", ()))
-    solved = [l for l in tree.leaves() if l.status == "solved"]
-    rng = random.Random(f"kernel-walk/{name}")
-    # the walk backtracks on reversed and shuffled lists; copied pairs are
-    # equal to the tree's but not the same objects; unreduced rules mention
-    # substituted unknowns
-    copied = [
-        dataclasses.replace(l, substitutions=tuple((n, p) for n, p in l.substitutions))
-        for l in solved
-    ]
-    unreduced = [
-        dataclasses.replace(l, residuals=l.residuals + (_unreduced_rule(l, cons.ctx),))
-        for l in solved
-        if l.substitutions
-    ]
-    lists = [
-        solved,
-        solved[::-1],
-        rng.sample(solved, len(solved)),
-        copied,
-        unreduced,
-        rng.sample(solved + unreduced, len(solved) + len(unreduced)),
-    ] + [[l] for l in solved]
     candidates = [parse_element(c, gens, field) for c in job["candidates"]]
+    return alg, ideal, cons, tree, candidates
+
+
+def _subtrees(node):
+    yield node
+    for child in node.children:
+        yield from _subtrees(child)
+
+
+@pytest.mark.parametrize("name", sorted(_walk_jobs()))
+def test_kernel_walk_matches_flat(name):
+    # the walk on the whole tree, on every subtree and on each solved leaf
+    # alone, against the flat test over that subtree's solved leaves
+    alg, ideal, cons, tree, candidates = _walk_tree(_walk_jobs()[name])
     for v in candidates:
-        for leaves in lists:
-            want = _flat_kernel_contains(alg, ideal, cons, leaves, v)
-            assert kernel_contains(alg, ideal, cons, leaves, v) == want, (name, v)
-    assert solved and candidates
+        for node in _subtrees(tree):
+            solved = [l for l in node.leaves() if l.status == "solved"]
+            want = _flat_kernel_contains(alg, ideal, cons, solved, v)
+            assert kernel_contains(alg, ideal, cons, node, v) == want, (name, v)
+    assert any(l.status == "solved" for l in tree.leaves()) and candidates
+
+
+@pytest.mark.parametrize("name", sorted(_walk_jobs()))
+def test_solved_residuals_are_reduced_by_their_chain(name):
+    # kernel_contains divides by a solved leaf's residuals as they stand,
+    # so its chain must leave each one fixed
+    _, _, _, tree, _ = _walk_tree(_walk_jobs()[name])
+    for leaf in tree.leaves():
+        if leaf.status == "solved":
+            subs = dict(leaf.substitutions)
+            for r in leaf.residuals:
+                assert substitute_in_order(r, subs) == r, (name, leaf.note, r)
 
 
 # The gcd and cancellation before the exact shortcuts: every pair of
