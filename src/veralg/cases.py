@@ -12,13 +12,13 @@ from __future__ import annotations
 import copy
 
 from .closure import (
+    _nonzero_word,
     falsify_equation_ideal,
     falsify_smallest_closed,
     gen_constraints,
     ideal_build,
 )
 from .freealg import (
-    Element,
     GeneratorSet,
     SymbolicEndomorphism,
     parse_element,
@@ -270,12 +270,13 @@ def expand_job(job: dict) -> dict:
     the candidate directions, combined from the rational tables that
     ``gen_constraints`` built; the equations are the proportionality
     constraints with the auxiliary unknown rho.  For a smallest-closed job
-    the expansion reports the transformed word and the generic span.
+    the expansion reports the transformed word; a word that is 0 in the
+    truncation is refused with PreconditionError, as ``falsify`` refuses it.
     """
     alg, field, gens, system = job_context(job)
     if job["kind"] == "smallest-closed":
         word = parse_monomial(job["word"], gens)
-        sw = sigma_apply(alg, system, Element.from_monomial(gens, field, word))
+        sw = sigma_apply(alg, system, _nonzero_word(alg, field, word))
         return {
             "kind": job["kind"],
             "word": job["word"],

@@ -272,18 +272,14 @@ def _is_variable(p: ParamPoly) -> Optional[str]:
     return p.ctx.names[e.index(1)]
 
 
-def _is_lone_monic(factors) -> bool:
-    """Is the equation its own only branch factor, made monic?
+def _is_lone(factors) -> bool:
+    """Is the equation its own only branch factor, up to a unit?
 
     The factors are nonconstant and multiply to the equation up to a
-    scalar, so a factor equals the equation made monic exactly when it is
-    the only factor and its leading coefficient is 1.
+    scalar, so the one factor of a list that is not an unknown is the
+    equation times a unit.
     """
-    return (
-        len(factors) == 1
-        and _is_variable(factors[0]) is None
-        and factors[0].leading()[1].is_one
-    )
+    return len(factors) == 1 and _is_variable(factors[0]) is None
 
 
 def _try_eliminate(equations, ctx):
@@ -319,7 +315,7 @@ def solve_cases(
     """Split the system into cases by elimination and factor branching.
 
     Each hint is made monic (leading coefficient 1) once, here, so that an
-    equation equal to a hint up to a scalar is its own lone monic factor.
+    equation equal to a hint up to a scalar has the hint as its lone factor.
     A node adds at most one substitution to its parent's chain, and only
     that pair's image is checked against the elimination order
     (``check_next_substitution``).  The equations and hypotheses a node
@@ -329,7 +325,12 @@ def solve_cases(
     result is the same.  A node's distinct residuals are collected in a
     dict keyed by the polynomial, which keeps the first occurrence of each
     in order, so finding them costs one hash per residual.  Each distinct
-    equation is factored once per tree.
+    equation is factored once per tree (``factor_for_branching``, whose
+    factors are up to a unit).  A split makes its factors monic, so that
+    the hypotheses and equations of its children do not depend on the
+    scalar in front; a lone factor is a rule, not a split, and is made
+    monic only to be compared with an assumed-nonzero polynomial of the
+    same term support.
     """
 
     hints = tuple(
@@ -393,15 +394,31 @@ def solve_cases(
             factors = factored.get(eq)
             if factors is None:
                 factors = factored[eq] = factor_for_branching(eq, hints)
+                if not _is_lone(factors):
+                    # only the cofactor, last, may not be monic already
+                    factors[-1] = factors[-1].monic()
+            if _is_lone(factors):
+                # a rule unless assumed nonzero; the monic factor has the
+                # terms of f, so it is made only to meet an assumption
+                # with the same support, and then kept
+                f = factors[0]
+                support = f.terms.keys()
+                if any(a.terms.keys() == support for a in assumed):
+                    f = factors[0] = f.monic()
+                    if f in assumed:
+                        return Branch(
+                            subs, nonvan, (eq,), "contradiction",
+                            "every factor is assumed nonzero", ()
+                        )
+                continue
             active = [f for f in dict.fromkeys(factors) if f not in assumed]
             if not active:
                 return Branch(
                     subs, nonvan, (eq,), "contradiction",
                     "every factor is assumed nonzero", ()
                 )
-            if not _is_lone_monic(factors):
-                chosen = (eq, active)
-                break
+            chosen = (eq, active)
+            break
         if chosen is None:
             # every residual is a single irreducible equation: keep as rules
             return Branch(
@@ -616,6 +633,14 @@ def falsify_equation_ideal(
     )
 
 
+def _nonzero_word(alg, field, word: Monomial) -> Element:
+    """The word as an element; PreconditionError when its normal form is 0."""
+    element = Element.from_monomial(alg.gens, field, word)
+    if alg.normal_form(element).is_zero:
+        raise PreconditionError("the word is 0 in this truncation")
+    return element
+
+
 def falsify_smallest_closed(alg, system: VerbalSystem, word: Monomial) -> Certificate:
     """Compare the smallest closed subspace spanned by a word's images.
 
@@ -627,9 +652,7 @@ def falsify_smallest_closed(alg, system: VerbalSystem, word: Monomial) -> Certif
     change that is not admissible are refused, as for the equation-ideal
     falsifier.
     """
-    element = Element.from_monomial(alg.gens, system.field, word)
-    if alg.normal_form(element).is_zero:
-        raise PreconditionError("the word is 0 in this truncation")
+    element = _nonzero_word(alg, system.field, word)
     report = _admissible(alg, system)
     applied = SymbolicEndomorphism(alg, system.field).apply(element)
     index = alg.basis_index()

@@ -361,6 +361,14 @@ class FieldSpec:
     def __post_init__(self):
         _check_names(self.names, "transcendental")
 
+    def __eq__(self, other):
+        # a job compares its one field with itself nearly every time
+        if self is other:
+            return True
+        if other.__class__ is not FieldSpec:
+            return NotImplemented
+        return self.names == other.names
+
     @staticmethod
     def default(count: int = 2) -> "FieldSpec":
         return FieldSpec(tuple(f"t{i + 1}" for i in range(count)))
@@ -521,7 +529,15 @@ class Scalar(_Exact):
         if o is None:
             return NotImplemented
         if self.den == o.den:
-            return Scalar(self.field, _p_add(self.num, o.num), dict(self.den))
+            num = _p_add(self.num, o.num)
+            if _p_is_const(self.den):
+                # over the unit denominator a sum is in lowest terms; as
+                # _cancel would, a constant one gets an exact value over 1
+                if _p_is_const(num):
+                    num = {e: _exact(v) for e, v in num.items()}
+                    return Scalar(self.field, num, None, _canonical=True)
+                return Scalar(self.field, num, self.den, _canonical=True)
+            return Scalar(self.field, num, dict(self.den))
         num = _p_add(_p_mul(self.num, o.den), _p_mul(o.num, self.den))
         return Scalar(self.field, num, _p_mul(self.den, o.den))
 
@@ -776,6 +792,13 @@ class ParamContext:
                     f" the unknowns are {', '.join(self.names)}"
                 )
 
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not ParamContext:
+            return NotImplemented
+        return self.field == other.field and self.names == other.names
+
     @property
     def size(self) -> int:
         return len(self.names)
@@ -789,8 +812,13 @@ class ParamPoly(_Exact):
 
     __slots__ = ("ctx", "terms")
 
-    def __init__(self, ctx: ParamContext, terms: Mapping = ()):
-        clean = {e: c for e, c in dict(terms).items() if not c.is_zero}
+    def __init__(self, ctx: ParamContext, terms: Mapping = (), _canonical=False):
+        # _canonical: terms is a dict of nonzero coefficients no caller keeps
+        clean = (
+            terms
+            if _canonical
+            else {e: c for e, c in dict(terms).items() if not c.is_zero}
+        )
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
@@ -899,25 +927,37 @@ class ParamPoly(_Exact):
     def substitute(self, mapping: Mapping[str, "ParamPoly"]) -> "ParamPoly":
         """Replace unknowns by polynomials (simultaneously).
 
-        One pass over the terms: each term's exponents of the mapped
-        unknowns are split off and replaced by the product of the images'
-        powers, each power computed once per call, and the result is added
-        into a single accumulator.  A zero image has empty powers, so it
-        drops every term that mentions its unknown.
+        An unknown with a zero image drops the terms that mention it; when
+        every image is zero that filter is the whole pass, with no power or
+        product.  Otherwise one pass over the remaining terms splits off
+        each term's exponents of the mapped unknowns and replaces them by
+        the product of the images' powers, each power computed once per
+        call, and adds the result into a single accumulator.
         """
         mapped = []
+        zero = []
         for i, name in enumerate(self.ctx.names):
             image = mapping.get(name)
             if image is None or not any(e[i] for e in self.terms):
                 continue
             if image.ctx != self.ctx:
                 raise ValueError("parameter context mismatch")
-            mapped.append((i, image.terms))
-        if not mapped:
+            if image.terms:
+                mapped.append((i, image.terms))
+            else:
+                zero.append(i)
+        if not mapped and not zero:
             return self
+        terms = self.terms
+        if zero:
+            terms = {
+                e: c for e, c in terms.items() if not any(e[i] for i in zero)
+            }
+            if not mapped:
+                return ParamPoly(self.ctx, terms, _canonical=True)
         powers = {}
         out = {}
-        for e, c in self.terms.items():
+        for e, c in terms.items():
             rest = list(e)
             for i, _ in mapped:
                 rest[i] = 0
@@ -940,7 +980,7 @@ class ParamPoly(_Exact):
                     out[te] = s
                 else:
                     out.pop(te, None)
-        return ParamPoly(self.ctx, out)
+        return ParamPoly(self.ctx, out, _canonical=True)
 
     def evaluate(self, assignment: Mapping[str, Scalar]) -> Scalar:
         """Evaluate at a full assignment of the occurring unknowns."""
@@ -967,22 +1007,42 @@ class ParamPoly(_Exact):
         return None if quo is None else ParamPoly(self.ctx, quo)
 
     def reduce_by(self, divisors: Sequence["ParamPoly"]) -> "ParamPoly":
-        """Multivariate division remainder modulo the divisors."""
-        lead = [(d, d.leading()) for d in divisors if not d.is_zero]
-        rem = ParamPoly.zero(self.ctx)
-        p = self
-        while not p.is_zero:
-            e, c = p.leading()
-            for d, (de, dc) in lead:
-                q = tuple(a - b for a, b in zip(e, de))
-                if all(x >= 0 for x in q):
-                    p = p - ParamPoly(self.ctx, {q: c / dc}) * d
+        """Multivariate division remainder modulo the divisors.
+
+        The division runs in place on one dict of terms.  Each step takes
+        the leading term: when the leading monomial of a divisor divides
+        it, the first such divisor's multiple is subtracted term by term,
+        and the leading term, which it cancels, is dropped; otherwise the
+        term moves to the remainder.
+        """
+        lead = [(d.terms, *d.leading()) for d in divisors if d.terms]
+        p = dict(self.terms)
+        rem = {}
+        while p:
+            e = max(p, key=_grlex)
+            c = p.pop(e)
+            for terms, de, dc in lead:
+                if all(a >= b for a, b in zip(e, de)):
+                    q = tuple(a - b for a, b in zip(e, de))
+                    f = c / dc
+                    for te, tc in terms.items():
+                        if te == de:
+                            continue
+                        k = tuple(a + b for a, b in zip(q, te))
+                        v = f * tc
+                        s = p.get(k)
+                        if s is None:
+                            p[k] = -v
+                        else:
+                            s = s - v
+                            if s:
+                                p[k] = s
+                            else:
+                                del p[k]
                     break
             else:
-                t = ParamPoly(self.ctx, {e: c})
-                rem = rem + t
-                p = p - t
-        return rem
+                rem[e] = c
+        return ParamPoly(self.ctx, rem, _canonical=True)
 
     # -- identity
 
@@ -1006,7 +1066,14 @@ class ParamPoly(_Exact):
 
 
 def _signed_coeff(c: Scalar):
-    """Split a scalar into (is_negative, printable absolute value)."""
+    """Split a scalar into (is_negative, printable absolute value).
+
+    A rational scalar prints from its value, as ``Scalar.encode`` would
+    print it, without a negated copy.
+    """
+    v = c.as_fraction()
+    if v is not None:
+        return v < 0, str(abs(v))
     _, lc = _p_lead(c.num)
     if lc < 0:
         return True, (-c).encode()
@@ -1096,12 +1163,15 @@ def parampoly_reduce(
 def factor_for_branching(
     p: ParamPoly, hints: Sequence[ParamPoly] = ()
 ) -> list:
-    """Split p into branch-ready factors, dropping the unit in front.
+    """Split p into branch-ready factors, each up to a unit.
 
     Returned in order: one factor per unknown dividing every term (with
     multiplicity), then each hint as often as it exactly divides, then the
-    remaining cofactor normalised to leading coefficient 1 (omitted when it
-    is a nonzero scalar).
+    remaining cofactor as it stands (omitted when it is a nonzero scalar).
+    The unknowns are monic, and so is each hint that ``solve_cases``
+    passes; the cofactor keeps its scalar, and a caller that needs it
+    monic, to branch on it or to compare it with a monic polynomial,
+    makes it so (``ParamPoly.monic``).
     """
     if p.is_zero:
         return []
@@ -1129,7 +1199,7 @@ def factor_for_branching(
             out.append(h)
             p = q
     if p.constant_value() is None:
-        out.append(p.monic())
+        out.append(p)
     return out
 
 

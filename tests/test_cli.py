@@ -525,6 +525,18 @@ class TestInputErrors:
         assert out == ""
         assert "the word is 0 in this truncation" in self.single_error(err)
 
+    def test_expand_of_a_word_that_is_zero_in_the_truncation(self, capsys, tmp_path):
+        # expand refuses what falsify refuses, instead of printing
+        # "transformed word: 0"
+        path = self.job_file(
+            tmp_path, "s_4", variety="alllinear", bound=2, word="((x1 x1) x2)",
+        )
+        for argv in (["expand", "--spec", path], ["expand", "--spec", path, "--json"]):
+            code, out, err = run(capsys, argv)
+            assert code == 2
+            assert out == ""
+            assert "the word is 0 in this truncation" in self.single_error(err)
+
     @pytest.mark.parametrize("command", ("op2", "inner"))
     def test_swap_needs_two_transcendentals(self, capsys, command):
         argv = [command, "--variety", "lie", "--field", "t1", "--phi", "swap"]

@@ -45,6 +45,7 @@ from veralg.scalars import (
     factor_for_branching,
     parse_parampoly,
     parse_scalar,
+    substitute_in_order,
 )
 from veralg.variety import build_truncated, builtin_variety
 from veralg.verbal import PreconditionError, VerbalSystem, check_op2, sigma_apply
@@ -566,7 +567,7 @@ class TestSolveCasesUnits:
     @pytest.mark.parametrize("scale", ("-1", "2", "t1", "-1/t2"))
     def test_hint_with_leading_coefficient_not_one(self, scale):
         # the hint is made monic once, so an equation equal to it up to a
-        # scalar is its own lone monic factor and is kept as a rule
+        # scalar has the hint as its lone factor and is kept as a rule
         ctx = ParamContext(F, ("a11", "a12", "a21", "a22"))
         det = parse_parampoly("a11*a22 - a12*a21", ctx)
         hint = det * parse_scalar(scale, F)
@@ -648,6 +649,23 @@ class TestSmallestClosed:
         system = VerbalSystem.parse(F, "id", "2", b)
         with pytest.raises(PreconditionError, match="the word is 0 in this truncation"):
             falsify_smallest_closed(_alg(variety, bound), system, parse_monomial(word, G))
+
+    @pytest.mark.parametrize(
+        "variety,bound,word",
+        (("alllinear", 2, "((x1 x1) x2)"), ("anticommutative", 3, "(x1 x1)")),
+        ids=("above-the-bound", "killed-by-the-laws"),
+    )
+    def test_expansion_of_a_word_that_is_zero_in_the_truncation(self, variety, bound, word):
+        # expand refuses the word as falsify does, instead of reporting a
+        # transformed word of 0
+        job = {
+            "kind": "smallest-closed", "field": list(F.names), "variety": variety,
+            "gens": 2, "bound": bound, "system": {"phi": "id", "a": "2", "b": "0"},
+            "word": word,
+        }
+        for run in (cases.expand_job, cases.falsify_job):
+            with pytest.raises(PreconditionError, match="the word is 0 in this truncation"):
+                run(job)
 
     @pytest.mark.parametrize("name", ("s_1_3", "s_4", "aut_1_3_4", "aut_2_5", "aut_6"))
     def test_sigma_is_already_in_normal_form(self, name):
@@ -790,3 +808,43 @@ def test_formerly_slow_certificate_pinned(name):
     assert cert.verdict == verdict
     text = json.dumps(cert.as_dict(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "name,lone,made_monic", (("aut_6", 1, 1), ("jordan_2_3", 6, 0)),
+)
+def test_lone_residual_made_monic_only_against_same_support(
+    monkeypatch, name, lone, made_monic
+):
+    # a lone factor is kept as a rule: solve_cases makes it monic only to
+    # compare it with an assumed-nonzero polynomial of the same term
+    # support, which aut_6 has for its one lone residual and corpus job 5
+    # (jordan_2_3) has for none of its six
+    job = SLOW_JOBS[name][0] if name in SLOW_JOBS else cases.load_job(name)
+    alg, field, gens, system = cases.job_context(job)
+    t = parse_element(job["generator"], gens, field)
+    cons = gen_constraints(alg, ideal_build(alg, field, (t,), int(job["tail"])), system)
+    made = []
+    monic = ParamPoly.monic
+
+    def recording(self):
+        made.append(self)
+        return monic(self)
+
+    monkeypatch.setattr(ParamPoly, "monic", recording)
+    tree = solve_cases(cons.equations, cons.ctx, job.get("hints", ()))
+    monkeypatch.undo()
+    hints = [parse_parampoly(h, cons.ctx).monic() for h in job.get("hints", ())]
+    lone_residuals, same_support = set(), set()
+    for node in _nodes(tree):
+        subs = dict(node.substitutions)
+        assumed = [substitute_in_order(p, subs) for p in node.nonvanishing]
+        for eq in node.residuals:
+            factors = factor_for_branching(eq, hints)
+            if len(factors) == 1 and closure._is_variable(factors[0]) is None:
+                lone_residuals.add(eq)
+                if any(a.terms.keys() == eq.terms.keys() for a in assumed):
+                    same_support.add(eq)
+    made_lone = {f for f in made if f in lone_residuals}
+    assert made_lone <= same_support
+    assert (len(lone_residuals), len(made_lone)) == (lone, made_monic)

@@ -45,7 +45,12 @@ is the ideal closure that multiplied ``Element``s through
 ``TruncatedAlgebra.multiply`` (``_old_multiply``), before it multiplied
 normal forms through ``product_form``.  ``_flat_kernel_contains`` is the
 kernel test that reduced every leaf of a list by its whole chain, before
-``kernel_contains`` walked the case tree.
+``kernel_contains`` walked the case tree.  ``_old_factor_for_branching``
+made the cofactor monic before ``factor_for_branching`` kept it up to a
+unit, ``_old_one_pass_substitute`` ran its product pass for a zero image
+too, and ``_old_reduce_by`` built a polynomial per division step;
+``_old_solve_cases`` factors with the first, and keeps the lone-factor
+test that relied on it (``_old_is_lone_monic``).
 The current code must agree with them exactly.  The one exception is the
 build under ``CUSTOM_LAWS[0]`` on one generator up to degree 8: the old
 basis there has monomials with a rewritten child, which are not products
@@ -62,7 +67,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import pytest
 
@@ -72,7 +77,7 @@ from veralg.cases import OP2_GRID
 from veralg.closure import (
     Branch,
     TruncatedIdeal,
-    _is_lone_monic,
+    _is_lone,
     _is_variable,
     coordinates,
     gen_constraints,
@@ -1797,6 +1802,7 @@ def test_lone_monic_factor_matches_old_trivial_test():
         trees[name] = solve_cases([eq], ctx, [hint], max_depth=3), [hint]
     outcomes = []
     for name, (tree, hints) in trees.items():
+        monic_hints = [h.monic() for h in hints]
         # every residual of a split node, and of a solved leaf that keeps
         # its residuals as rules
         for node in _nodes(tree):
@@ -1805,7 +1811,9 @@ def test_lone_monic_factor_matches_old_trivial_test():
             subs = dict(node.substitutions)
             nv_set = [parampoly_reduce(p, subs) for p in node.nonvanishing]
             for eq in node.residuals:
-                factors = factor_for_branching(eq, hints)
+                # the factors the old test saw, all monic, with the hints
+                # made monic as solve_cases makes them
+                factors = _old_factor_for_branching(eq, monic_hints)
                 uniq = []
                 for f in factors:
                     if all(f != g for g in uniq):
@@ -1813,7 +1821,7 @@ def test_lone_monic_factor_matches_old_trivial_test():
                 active = [f for f in uniq if all(f != n for n in nv_set)]
                 if not active:
                     continue
-                new = _is_lone_monic(factors)
+                new = _is_lone(factor_for_branching(eq, monic_hints))
                 assert new == _old_trivial(eq, active), (name, eq.encode())
                 outcomes.append(new)
     assert True in outcomes and False in outcomes
@@ -2928,7 +2936,7 @@ def _old_solve_cases(
         nv_set = list(reduced_nv)
         chosen = None
         for eq in sorted(work, key=lambda p: len(p.terms)):
-            factors = factor_for_branching(eq, hints)
+            factors = _old_factor_for_branching(eq, hints)
             uniq = []
             for f in factors:
                 if all(f != g for g in uniq):
@@ -2939,7 +2947,7 @@ def _old_solve_cases(
                     subs, nonvan, (eq,), "contradiction",
                     "every factor is assumed nonzero", ()
                 )
-            if not _is_lone_monic(factors):
+            if not _old_is_lone_monic(factors):
                 chosen = (eq, active)
                 break
         if chosen is None:
@@ -3417,3 +3425,199 @@ def test_ideal_closure_matches_old(name, bound):
             assert new.contains(el) == old.contains(el)
     # the products of generators with monomials grew the span somewhere
     assert multiplied, name
+
+
+# The exact kernels before they skipped work that the input decides: the
+# factoring that made the cofactor monic (with the lone-factor test of the
+# old solver, which relied on it), the substitution that ran the product
+# pass for a zero image too, and the division that built a polynomial per
+# step.
+
+
+def _old_factor_for_branching(
+    p: ParamPoly, hints: Sequence[ParamPoly] = ()
+) -> list:
+    """Split p into branch-ready factors, dropping the unit in front.
+
+    Returned in order: one factor per unknown dividing every term (with
+    multiplicity), then each hint as often as it exactly divides, then the
+    remaining cofactor normalised to leading coefficient 1 (omitted when it
+    is a nonzero scalar).
+    """
+    if p.is_zero:
+        return []
+    ctx = p.ctx
+    out = []
+    mins = [min(e[i] for e in p.terms) for i in range(ctx.size)]
+    if any(mins):
+        p = ParamPoly(
+            ctx,
+            {
+                tuple(a - b for a, b in zip(e, mins)): c
+                for e, c in p.terms.items()
+            },
+        )
+        for name, k in zip(ctx.names, mins):
+            if k:
+                out.extend([ParamPoly.variable(ctx, name)] * k)
+    for h in hints:
+        if h.constant_value() is not None:
+            continue
+        while True:
+            q = p.divide_exact(h)
+            if q is None:
+                break
+            out.append(h)
+            p = q
+    if p.constant_value() is None:
+        out.append(p.monic())
+    return out
+
+
+def _old_is_lone_monic(factors) -> bool:
+    """Is the equation its own only branch factor, made monic?
+
+    The factors are nonconstant and multiply to the equation up to a
+    scalar, so a factor equals the equation made monic exactly when it is
+    the only factor and its leading coefficient is 1.
+    """
+    return (
+        len(factors) == 1
+        and _is_variable(factors[0]) is None
+        and factors[0].leading()[1].is_one
+    )
+
+
+def _old_one_pass_substitute(self, mapping: Mapping[str, "ParamPoly"]) -> "ParamPoly":
+    """Replace unknowns by polynomials (simultaneously).
+
+    One pass over the terms: each term's exponents of the mapped
+    unknowns are split off and replaced by the product of the images'
+    powers, each power computed once per call, and the result is added
+    into a single accumulator.  A zero image has empty powers, so it
+    drops every term that mentions its unknown.
+    """
+    mapped = []
+    for i, name in enumerate(self.ctx.names):
+        image = mapping.get(name)
+        if image is None or not any(e[i] for e in self.terms):
+            continue
+        if image.ctx != self.ctx:
+            raise ValueError("parameter context mismatch")
+        mapped.append((i, image.terms))
+    if not mapped:
+        return self
+    powers = {}
+    out = {}
+    for e, c in self.terms.items():
+        rest = list(e)
+        for i, _ in mapped:
+            rest[i] = 0
+        term = {tuple(rest): c}
+        for i, image in mapped:
+            k = e[i]
+            if not k:
+                continue
+            power = powers.get((i, k))
+            if power is None:
+                power = image
+                for _ in range(k - 1):
+                    power = _p_mul(power, image)
+                powers[(i, k)] = power
+            term = _p_mul(term, power)
+        for te, tc in term.items():
+            s = out.get(te)
+            s = tc if s is None else s + tc
+            if s:
+                out[te] = s
+            else:
+                out.pop(te, None)
+    return ParamPoly(self.ctx, out)
+
+
+def _old_reduce_by(self, divisors: Sequence["ParamPoly"]) -> "ParamPoly":
+    """Multivariate division remainder modulo the divisors."""
+    lead = [(d, d.leading()) for d in divisors if not d.is_zero]
+    rem = ParamPoly.zero(self.ctx)
+    p = self
+    while not p.is_zero:
+        e, c = p.leading()
+        for d, (de, dc) in lead:
+            q = tuple(a - b for a, b in zip(e, de))
+            if all(x >= 0 for x in q):
+                p = p - ParamPoly(self.ctx, {q: c / dc}) * d
+                break
+        else:
+            t = ParamPoly(self.ctx, {e: c})
+            rem = rem + t
+            p = p - t
+    return rem
+
+
+def _value_types(p: ParamPoly) -> dict:
+    """The type, int or Fraction, of every rational value in p's coefficients."""
+    return {
+        (e, part, k): type(v)
+        for e, c in p.terms.items()
+        for part, values in (("num", c.num), ("den", c.den))
+        for k, v in values.items()
+    }
+
+
+def _assert_same_poly(new, old):
+    assert new == old
+    assert new.encode() == old.encode()
+    assert _value_types(new) == _value_types(old)
+
+
+def test_kernels_match_old_on_the_polynomials_jobs_meet():
+    # every equation, residual, residue coordinate and rule of the pinned
+    # examples, SLOW_JOBS and seeded draws: each pair of a chain is
+    # substituted as the tree walk substitutes it, a solved leaf divides by
+    # its rules, and every residual is factored
+    seen = set()
+    for name, job in _walk_jobs().items():
+        alg, ideal, cons, tree, candidates = _walk_tree(job)
+        hints = [parse_parampoly(h, cons.ctx).monic() for h in job.get("hints", ())]
+        index = alg.basis_index()
+        coords = []
+        for v in candidates:
+            applied = cons.alpha.apply(v)
+            residue = ideal.residue({index[m]: c for m, c in applied.terms.items()})
+            coords += [q for q in residue.values() if q]
+        for node in _nodes(tree):
+            for eq in node.residuals:
+                new = factor_for_branching(eq, hints)
+                old = _old_factor_for_branching(eq, hints)
+                if new and new[-1] != old[-1]:
+                    seen.add("cofactor kept its scalar")
+                if new:
+                    new[-1] = new[-1].monic()
+                assert new == old, (name, eq.encode())
+                seen.add("lone" if _is_lone(new) else "several")
+
+        def walk(node, polys, done):
+            for pair in node.substitutions[done:]:
+                mapping = dict([pair])
+                out = []
+                for q in polys:
+                    new, old = q.substitute(mapping), _old_one_pass_substitute(q, mapping)
+                    _assert_same_poly(new, old)
+                    if new != q:
+                        seen.add("zero image" if not pair[1] else "image")
+                    out.append(new)
+                polys = out
+            if node.status == "solved" and node.residuals:
+                rules = list(node.residuals)
+                for q in polys + rules:
+                    new, old = q.reduce_by(rules), _old_reduce_by(q, rules)
+                    _assert_same_poly(new, old)
+                    seen.add("divided to 0" if not new else "remainder")
+            for child in node.children:
+                walk(child, polys, len(node.substitutions))
+
+        walk(tree, list(cons.equations) + coords, 0)
+    assert seen == {
+        "cofactor kept its scalar", "lone", "several", "zero image", "image",
+        "divided to 0", "remainder",
+    }

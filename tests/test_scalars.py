@@ -11,7 +11,9 @@ from veralg.scalars import (
     ParamPoly,
     Scalar,
     ZeroInversion,
+    _p_add,
     _p_gcd,
+    _signed_coeff,
     factor_for_branching,
     parampoly_reduce,
     parse_parampoly,
@@ -168,6 +170,78 @@ class TestFieldMemos:
                 for f, c in ((one, x), (other, y))
             )
             assert px.encode() == py.encode()
+
+
+def _unit_den_scalars(rng, field):
+    """Seeded scalars over the unit denominator, some with integral Fractions.
+
+    Each is built through ``_cancel`` from a denominator of 1 that is an
+    int or an integral Fraction, which a non-constant numerator keeps.
+    """
+    zero = (0,) * field.size
+    out = [Scalar.zero(field), Scalar.one(field)]
+    for _ in range(40):
+        num = _rand_poly(rng) if field.size == 2 else {}
+        num[zero] = num.get(zero, 0) + Fraction(rng.randrange(-4, 5), rng.randrange(1, 3))
+        num = {e: c for e, c in num.items() if c}
+        den = {zero: rng.choice((1, Fraction(1)))}
+        out.append(Scalar(field, num, den))
+    return out
+
+
+def _value_types(x):
+    return {
+        (part, e): type(v)
+        for part, values in (("num", x.num), ("den", x.den))
+        for e, v in values.items()
+    }
+
+
+class TestScalarFastPaths:
+    """Paths that skip work the value decides give what the full path gives."""
+
+    @pytest.mark.parametrize("field", (F, FieldSpec(())), ids=("Qt", "Q"))
+    def test_sum_over_unit_denominator_matches_cancel_path(self, field):
+        rng = random.Random(f"unit-den-sum/{field.size}")
+        scalars = _unit_den_scalars(rng, field)
+        kinds = set()
+        for x in scalars:
+            for y in rng.sample(scalars, 8) + [-x]:
+                got = x + y
+                want = Scalar(field, _p_add(x.num, y.num), dict(x.den))
+                assert (got.num, got.den) == (want.num, want.den)
+                assert _value_types(got) == _value_types(want)
+                if not got:
+                    kinds.add("zero")
+                else:
+                    kinds.add("constant" if got.as_fraction() is not None else "polynomial")
+                kinds |= {type(v) for v in got.num.values()}
+        assert kinds >= {"zero", "constant", int, Fraction}
+        if field.size:
+            assert "polynomial" in kinds
+
+    def test_signed_rational_coefficient_matches_negated_text(self):
+        values = [1, -1, 7, -12, Fraction(1, 2), Fraction(-3, 4), Fraction(-10, 3)]
+        for field in (F, FieldSpec(())):
+            zero = (0,) * field.size
+            scalars = [Scalar.from_fraction(field, v) for v in values]
+            # an integral Fraction value prints as the int
+            scalars += [
+                Scalar(field, {zero: Fraction(v)}, None, _canonical=True) for v in (2, -5)
+            ]
+            for c in scalars:
+                neg = c.as_fraction() < 0
+                assert _signed_coeff(c) == (neg, (-c if neg else c).encode())
+
+    def test_field_and_context_equality(self):
+        other = FieldSpec(F.names)
+        assert F == F and F == other and hash(F) == hash(other)
+        assert F != FieldSpec(("t1",)) and F != F.names
+        ctx = ParamContext(F, ("u",))
+        assert ctx == ctx == ParamContext(other, ("u",))
+        assert hash(ctx) == hash(ParamContext(other, ("u",)))
+        assert ctx != ParamContext(F, ("v",)) and ctx != ParamContext(FieldSpec(), ("u",))
+        assert ctx != F
 
 
 def _rand_poly(rng, nonzero=False):
@@ -377,8 +451,11 @@ class TestFactorForBranching:
         assert factor_for_branching(p("(t1*t2 - 1)*rho")) == [p("rho")]
 
     def test_leading_coefficient_normalised(self):
+        # the cofactor keeps its scalar: a caller that branches on it makes
+        # it monic
         got = factor_for_branching(p("2*a11*a22 - 2*a12*a21"))
-        assert got == [p("a11*a22 - a12*a21")]
+        assert got == [p("2*a11*a22 - 2*a12*a21")]
+        assert [f.monic() for f in got] == [p("a11*a22 - a12*a21")]
 
     def test_pure_unit(self):
         assert factor_for_branching(p("t1 + 1")) == []
@@ -396,7 +473,7 @@ class TestFactorForBranching:
 
         monkeypatch.setattr(ParamPoly, "variable", staticmethod(recording))
         assert factor_for_branching(p("a11*a22 - a12*a21")) == [p("a11*a22 - a12*a21")]
-        assert factor_for_branching(p("t1*rho + 1")) == [p("rho + 1/t1")]
+        assert factor_for_branching(p("t1*rho + 1")) == [p("t1*rho + 1")]
         assert built == []
         got = factor_for_branching(p("a12^2*a21 + a12^2*a21^2*rho"))
         assert got == [p("a12"), p("a12"), p("a21"), p("a21*rho + 1")]
