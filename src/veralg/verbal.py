@@ -16,7 +16,6 @@ and is sigma a dilation in disguise (:func:`inner_witness`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .freealg import Element, GeneratorSet, Monomial
@@ -157,12 +156,13 @@ def sigma_apply(alg, system: VerbalSystem, el: Element) -> Element:
     return out
 
 
-def _law_value(variety, system, scheme) -> Element:
-    """The law at the free generators of F_V(arity) in the new product, reduced.
+def _law_parts(variety, scheme) -> tuple:
+    """F_V(arity) and the law's rational parts P_j at its free generators.
 
-    The parts of the law, the sums of its coefficients times the parts of
-    its terms, are memoised with the parts of the free algebra; every term
-    of a multilinear law of arity k has degree k.
+    Part j sums the law's coefficients times part j of sigma on its terms:
+    every term of a multilinear law of arity k has degree k, so the law in
+    the new product is sum over j of a^(k-1-j) b^j P_j.  The parts are
+    memoised with the parts of the free algebra.
     """
     k = scheme.arity
     free = build_truncated(variety, GeneratorSet.default(k), k, multilinear=True)
@@ -175,7 +175,50 @@ def _law_value(variety, system, scheme) -> Element:
                 for b, v in part.items():
                     total[b] = total.get(b, 0) + c * v
         parts = free._sigma_memo[scheme] = tuple(_clean(t) for t in acc)
-    return _combine(free.gens, system, parts)
+    return free, parts
+
+
+def _point(system: VerbalSystem) -> Optional[tuple]:
+    """(p, q) with a : b = p : q in lowest terms, or None if a/b is not rational.
+
+    b = 0 gives (1, 0).
+    """
+    if system.b.is_zero:
+        return 1, 0
+    ratio = (system.a / system.b).as_fraction()
+    if ratio is None:
+        return None
+    return ratio.numerator, ratio.denominator
+
+
+def _weights(point: tuple, n: int) -> list:
+    """p^(n-1-j) q^j for j < n: the weights of the n parts at a : b = p : q."""
+    p, q = point
+    return [p ** (n - 1 - j) * q**j for j in range(n)]
+
+
+def _weighted(parts: tuple, weights: list) -> dict:
+    """sum over j of weights[j] parts[j], zero values dropped."""
+    acc = {}
+    for w, part in zip(weights, parts):
+        if w:
+            for b, v in part.items():
+                acc[b] = acc.get(b, 0) + w * v
+    return _clean(acc)
+
+
+def _law_holds(parts: tuple, point: Optional[tuple]) -> bool:
+    """Does sum over j of a^(k-1-j) b^j P_j vanish, k = len(parts)?
+
+    At a rational point that sum is (b/q)^(k-1), or a^(k-1) when b = 0,
+    times the weighted sum of the parts, which is over Q.  Otherwise a/b is transcendental
+    over Q, since Q is algebraically closed in Q(t), so it is no root of
+    the polynomial sum over j of P_j[m] x^(k-1-j) for any monomial m
+    unless every coefficient P_j[m] is 0.
+    """
+    if point is None:
+        return not any(parts)
+    return not _weighted(parts, _weights(point, len(parts)))
 
 
 @dataclass(frozen=True)
@@ -213,21 +256,18 @@ class Op2Report:
         }
 
 
-def _singular_at(alg, mdeg, ratio: Fraction) -> bool:
-    """Is sum over j of ratio^(n-1-j) M_j singular on the multidegree?"""
+def _singular_at(alg, mdeg, point: tuple) -> bool:
+    """Is sum over j of p^(n-1-j) q^j M_j singular on the multidegree?
+
+    That matrix is q^(n-1) times sum over j of (p/q)^(n-1-j) M_j, q != 0.
+    """
     basis = alg.basis_of_multidegree(mdeg)
-    n = sum(mdeg)
+    weights = _weights(point, sum(mdeg))
     index = {m: i for i, m in enumerate(basis)}
-    weights = [ratio ** (n - 1 - j) for j in range(n)]
     red = RowReducer()
     for m in basis:
-        row = {}
-        for w, part in zip(weights, _sigma_parts(alg, m)):
-            if w:
-                for b, v in part.items():
-                    i = index[b]
-                    row[i] = row.get(i, 0) + w * v
-        red.insert(_clean(row))
+        row = _weighted(_sigma_parts(alg, m), weights)
+        red.insert({index[b]: v for b, v in row.items()})
     return red.rank < len(basis)
 
 
@@ -261,6 +301,14 @@ def check_op2(
     commutes with substitution, so the law fails there), or the slot names
     y1..yk when there is none.
 
+    Both conditions depend on the system only through the point (a : b),
+    which is (1 : 0) when b = 0, p : q for a rational a/b, or a/b not
+    rational.  The law's value is sum over j of a^(k-1-j) b^j P_j for
+    rational parts P_j (`_law_parts`); at a rational point it vanishes
+    exactly when sum p^(k-1-j) q^j P_j does over Q, and otherwise exactly
+    when every P_j is 0 (`_law_holds`).  Only a failing law's value is
+    formed over the field, for its witness.
+
     Invertibility is decided from the parts of sigma on words.  On a
     multidegree of degree n with N basis monomials, the matrix of sigma is
     sum over j of a^(n-1-j) b^j M_j, where M_j holds part j of sigma on each
@@ -269,14 +317,25 @@ def check_op2(
     b^(N(n-1)) p(a/b) for p(x) = det(sum x^(n-1-j) M_j), a monic polynomial
     over Q.  A nonconstant rational function is transcendental over Q, so
     p(a/b) != 0 unless a/b is rational.  Only then is a matrix ranked: the
-    rational matrix sum (a/b)^(n-1-j) M_j, on each multidegree of degree at
-    least 2 (sigma fixes the generators).
+    integer-weighted sum p^(n-1-j) q^j M_j, q^(n-1) times the rational one,
+    on each multidegree of degree at least 2 (sigma fixes the generators).
+
+    When every law holds, sigma is the homomorphism from the algebra to
+    itself with the new product that fixes the generators, so it commutes
+    with each permutation of them, and its rank on a multidegree is its
+    rank on any permutation of it: one multidegree per orbit is ranked.
+    When a law fails, sigma on the truncation depends on which basis
+    monomial represents each class, and ranks can differ within an orbit
+    (under the law (y1 (y2 y3)) - ((y1 y2) y3) + (y2 (y1 y3)) at a : b =
+    -1 : 2, sigma is singular on (3, 1) but not on (1, 3)), so every
+    multidegree is ranked.
     """
     if gens is None:
         gens = GeneratorSet.default(2)
     if bound is None:
         bound = default_op2_bound(variety)
     alg = build_truncated(variety, gens, bound)
+    point = _point(system)
 
     form_ok = True
     if gens.size >= 2 and bound >= 2:
@@ -288,21 +347,25 @@ def check_op2(
     for scheme in variety.multilinear():
         if scheme.arity > bound:
             continue
-        value = _law_value(variety, system, scheme)
-        if not value.is_zero:
-            combo = alg.failing_tuple(value)
-            if combo is None:
-                witness = scheme.ygens.names
-            else:
-                witness = tuple(m.encode() for m in combo)
-            failures.append((scheme.encode(), witness))
+        free, parts = _law_parts(variety, scheme)
+        if _law_holds(parts, point):
+            continue
+        combo = alg.failing_tuple(_combine(free.gens, system, parts))
+        if combo is None:
+            witness = scheme.ygens.names
+        else:
+            witness = tuple(m.encode() for m in combo)
+        failures.append((scheme.encode(), witness))
 
     singular = []
-    ratio = None if system.b.is_zero else (system.a / system.b).as_fraction()
-    if ratio is not None:
+    if point is not None and point[1]:
+        orbits = {}
         for d in range(2, bound + 1):
             for md in alg.multidegrees(d):
-                if _singular_at(alg, md, ratio):
+                key = md if failures else tuple(sorted(md, reverse=True))
+                if key not in orbits:
+                    orbits[key] = _singular_at(alg, md, point)
+                if orbits[key]:
                     singular.append(md)
 
     return Op2Report(

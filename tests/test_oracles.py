@@ -50,7 +50,10 @@ made the cofactor monic before ``factor_for_branching`` kept it up to a
 unit, ``_old_one_pass_substitute`` ran its product pass for a zero image
 too, and ``_old_reduce_by`` built a polynomial per division step;
 ``_old_solve_cases`` factors with the first, and keeps the lone-factor
-test that relied on it (``_old_is_lone_monic``).
+test that relied on it (``_old_is_lone_monic``).  ``_old_check_op2``
+(with ``_old_law_value`` and ``_old_singular_at``) formed every law's
+value over Q(t) and ranked every multidegree, before ``check_op2``
+decided both at the point (a : b).
 The current code must agree with them exactly.  The one exception is the
 build under ``CUSTOM_LAWS[0]`` on one generator up to degree 8: the old
 basis there has monomials with a rewritten child, which are not products
@@ -67,7 +70,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
 import pytest
 
@@ -147,7 +150,16 @@ from veralg.variety import (
     polarize,
     slot_symmetries,
 )
-from veralg.verbal import VerbalSystem, check_op2, word_transform
+from veralg.verbal import (
+    Op2Report,
+    VerbalSystem,
+    _clean,
+    _combine,
+    _sigma_parts,
+    check_op2,
+    default_op2_bound,
+    word_transform,
+)
 
 from endomorphism_oracle import Endomorphism, evaluate, product, truncate
 from test_closure import SLOW_JOBS
@@ -517,6 +529,153 @@ def test_singular_multidegrees_match_old_rank(variety, a, b):
     report = check_op2(builtin_variety(variety), system, G, bound)
     alg = build_truncated(builtin_variety(variety), G, bound)
     assert report.singular_multidegrees == _old_singular(alg, system)
+
+
+def _old_law_value(variety, system, scheme) -> Element:
+    """The law at the free generators of F_V(arity) in the new product, reduced.
+
+    The parts of the law, the sums of its coefficients times the parts of
+    its terms, are memoised with the parts of the free algebra; every term
+    of a multilinear law of arity k has degree k.
+    """
+    k = scheme.arity
+    free = build_truncated(variety, GeneratorSet.default(k), k, multilinear=True)
+    parts = free._sigma_memo.get(scheme)
+    if parts is None:
+        ys = tuple(free.gens.generator(i) for i in range(k))
+        acc = [{} for _ in range(k)]
+        for m, c in scheme.substitute(ys, free.gens).items():
+            for total, part in zip(acc, _sigma_parts(free, m)):
+                for b, v in part.items():
+                    total[b] = total.get(b, 0) + c * v
+        parts = free._sigma_memo[scheme] = tuple(_clean(t) for t in acc)
+    return _combine(free.gens, system, parts)
+
+
+def _old_singular_at(alg, mdeg, ratio: Fraction) -> bool:
+    """Is sum over j of ratio^(n-1-j) M_j singular on the multidegree?"""
+    basis = alg.basis_of_multidegree(mdeg)
+    n = sum(mdeg)
+    index = {m: i for i, m in enumerate(basis)}
+    weights = [ratio ** (n - 1 - j) for j in range(n)]
+    red = RowReducer()
+    for m in basis:
+        row = {}
+        for w, part in zip(weights, _sigma_parts(alg, m)):
+            if w:
+                for b, v in part.items():
+                    i = index[b]
+                    row[i] = row.get(i, 0) + w * v
+        red.insert(_clean(row))
+    return red.rank < len(basis)
+
+
+def _old_check_op2(
+    variety: VarietyPresentation,
+    system: VerbalSystem,
+    gens: Optional[GeneratorSet] = None,
+    bound: Optional[int] = None,
+) -> Op2Report:
+    """Is the new product an operation of the variety, with sigma invertible?
+
+    The two-sided word a(x1 x2) + b(x2 x1) is only a genuine two-parameter
+    family when x1 x2 and x2 x1 are independent in the algebra; when that
+    component is one-dimensional the second term folds into the first, and
+    only the representative with b = 0 is admitted (form check).  Both this
+    and the invertibility of sigma on each multihomogeneous component are
+    verified on the truncated relatively-free algebra on `gens`.
+
+    The laws are decided at the free generators instead.  The new product is
+    a verbal operation, so it commutes with homomorphisms: a multilinear law
+    of arity k (at most `bound`) holds for it in every algebra of the
+    variety exactly when it vanishes at y1..yk in the multilinear part of
+    F_V(k).  For a law that fails, the witness in `identity_failures` is for
+    display only: the first tuple of basis monomials of the truncation whose
+    substitution into that value has a nonzero normal form (the new product
+    commutes with substitution, so the law fails there), or the slot names
+    y1..yk when there is none.
+
+    Invertibility is decided from the parts of sigma on words.  On a
+    multidegree of degree n with N basis monomials, the matrix of sigma is
+    sum over j of a^(n-1-j) b^j M_j, where M_j holds part j of sigma on each
+    basis monomial, and M_0 is the identity.  So when b = 0 it is a^(n-1)
+    times the identity, with a != 0, and otherwise its determinant is
+    b^(N(n-1)) p(a/b) for p(x) = det(sum x^(n-1-j) M_j), a monic polynomial
+    over Q.  A nonconstant rational function is transcendental over Q, so
+    p(a/b) != 0 unless a/b is rational.  Only then is a matrix ranked: the
+    rational matrix sum (a/b)^(n-1-j) M_j, on each multidegree of degree at
+    least 2 (sigma fixes the generators).
+    """
+    if gens is None:
+        gens = GeneratorSet.default(2)
+    if bound is None:
+        bound = default_op2_bound(variety)
+    alg = build_truncated(variety, gens, bound)
+
+    form_ok = True
+    if gens.size >= 2 and bound >= 2:
+        md = tuple([1, 1] + [0] * (gens.size - 2))
+        if len(alg.basis_of_multidegree(md)) == 1 and not system.b.is_zero:
+            form_ok = False
+
+    failures = []
+    for scheme in variety.multilinear():
+        if scheme.arity > bound:
+            continue
+        value = _old_law_value(variety, system, scheme)
+        if not value.is_zero:
+            combo = alg.failing_tuple(value)
+            if combo is None:
+                witness = scheme.ygens.names
+            else:
+                witness = tuple(m.encode() for m in combo)
+            failures.append((scheme.encode(), witness))
+
+    singular = []
+    ratio = None if system.b.is_zero else (system.a / system.b).as_fraction()
+    if ratio is not None:
+        for d in range(2, bound + 1):
+            for md in alg.multidegrees(d):
+                if _old_singular_at(alg, md, ratio):
+                    singular.append(md)
+
+    return Op2Report(
+        variety=variety.name,
+        phi=system.phi.encode(),
+        a=system.a.encode(),
+        b=system.b.encode(),
+        bound=bound,
+        form_ok=form_ok,
+        identity_ok=not failures,
+        invertible=not singular,
+        identity_failures=tuple(failures),
+        singular_multidegrees=tuple(singular),
+    )
+
+
+# the grid, b = 0 and a = 0 with a symbolic partner, a rational a/b between
+# two non-rational values, a singular one, a/b = t1/t2 and a non-rational
+# pair of rational functions
+POINT_SYSTEMS = OP2_GRID + (
+    ("t1", "0"),
+    ("0", "t2"),
+    ("2*t1", "t1"),
+    ("t1", "-t1"),
+    ("t1", "t2"),
+    ("(t1 + 1)/t2", "t1 - t2"),
+)
+
+
+@pytest.mark.parametrize("variety", builtin_variety_names() + CUSTOM_LAWS)
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_check_op2_at_the_point_matches_old(variety, k):
+    gens = GeneratorSet.default(k)
+    for phi in ("id", "swap"):
+        for a, b in POINT_SYSTEMS:
+            system = VerbalSystem.parse(F, phi, str(a), str(b))
+            new = check_op2(_variety(variety), system, gens).as_dict()
+            old = _old_check_op2(_variety(variety), system, gens).as_dict()
+            assert new == old, (phi, a, b)
 
 
 @lru_cache(maxsize=None)

@@ -1,6 +1,7 @@
 """Tests for operation changes: admissibility, scaling, inner witnesses."""
 
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -8,6 +9,8 @@ from fractions import Fraction
 import pytest
 
 from endomorphism_oracle import product
+from test_oracles import _sweep_jobs_module
+from veralg import cases, verbal
 from veralg.cases import OP2_GRID
 from veralg.freealg import (
     Element,
@@ -322,6 +325,100 @@ def test_witness_past_degree_one(phi, a, b):
     assert report.identity_failures == ((law, ("x1", "x1", "(x1 x1)")),)
 
 
+G3 = GeneratorSet.default(3)
+
+
+@pytest.mark.parametrize("name", builtin_variety_names())
+def test_singular_multidegrees_closed_under_permutations(name):
+    # when the laws hold, sigma commutes with permuting the generators
+    closed = 0
+    for a, b in OP2_GRID:
+        report = check_op2(builtin_variety(name), _sys(Q, "id", str(a), str(b)), G3)
+        if not report.identity_ok:
+            continue
+        singular = set(report.singular_multidegrees)
+        for md in singular:
+            assert set(itertools.permutations(md)) <= singular, (a, b, md)
+        closed += bool(singular)
+    if name != "Alternative":
+        # a = b or a = -b is singular in each of the other six
+        assert closed
+
+
+def test_one_rank_per_generator_orbit(monkeypatch):
+    ranked = []
+    singular_at = verbal._singular_at
+
+    def counted(alg, md, point):
+        ranked.append(tuple(sorted(md, reverse=True)))
+        return singular_at(alg, md, point)
+
+    monkeypatch.setattr(verbal, "_singular_at", counted)
+    lie = builtin_variety("lie")
+    report = check_op2(lie, _sys(Q, "id", "1", "2"), G3, 5)
+    assert report.identity_ok
+    alg = build_truncated(lie, G3, 5)
+    orbits = {
+        tuple(sorted(md, reverse=True))
+        for d in range(2, 6)
+        for md in alg.multidegrees(d)
+    }
+    assert sorted(ranked) == sorted(orbits)
+
+
+def test_failing_law_ranks_every_multidegree():
+    # the law fails at a : b = -1 : 2, so sigma on the truncation depends on
+    # the basis, and its rank differs between (3, 1) and (1, 3)
+    law = "(y1 (y2 y3)) - ((y1 y2) y3) + (y2 (y1 y3))"
+    variety = VarietyPresentation(law, (IdentityScheme.from_string(law),))
+    report = check_op2(variety, _sys(Q, "id", "-1", "2"), G2, 4)
+    assert not report.identity_ok
+    assert (3, 1) in report.singular_multidegrees
+    assert (1, 3) not in report.singular_multidegrees
+
+
+def _no_combine(*args):
+    raise AssertionError("a law that holds was evaluated over the field")
+
+
+@pytest.mark.parametrize("name", builtin_variety_names())
+def test_laws_that_hold_form_no_field_value(monkeypatch, name):
+    monkeypatch.setattr(verbal, "_combine", _no_combine)
+    cells = [(a, b) for a, b in OP2_GRID if _expected_admissible(name, a, b)]
+    cells.append(("t1", "0"))
+    if name != "Alternative":
+        # the Alternative laws fail wherever a and b are both nonzero
+        cells.append(("t1", "t2"))
+    for a, b in cells:
+        report = check_op2(builtin_variety(name), _sys(F2, "id", str(a), str(b)))
+        assert report.identity_ok, (a, b)
+
+
+# the flexible law holds in the new product of an alternative algebra, the
+# two Alternative laws fail when a and b are both nonzero
+ALTERNATIVE_FLEXIBLE = VarietyPresentation(
+    "AlternativeFlexible",
+    builtin_variety("alternative").schemes
+    + (IdentityScheme.from_string("((y1 y2) y1) - (y1 (y2 y1))"),),
+)
+
+
+@pytest.mark.parametrize("a,b", (("1", "1"), ("2", "1"), ("t1", "t2")))
+def test_only_failing_laws_form_a_field_value(monkeypatch, a, b):
+    formed = []
+    combine = verbal._combine
+
+    def counted(gens, system, parts):
+        formed.append(len(parts))
+        return combine(gens, system, parts)
+
+    monkeypatch.setattr(verbal, "_combine", counted)
+    report = check_op2(ALTERNATIVE_FLEXIBLE, _sys(F2, "id", a, b))
+    assert len(ALTERNATIVE_FLEXIBLE.multilinear()) == 3
+    assert len(report.identity_failures) == 2
+    assert len(formed) == 2
+
+
 class TestScalingCheck:
     def test_b_zero_any_monomial(self):
         alg = build_truncated(builtin_variety("lie"), G2, 4)
@@ -426,3 +523,21 @@ class TestInnerWitness:
                 Element.from_monomial(G2, Q, m) * mu ** (1 - m.degree)
             )
             assert got == want
+
+
+def test_inner_changes_of_the_corpus_are_never_falsified():
+    # negative control: phi = id and b = 0 make sigma the dilation with
+    # mu = 1/a, so the change is inner and no ideal can be falsified
+    sweep_jobs = _sweep_jobs_module()
+    jobs = [
+        job
+        for job in sweep_jobs.corpus(sweep_jobs.CORPUS_SEED, sweep_jobs.load_top_basis())
+        if job["system"]["phi"] == "id" and job["system"]["b"] == "0"
+    ]
+    assert len(jobs) == 42
+    for job in jobs:
+        alg, field, _, system = cases.job_context(job)
+        report = inner_witness(alg, system)
+        assert report.status == "inner", job
+        assert report.witness == Scalar.one(field) / system.a, job
+        assert cases.falsify_job(job).verdict == "no_falsification", job
