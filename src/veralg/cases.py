@@ -329,10 +329,10 @@ def _check(name, got, want):
 
 def _run_equation_ideal(name: str) -> dict:
     job = load_job(name)
-    alg, field, gens, system = job_context(job)
     cert = falsify_job(job)
+    alg = cert.alg
     # the unknowns of the job's constraints; no table is built
-    ctx = SymbolicEndomorphism(alg, field, extra=("rho",)).ctx
+    ctx = SymbolicEndomorphism(alg, cert.system.field, extra=("rho",)).ctx
 
     checks = []
     if name in _EXPECTED_DIMS:

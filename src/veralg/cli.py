@@ -116,6 +116,12 @@ def _load_job(args) -> dict:
             job = json.load(handle)
     if not isinstance(job, dict):
         raise UsageError("a job must be a JSON object")
+    unknown = [key for key in job if key not in JOB_FIELDS]
+    if unknown:
+        raise UsageError(
+            f"unknown job field {', '.join(map(repr, unknown))};"
+            f" a job's fields are {', '.join(JOB_FIELDS)}"
+        )
     for key in ("kind", "field", "variety", "gens", "bound", "system"):
         if key not in job:
             raise UsageError(f"job is missing the {key!r} field")

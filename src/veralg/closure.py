@@ -37,6 +37,7 @@ from .scalars import (
 )
 from .variety import RowReducer, TruncatedAlgebra
 from .verbal import (
+    Op2Report,
     PreconditionError,
     VerbalSystem,
     check_op2,
@@ -525,26 +526,31 @@ def _vanishes_below(node: Branch, r: ParamPoly, done: int) -> bool:
 
 @dataclass(frozen=True)
 class Certificate:
-    """The record of a falsification attempt: verdict, case tree, witness."""
+    """The one record of a falsify run.
+
+    ``alg`` is the truncation the run worked in, ``system`` the operation
+    change and ``op2`` its ``check_op2`` report; ``details`` holds what the
+    falsifier of this ``kind`` found, its witness among them.  ``as_dict``
+    writes the header (variety, generators, bound, system and op2) from
+    these objects, the same for both kinds, and then the details.
+    """
 
     kind: str
     verdict: str
-    variety: str
-    gens: tuple
-    bound: int
-    system: dict
-    op2: dict
+    alg: TruncatedAlgebra
+    system: VerbalSystem
+    op2: Op2Report
     details: dict
 
     def as_dict(self) -> dict:
         return {
             "kind": self.kind,
             "verdict": self.verdict,
-            "variety": self.variety,
-            "generators": list(self.gens),
-            "bound": self.bound,
-            "system": self.system,
-            "op2": self.op2,
+            "variety": self.alg.variety.name,
+            "generators": list(self.alg.gens.names),
+            "bound": self.alg.bound,
+            "system": self.system.encode(),
+            "op2": self.op2.as_dict(),
             "details": self.details,
         }
 
@@ -561,13 +567,18 @@ def falsify_equation_ideal(
     """Compare the ideal <t> + tail with its sigma-image through closures.
 
     Every linear alpha with alpha(sigma t) in T is covered by a case tree;
-    candidates that land in T under all of them, but are missing from
-    sigma(T), witness that the quotients impose different closures.  Each
-    candidate is tested against all solved leaves in one
-    ``kernel_contains`` call, which computes alpha(v) and its residue once.
+    a candidate that lands in T under all of them (a certified candidate)
+    but is missing from sigma(T) witnesses that the quotients impose
+    different closures.  Each candidate is tested against all solved
+    leaves in one ``kernel_contains`` call, which computes alpha(v) and its
+    residue once.  The witness is the first certified candidate outside
+    sigma(T).  Both tests are linear in v, so when every certified
+    candidate lies in sigma(T), so does every element of their span.
+
     The verdict is "inconclusive" when a case resists the analysis,
-    "no_falsification" when no candidate separates, and
-    "not_geometrically_equivalent" with a witness otherwise.
+    "not_geometrically_equivalent" when there is a witness, and
+    "no_falsification" otherwise: no element of the span of the certified
+    candidates separates T from sigma(T).
     """
     ideal = ideal_build(alg, system.field, (t,), tail)
     cons = gen_constraints(alg, ideal, system)
@@ -578,25 +589,24 @@ def falsify_equation_ideal(
     image = ideal_build(alg, system.field, (cons.sigma_generator,), tail)
     tree = solve_cases(cons.equations, cons.ctx, hints, max_depth)
 
-    leaves = list(tree.leaves())
-    solved = [l for l in leaves if l.status == "solved"]
-    stuck = [l for l in leaves if l.status == "stuck"]
+    statuses = [leaf.status for leaf in tree.leaves()]
+    solved, stuck = statuses.count("solved"), statuses.count("stuck")
 
+    texts = [v.encode() for v in candidates]
     kernel = {
-        v.encode(): kernel_contains(alg, ideal, cons, tree, v)
-        for v in candidates
+        text: kernel_contains(alg, ideal, cons, tree, v)
+        for text, v in zip(texts, candidates)
     }
 
     witness = None
     if not stuck:
-        certified = [v for v in candidates if kernel[v.encode()]]
-        pool = list(certified) + [
-            u + v for u, v in itertools.combinations(certified, 2)
-        ]
-        for w in pool:
-            if not image.contains(w):
-                witness = w
-                break
+        witness = next(
+            (
+                v for text, v in zip(texts, candidates)
+                if kernel[text] and not image.contains(v)
+            ),
+            None,
+        )
 
     if stuck:
         verdict = "inconclusive"
@@ -615,22 +625,13 @@ def falsify_equation_ideal(
         "constraint_basis": [b.encode() for b in cons.basis],
         "hints": list(hints),
         "cases": tree.as_dict(),
-        "case_count": len(solved),
-        "stuck_count": len(stuck),
+        "case_count": solved,
+        "stuck_count": stuck,
         "kernel": kernel,
-        "candidates": [v.encode() for v in candidates],
+        "candidates": texts,
         "witness": None if witness is None else witness.encode(),
     }
-    return Certificate(
-        kind="equation-ideal",
-        verdict=verdict,
-        variety=alg.variety.name,
-        gens=alg.gens.names,
-        bound=alg.bound,
-        system=system.encode(),
-        op2=report.as_dict(),
-        details=details,
-    )
+    return Certificate("equation-ideal", verdict, alg, system, report, details)
 
 
 def _nonzero_word(alg, field, word: Monomial) -> Element:
@@ -676,13 +677,4 @@ def falsify_smallest_closed(alg, system: VerbalSystem, word: Monomial) -> Certif
         "span_rank": span.rank,
         "witness": None if inside else sw.encode(),
     }
-    return Certificate(
-        kind="smallest-closed",
-        verdict=verdict,
-        variety=alg.variety.name,
-        gens=alg.gens.names,
-        bound=alg.bound,
-        system=system.encode(),
-        op2=report.as_dict(),
-        details=details,
-    )
+    return Certificate("smallest-closed", verdict, alg, system, report, details)

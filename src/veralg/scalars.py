@@ -731,9 +731,6 @@ class FieldAutomorphism:
     def is_identity(self) -> bool:
         return all(i == k for i, k in enumerate(self.perm))
 
-    def image(self, name: str) -> str:
-        return self.field.names[self.perm[self.field.index(name)]]
-
     def apply(self, s: Scalar) -> Scalar:
         if s.field != self.field:
             raise ValueError("scalar field mismatch")

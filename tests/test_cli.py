@@ -461,6 +461,28 @@ class TestInputErrors:
         assert out == ""
         assert f"job field {field!r} must be" in self.single_error(err)
 
+    @pytest.mark.parametrize(
+        "command,name,misspelt,right",
+        (
+            ("falsify", "aut_1_3_4", "candidate", "candidates"),
+            ("expand", "aut_6", "hint", "hints"),
+        ),
+        ids=("falsify-candidate", "expand-hint"),
+    )
+    def test_unknown_job_field(self, capsys, tmp_path, command, name, misspelt, right):
+        # a misspelt key was ignored: aut_1_3_4 without its candidates
+        # printed no_falsification, and the determinant hint was dropped
+        job = cases.load_job(name)
+        job[misspelt] = job.pop(right)
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(job))
+        code, out, err = run(capsys, [command, "--spec", str(path)])
+        assert code == 2
+        assert out == ""
+        line = self.single_error(err)
+        assert f"unknown job field {misspelt!r}" in line
+        assert right in line
+
     def test_job_that_is_not_an_object(self, capsys, tmp_path):
         path = tmp_path / "job.json"
         path.write_text("5")

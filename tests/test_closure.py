@@ -349,6 +349,27 @@ class TestTwoDimLinearRun:
         assert cert.verdict == "inconclusive"
         assert cert.details["stuck_count"] >= 1
 
+    def test_sigma_image_test_once_per_certified_candidate(self, monkeypatch):
+        # an inner dilation carries T onto itself, so both certified
+        # candidates lie in sigma(T); their sum, 3 * (x1 x2), lies there too
+        # and is never tested
+        alg = _alg("alllinear", 2)
+        t = parse_element("(x1 x2)", G, F)
+        V = [parse_element("(x1 x2)", G, F), parse_element("2 * (x1 x2)", G, F)]
+        tested = []
+        contains = closure.TruncatedIdeal.contains
+
+        def recording(ideal, el):
+            tested.append(el.encode())
+            return contains(ideal, el)
+
+        monkeypatch.setattr(closure.TruncatedIdeal, "contains", recording)
+        system = VerbalSystem.parse(F, "id", "2", "0")
+        cert = falsify_equation_ideal(alg, system, t, 3, V)
+        assert cert.details["kernel"] == {"(x1 x2)": True, "2 * (x1 x2)": True}
+        assert cert.verdict == "no_falsification"
+        assert tested == ["(x1 x2)", "2 * (x1 x2)"]
+
 
 # Pinned run: free 2-generated commutative algebras, window 3, tail 4,
 # generator t1*x1(x1x2) + x2(x1x1), operation change (swap, 1, 0).

@@ -53,7 +53,10 @@ too, and ``_old_reduce_by`` built a polynomial per division step;
 test that relied on it (``_old_is_lone_monic``).  ``_old_check_op2``
 (with ``_old_law_value`` and ``_old_singular_at``) formed every law's
 value over Q(t) and ranked every multidegree, before ``check_op2``
-decided both at the point (a : b).
+decided both at the point (a : b).  ``_old_verdict_and_witness`` tried
+the pairwise sums of the certified candidates after the candidates
+themselves, before the witness became the first certified candidate
+outside sigma(T).
 The current code must agree with them exactly.  The one exception is the
 build under ``CUSTOM_LAWS[0]`` on one generator up to degree 8: the old
 basis there has monomials with a rewritten child, which are not products
@@ -2573,6 +2576,119 @@ def test_solved_residuals_are_reduced_by_their_chain(name):
             subs = dict(leaf.substitutions)
             for r in leaf.residuals:
                 assert substitute_in_order(r, subs) == r, (name, leaf.note, r)
+
+
+# The witness search before the first certified candidate outside sigma(T)
+# decided: the certified candidates, then their pairwise sums.
+
+
+def _old_verdict_and_witness(alg, system, t, tail, candidates, hints=()):
+    """The verdict and the witness text of the equation-ideal falsifier."""
+    ideal = ideal_build(alg, system.field, (t,), tail)
+    cons = gen_constraints(alg, ideal, system)
+    image = ideal_build(alg, system.field, (cons.sigma_generator,), tail)
+    tree = solve_cases(cons.equations, cons.ctx, hints)
+
+    leaves = list(tree.leaves())
+    stuck = [l for l in leaves if l.status == "stuck"]
+
+    kernel = {
+        v.encode(): kernel_contains(alg, ideal, cons, tree, v)
+        for v in candidates
+    }
+
+    witness = None
+    if not stuck:
+        certified = [v for v in candidates if kernel[v.encode()]]
+        pool = list(certified) + [
+            u + v for u, v in itertools.combinations(certified, 2)
+        ]
+        for w in pool:
+            if not image.contains(w):
+                witness = w
+                break
+
+    if stuck:
+        verdict = "inconclusive"
+    elif witness is not None:
+        verdict = "not_geometrically_equivalent"
+    else:
+        verdict = "no_falsification"
+    return verdict, None if witness is None else witness.encode()
+
+
+def _changed_job(name, **changes):
+    job = cases.load_job(name)
+    job.update(changes)
+    return job
+
+
+# jobs with two or more certified candidates: (job, are all of them in
+# sigma(T)?)
+WITNESS_JOBS = {
+    # an inner dilation carries T onto itself
+    "dilation": (
+        _changed_job(
+            "aut_1_3_4", system={"phi": "id", "a": "2", "b": "0"},
+            generator="(x1 x2)", candidates=["(x1 x2)", "2 * (x1 x2)"],
+        ),
+        True,
+    ),
+    # the identity change, with an uncertified candidate between t and t1*t
+    "identity": (
+        _changed_job(
+            "aut_1_3_4", system={"phi": "id", "a": "1", "b": "0"},
+            candidates=[
+                "t1 * (x1 x2) + (x2 x1)", "(x1 x2)",
+                "(t1^2) * (x1 x2) + t1 * (x2 x1)",
+            ],
+        ),
+        True,
+    ),
+    "aut_1_3_4_sigma_t_twice": (
+        _changed_job(
+            "aut_1_3_4",
+            candidates=["t2 * (x1 x2) + (x2 x1)", "(2*t2) * (x1 x2) + 2 * (x2 x1)"],
+        ),
+        True,
+    ),
+    "aut_1_3_4_sigma_t_first": (
+        _changed_job(
+            "aut_1_3_4", candidates=["t2 * (x1 x2) + (x2 x1)", "(x2 x1)", "(x1 x2)"],
+        ),
+        False,
+    ),
+    "aut_2_5_sigma_t_first": (
+        _changed_job(
+            "aut_2_5",
+            candidates=[
+                "t2 * (x1 (x1 x2)) + (x2 (x1 x1))", "(x1 (x2 x2))", "(x2 (x1 x1))",
+            ],
+        ),
+        False,
+    ),
+}
+
+
+def _old_falsify_job(job):
+    alg, field, gens, system = cases.job_context(job)
+    t = parse_element(job["generator"], gens, field)
+    candidates = [parse_element(s, gens, field) for s in job["candidates"]]
+    return _old_verdict_and_witness(
+        alg, system, t, int(job["tail"]), candidates, tuple(job.get("hints", ()))
+    )
+
+
+@pytest.mark.parametrize("name", sorted(_walk_jobs()) + sorted(WITNESS_JOBS))
+def test_witness_matches_old_search_with_sums(name):
+    job = WITNESS_JOBS[name][0] if name in WITNESS_JOBS else _walk_jobs()[name]
+    cert = cases.falsify_job(job)
+    assert (cert.verdict, cert.details["witness"]) == _old_falsify_job(job)
+    if name in WITNESS_JOBS:
+        certified = [v for v, ok in cert.details["kernel"].items() if ok]
+        assert len(certified) >= 2
+        all_inside = WITNESS_JOBS[name][1]
+        assert (cert.verdict == "no_falsification") == all_inside
 
 
 # The gcd and cancellation before the exact shortcuts: every pair of

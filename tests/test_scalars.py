@@ -280,7 +280,6 @@ class TestFieldAutomorphism:
     def test_swap_moves_t1(self):
         phi = FieldAutomorphism.swap(F)
         assert phi.apply(t("t1")) == t("t2")
-        assert phi.image("t2") == "t1"
 
     def test_identity(self):
         assert FieldAutomorphism.identity(F).apply(s("t1/(t2 + 1)")) == s(
