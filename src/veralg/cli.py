@@ -32,8 +32,13 @@ from .verbal import VerbalSystem, check_op2, default_op2_bound, inner_witness
 
 DEFAULT_DEGREE_CAP = 8
 
-# job kind -> the keys it needs beyond the common ones
-JOB_KINDS = {"equation-ideal": ("generator", "tail"), "smallest-closed": ("word",)}
+# the keys every job needs
+JOB_COMMON = ("kind", "field", "variety", "gens", "bound", "system")
+# job kind -> (the keys it needs beyond the common ones, the keys it may have)
+JOB_KINDS = {
+    "equation-ideal": (("generator", "tail"), ("candidates", "hints")),
+    "smallest-closed": (("word",), ()),
+}
 
 _STRING = (lambda v: isinstance(v, str), "a string")
 _INTEGER = (lambda v: type(v) is int, "an integer")
@@ -122,7 +127,7 @@ def _load_job(args) -> dict:
             f"unknown job field {', '.join(map(repr, unknown))};"
             f" a job's fields are {', '.join(JOB_FIELDS)}"
         )
-    for key in ("kind", "field", "variety", "gens", "bound", "system"):
+    for key in JOB_COMMON:
         if key not in job:
             raise UsageError(f"job is missing the {key!r} field")
     for key, (ok, want) in JOB_FIELDS.items():
@@ -130,13 +135,22 @@ def _load_job(args) -> dict:
             raise UsageError(
                 f"job field {key!r} must be {want}, got {json.dumps(job[key])}"
             )
-    if job["kind"] not in JOB_KINDS:
+    kind = job["kind"]
+    if kind not in JOB_KINDS:
         raise UsageError(
-            f"unknown job kind {job['kind']!r}; choose from {', '.join(JOB_KINDS)}"
+            f"unknown job kind {kind!r}; choose from {', '.join(JOB_KINDS)}"
         )
-    for key in JOB_KINDS[job["kind"]]:
+    required, optional = JOB_KINDS[kind]
+    allowed = JOB_COMMON + required + optional
+    foreign = [key for key in job if key not in allowed]
+    if foreign:
+        raise UsageError(
+            f"a {kind} job has no field {', '.join(map(repr, foreign))};"
+            f" its fields are {', '.join(allowed)}"
+        )
+    for key in required:
         if key not in job:
-            raise UsageError(f"{job['kind']} job is missing the {key!r} field")
+            raise UsageError(f"{kind} job is missing the {key!r} field")
     _generators(job["gens"], "gens", _capped(job["bound"], "bound"))
     return job
 

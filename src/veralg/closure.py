@@ -22,8 +22,6 @@ transcendentals, so it cannot be replayed from the certificate alone.
 from __future__ import annotations
 
 import itertools
-import json
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .freealg import Element, Monomial, SymbolicEndomorphism
@@ -31,6 +29,7 @@ from .scalars import (
     ParamContext,
     ParamPoly,
     Scalar,
+    _Record,
     check_next_substitution,
     factor_for_branching,
     parse_parampoly,
@@ -159,6 +158,8 @@ def _admissible(alg, system: VerbalSystem):
     """The change's check_op2 report; PreconditionError unless admissible."""
     report = check_op2(alg.variety, system, alg.gens, alg.bound)
     if not report.admissible:
+        import json  # only this refusal needs it, so `import veralg` skips it
+
         raise PreconditionError(
             "operation change is not admissible for this variety: "
             + json.dumps(report.as_dict())
@@ -166,8 +167,7 @@ def _admissible(alg, system: VerbalSystem):
     return report
 
 
-@dataclass(frozen=True)
-class GenConstraints:
+class GenConstraints(_Record):
     """Equations cutting out the linear alpha with alpha(sigma t) in T.
 
     Proportionality of the degree (tail-1) component of alpha(sigma t) to t
@@ -178,10 +178,7 @@ class GenConstraints:
     ``gen_constraints`` built.  ``gen_constraints`` is the only constructor.
     """
 
-    alpha: SymbolicEndomorphism
-    equations: tuple
-    basis: tuple
-    sigma_generator: Element
+    __slots__ = ("alpha", "equations", "basis", "sigma_generator")
 
     @property
     def ctx(self) -> ParamContext:
@@ -216,9 +213,10 @@ def gen_constraints(alg, ideal: TruncatedIdeal, system: VerbalSystem) -> GenCons
 # ---------------------------------------------------------------------------
 # Case analysis.
 
+_set = object.__setattr__  # writes a field of a frozen record
 
-@dataclass(frozen=True)
-class Branch:
+
+class Branch(_Record):
     """A node of the case tree over the constraint equations.
 
     substitutions and nonvanishing are cumulative along the path from the
@@ -239,12 +237,26 @@ class Branch:
     text of each shared polynomial once.
     """
 
-    substitutions: tuple
-    nonvanishing: tuple
-    residuals: tuple
-    status: str  # "split" | "solved" | "contradiction" | "infeasible" | "stuck"
-    note: str
-    children: tuple = ()
+    __slots__ = (
+        "substitutions",
+        "nonvanishing",
+        "residuals",
+        "status",  # "split" | "solved" | "contradiction" | "infeasible" | "stuck"
+        "note",
+        "children",
+    )
+
+    def __init__(
+        self, substitutions, nonvanishing, residuals, status, note, children=()
+    ):
+        # a sweep pass builds about a thousand nodes, so each field is set
+        # directly instead of through _Record.__init__
+        _set(self, "substitutions", substitutions)
+        _set(self, "nonvanishing", nonvanishing)
+        _set(self, "residuals", residuals)
+        _set(self, "status", status)
+        _set(self, "note", note)
+        _set(self, "children", children)
 
     def leaves(self):
         if not self.children:
@@ -524,8 +536,7 @@ def _vanishes_below(node: Branch, r: ParamPoly, done: int) -> bool:
 # Certificates.
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(_Record):
     """The one record of a falsify run.
 
     ``alg`` is the truncation the run worked in, ``system`` the operation
@@ -535,12 +546,7 @@ class Certificate:
     these objects, the same for both kinds, and then the details.
     """
 
-    kind: str
-    verdict: str
-    alg: TruncatedAlgebra
-    system: VerbalSystem
-    op2: Op2Report
-    details: dict
+    __slots__ = ("kind", "verdict", "alg", "system", "op2", "details")
 
     def as_dict(self) -> dict:
         return {

@@ -10,7 +10,6 @@ of the calculus, not a display choice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add
@@ -23,6 +22,7 @@ from .scalars import (
     Scalar,
     _END,
     _ExprParser,
+    _Record,
     _check_names,
     _join_signed,
     _p_add,
@@ -54,14 +54,24 @@ class ContextMismatch(ValueError):
 _INTERN = {}
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
+class GeneratorSet(_Record):
     """An ordered set of free generators."""
 
-    names: tuple
+    __slots__ = ("names",)
 
-    def __post_init__(self):
+    def _check(self):
         _check_names(self.names, "generator")
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not GeneratorSet:
+            return NotImplemented
+        return self.names == other.names
+
+    def __hash__(self):
+        # every Monomial.__init__ hashes its generator set
+        return hash((self.names,))
 
     @staticmethod
     def default(count: int) -> "GeneratorSet":

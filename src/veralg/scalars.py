@@ -11,7 +11,6 @@ case solver is built from.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Mapping, Optional, Sequence
@@ -335,8 +334,57 @@ def _check_names(names, what: str) -> None:
         seen.add(n)
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class _Record:
+    """A frozen record whose fields are its ``__slots__``, in order.
+
+    The constructor takes every field, by position or by keyword, and then
+    runs ``_check``.  ``==``, ``hash`` and ``repr`` go by the fields:
+    records of one class are equal when their fields are, the hash is that
+    of the tuple of the fields, and the text is ``Name(field=value, ...)``.
+    A record class on a hot path gives its own ``__init__``, ``__eq__`` and
+    ``__hash__`` with the same results.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        fields = self.__slots__
+        if kwargs:
+            args += tuple(kwargs.pop(n) for n in fields[len(args):] if n in kwargs)
+        if kwargs or len(args) != len(fields):
+            raise TypeError(
+                f"{type(self).__name__}() takes {', '.join(fields)}, each once"
+            )
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+        self._check()
+
+    def _check(self):
+        """Raise ValueError if the fields do not make a valid record."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class FieldSpec(_Record):
     """The rational-function field Q(names[0], ..., names[-1]).
 
     A field memoises two things for as long as it lives, each keyed by
@@ -350,16 +398,13 @@ class FieldSpec:
     code writes into a scalar's ``num`` or ``den``.
     """
 
-    names: tuple = ()
-    _products: dict = field(
-        default_factory=dict, init=False, compare=False, hash=False, repr=False
-    )
-    _texts: dict = field(
-        default_factory=dict, init=False, compare=False, hash=False, repr=False
-    )
+    __slots__ = ("names", "_products", "_texts")
 
-    def __post_init__(self):
-        _check_names(self.names, "transcendental")
+    def __init__(self, names: tuple = ()):
+        _check_names(names, "transcendental")
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "_products", {})
+        object.__setattr__(self, "_texts", {})
 
     def __eq__(self, other):
         # a job compares its one field with itself nearly every time
@@ -368,6 +413,12 @@ class FieldSpec:
         if other.__class__ is not FieldSpec:
             return NotImplemented
         return self.names == other.names
+
+    def __hash__(self):
+        return hash((self.names,))
+
+    def __repr__(self):
+        return f"FieldSpec(names={self.names!r})"
 
     @staticmethod
     def default(count: int = 2) -> "FieldSpec":
@@ -694,17 +745,15 @@ def _signed_int(c: int):
     return c < 0, str(abs(c))
 
 
-@dataclass(frozen=True)
-class FieldAutomorphism:
+class FieldAutomorphism(_Record):
     """A field automorphism permuting the transcendentals.
 
     ``perm`` sends ``names[i]`` to ``names[perm[i]]``.
     """
 
-    field: FieldSpec
-    perm: tuple
+    __slots__ = ("field", "perm")
 
-    def __post_init__(self):
+    def _check(self):
         if sorted(self.perm) != list(range(self.field.size)):
             raise ValueError("perm is not a permutation of the transcendentals")
 
@@ -773,14 +822,12 @@ class FieldAutomorphism:
 # Polynomials in solver unknowns.
 
 
-@dataclass(frozen=True)
-class ParamContext:
+class ParamContext(_Record):
     """Named solver unknowns over a coefficient field."""
 
-    field: FieldSpec
-    names: tuple
+    __slots__ = ("field", "names")
 
-    def __post_init__(self):
+    def _check(self):
         _check_names(self.names, "unknown")
         for n in self.names:
             if n in self.field.names:
@@ -795,6 +842,9 @@ class ParamContext:
         if other.__class__ is not ParamContext:
             return NotImplemented
         return self.field == other.field and self.names == other.names
+
+    def __hash__(self):
+        return hash((self.field, self.names))
 
     @property
     def size(self) -> int:

@@ -15,7 +15,6 @@ and is sigma a dilation in disguise (:func:`inner_witness`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .freealg import Element, GeneratorSet, Monomial
@@ -25,6 +24,7 @@ from .scalars import (
     ParamPoly,
     Scalar,
     _exact,
+    _Record,
     parse_scalar,
 )
 from .variety import RowReducer, VarietyPresentation, build_truncated
@@ -46,15 +46,12 @@ class PreconditionError(ValueError):
     """A stated precondition of the requested computation does not hold."""
 
 
-@dataclass(frozen=True)
-class VerbalSystem:
+class VerbalSystem(_Record):
     """The operation change (phi, a, b)."""
 
-    phi: FieldAutomorphism
-    a: Scalar
-    b: Scalar
+    __slots__ = ("phi", "a", "b")
 
-    def __post_init__(self):
+    def _check(self):
         if self.a.field != self.phi.field or self.b.field != self.phi.field:
             raise ValueError("the scalars and the automorphism disagree on the field")
         if self.a.is_zero and self.b.is_zero:
@@ -221,20 +218,21 @@ def _law_holds(parts: tuple, point: Optional[tuple]) -> bool:
     return not _weighted(parts, _weights(point, len(parts)))
 
 
-@dataclass(frozen=True)
-class Op2Report:
+class Op2Report(_Record):
     """Outcome of an admissibility check for an operation change."""
 
-    variety: str
-    phi: str
-    a: str
-    b: str
-    bound: int
-    form_ok: bool
-    identity_ok: bool
-    invertible: bool
-    identity_failures: tuple
-    singular_multidegrees: tuple
+    __slots__ = (
+        "variety",
+        "phi",
+        "a",
+        "b",
+        "bound",
+        "form_ok",
+        "identity_ok",
+        "invertible",
+        "identity_failures",
+        "singular_multidegrees",
+    )
 
     @property
     def admissible(self) -> bool:
@@ -411,8 +409,7 @@ def scaling_check(alg, system: VerbalSystem, m: Monomial) -> Scalar:
     return factor
 
 
-@dataclass(frozen=True)
-class InnerReport:
+class InnerReport(_Record):
     """Whether sigma is a dilation u -> mu^(1 - deg u) * u for some mu != 0.
 
     status is "inner" with a witness, "refuted" with an obstruction, or
@@ -420,10 +417,7 @@ class InnerReport:
     dilation.
     """
 
-    status: str
-    witness: Optional[Scalar]
-    obstruction: Optional[str]
-    equations: tuple
+    __slots__ = ("status", "witness", "obstruction", "equations")
 
     def as_dict(self) -> dict:
         return {

@@ -483,6 +483,31 @@ class TestInputErrors:
         assert f"unknown job field {misspelt!r}" in line
         assert right in line
 
+    @pytest.mark.parametrize("command", ("falsify", "expand"))
+    @pytest.mark.parametrize(
+        "name,kind,changes",
+        (
+            (
+                "s_1_3",
+                "smallest-closed",
+                {"generator": "(x1 x2)", "tail": 3, "candidates": ["(x1 x2)"]},
+            ),
+            ("s_1_3", "smallest-closed", {"hints": []}),
+            ("aut_1_3_4", "equation-ideal", {"word": "(x1 x2)"}),
+        ),
+        ids=("smallest-closed-equation-keys", "smallest-closed-hints", "equation-word"),
+    )
+    def test_key_of_the_other_kind(self, capsys, tmp_path, command, name, kind, changes):
+        # a key of the other kind was ignored, and the job ran and exited 0
+        path = self.job_file(tmp_path, name, **changes)
+        code, out, err = run(capsys, [command, "--spec", path])
+        assert code == 2
+        assert out == ""
+        line = self.single_error(err)
+        assert f"a {kind} job has no field" in line
+        for key in changes:
+            assert repr(key) in line
+
     def test_job_that_is_not_an_object(self, capsys, tmp_path):
         path = tmp_path / "job.json"
         path.write_text("5")

@@ -6,7 +6,6 @@ defining data (generator, operation change, variety) and cross-checked
 against an independent expansion of the generic linear map.
 """
 
-import dataclasses
 import hashlib
 import json
 import random
@@ -21,6 +20,7 @@ from endomorphism_oracle import (
 )
 from veralg import cases, closure, scalars
 from veralg.closure import (
+    Branch,
     Certificate,
     coordinates,
     falsify_equation_ideal,
@@ -183,8 +183,16 @@ class TestSigmaImage:
         t = parse_element("(x1 (x1 x2))", G, F)
         bad = VerbalSystem.parse(F, "id", "1", "-1")
         assert not check_op2(alg.variety, bad, G, 3).admissible
-        with pytest.raises(PreconditionError, match="not admissible"):
+        with pytest.raises(PreconditionError) as refused:
             falsify_equation_ideal(alg, bad, t, 4, [])
+        assert str(refused.value) == (
+            "operation change is not admissible for this variety:"
+            ' {"variety": "Commutative", "phi": "id", "a": "1", "b": "-1",'
+            ' "bound": 3, "form_ok": false, "identity_ok": true,'
+            ' "invertible": false, "admissible": false, "identity_failures": [],'
+            ' "singular_multidegrees": [[2, 0], [1, 1], [0, 2], [3, 0], [2, 1],'
+            " [1, 2], [0, 3]]}"
+        )
 
     def test_requires_single_homogeneous_generator(self):
         alg = _alg("alllinear", 3)
@@ -273,11 +281,12 @@ class TestTwoDimLinearRun:
         rule = parse_parampoly("a11*a22 - t1*rho", cons.ctx)
 
         def with_rule(node):
+            subs, nonvan, res = node.substitutions, node.nonvanishing, node.residuals
             if node.children:
                 children = tuple(with_rule(c) for c in node.children)
-                return dataclasses.replace(node, children=children)
+                return Branch(subs, nonvan, res, node.status, node.note, children)
             if node.status == "solved":
-                return dataclasses.replace(node, residuals=node.residuals + (rule,))
+                return Branch(subs, nonvan, res + (rule,), node.status, node.note)
             return node
 
         tree = with_rule(solve_cases(cons.equations, cons.ctx))

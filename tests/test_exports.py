@@ -8,14 +8,18 @@ every text to one reader per kind, all on one tokenizer, the rational
 rows of a build to ints inside the one row reducer, sigma(t) to one
 computation per falsify job, products in an ideal to ``product_form``, and
 the chain of each case to ``solve_cases``, which ``kernel_contains`` walks
-without checking or rebuilding it.
+without checking or rebuilding it.  The record classes are frozen, slotted
+and compared, hashed and printed by their fields, and ``import veralg``
+loads neither ``dataclasses`` nor ``json``.
 """
 
-import dataclasses
 import importlib
 import inspect
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from math import gcd
 from pathlib import Path
 
@@ -23,8 +27,16 @@ import pytest
 
 import veralg
 from veralg import cases, closure, scalars, variety, verbal
-from veralg.freealg import Element, GeneratorSet
-from veralg.scalars import ParamPoly, Scalar, _Exact
+from veralg.freealg import Element, GeneratorSet, parse_element
+from veralg.scalars import (
+    FieldAutomorphism,
+    FieldSpec,
+    ParamContext,
+    ParamPoly,
+    Scalar,
+    _Exact,
+    parse_scalar,
+)
 
 # __main__ runs the command line when imported
 MODULES = ["veralg"] + [
@@ -138,10 +150,13 @@ def test_one_product_path_in_an_ideal():
 
 def _copied_pairs(node):
     """The tree with each pair a new tuple: equal pairs, no shared objects."""
-    return dataclasses.replace(
-        node,
-        substitutions=tuple((n, p) for n, p in node.substitutions),
-        children=tuple(_copied_pairs(c) for c in node.children),
+    return closure.Branch(
+        tuple((n, p) for n, p in node.substitutions),
+        node.nonvanishing,
+        node.residuals,
+        node.status,
+        node.note,
+        tuple(_copied_pairs(c) for c in node.children),
     )
 
 
@@ -199,3 +214,132 @@ def test_kernel_walks_the_case_tree(monkeypatch):
     assert shared["substitute"] > 0
     assert shared["check_next_substitution"] == shared["substitute_in_order"] == 0
     assert _kernel_calls(monkeypatch, copied=True) == shared
+
+
+# record class -> the fields it is built from, compared, hashed and printed by
+RECORD_FIELDS = {
+    "GeneratorSet": ("names",),
+    "FieldSpec": ("names",),
+    "FieldAutomorphism": ("field", "perm"),
+    "ParamContext": ("field", "names"),
+    "VerbalSystem": ("phi", "a", "b"),
+    "Op2Report": (
+        "variety", "phi", "a", "b", "bound", "form_ok", "identity_ok",
+        "invertible", "identity_failures", "singular_multidegrees",
+    ),
+    "InnerReport": ("status", "witness", "obstruction", "equations"),
+    "GenConstraints": ("alpha", "equations", "basis", "sigma_generator"),
+    "Branch": (
+        "substitutions", "nonvanishing", "residuals", "status", "note", "children",
+    ),
+    "Certificate": ("kind", "verdict", "alg", "system", "op2", "details"),
+}
+
+
+def _records():
+    """One record of each class, in the order of RECORD_FIELDS."""
+    field = FieldSpec(("t1", "t2"))
+    gens = GeneratorSet(("x1", "x2"))
+    swap = FieldAutomorphism(field, (1, 0))
+    system = verbal.VerbalSystem(swap, parse_scalar("t1", field), Scalar.one(field))
+    alg = variety.build_truncated(variety.builtin_variety("alllinear"), gens, 2)
+    t = parse_element("(x1 x2)", gens, field)
+    cons = closure.gen_constraints(
+        alg, closure.ideal_build(alg, field, (t,), 3), system
+    )
+    return [
+        gens,
+        field,
+        swap,
+        ParamContext(field, ("u", "v")),
+        system,
+        verbal.check_op2(alg.variety, system, gens, 2),
+        verbal.InnerReport("inner", Scalar.one(field), None, ("mu^2 - mu",)),
+        cons,
+        closure.solve_cases(cons.equations, cons.ctx),
+        cases.falsify_job(cases.load_job("s_1_3")),
+    ]
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except TypeError:
+        return TypeError
+
+
+@pytest.mark.parametrize("record", _records(), ids=list(RECORD_FIELDS))
+def test_record_contract(record):
+    cls = type(record)
+    fields = RECORD_FIELDS[cls.__name__]
+    values = tuple(getattr(record, name) for name in fields)
+    # frozen, with no attribute beyond its slots
+    for name in fields + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    with pytest.raises(AttributeError):
+        delattr(record, fields[0])
+    assert not hasattr(record, "__dict__")
+    # built by position or by keyword alike
+    by_position, by_keyword = cls(*values), cls(**dict(zip(fields, values)))
+    assert by_position == by_keyword == record
+    assert not by_position != record
+    assert record != values
+    # the hash is that of the tuple of the fields, or a TypeError with it
+    expected = _outcome(lambda: hash(values))
+    assert _outcome(lambda: hash(record)) == expected
+    assert _outcome(lambda: hash(by_keyword)) == expected
+    if cls is verbal.VerbalSystem:
+        # a system prints its parts as text
+        text = ", ".join(f"{k}={v}" for k, v in record.encode().items())
+    else:
+        text = ", ".join(f"{k}={v!r}" for k, v in zip(fields, values))
+    assert repr(record) == f"{cls.__name__}({text})"
+
+
+def test_records_of_different_classes_differ():
+    names = ("x1", "x2")
+    assert GeneratorSet(names) != FieldSpec(names)
+    assert hash(GeneratorSet(names)) == hash(FieldSpec(names)) == hash((names,))
+
+
+@pytest.mark.parametrize(
+    "args,kwargs",
+    (((("x1",), ("x2",)), {}), ((), {}), ((("x1",),), {"names": ("x2",)}),
+     ((), {"names": ("x1",), "order": 1})),
+    ids=("too-many", "missing", "twice", "unknown"),
+)
+def test_record_takes_each_field_once(args, kwargs):
+    with pytest.raises(TypeError, match=r"GeneratorSet\(\) takes names, each once"):
+        GeneratorSet(*args, **kwargs)
+
+
+# the stdlib modules `import veralg` must not load: dataclasses with the
+# chain it pulls in, and json
+HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize", "json")
+
+
+def _loaded_after(statement):
+    """Which HEAVY_MODULES a fresh interpreter holds after the statement."""
+    src = str(Path(veralg.__file__).parents[1])
+    probe = (
+        f"{statement}\n"
+        "import sys\n"
+        f"print(' '.join(m for m in {HEAVY_MODULES!r} if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return done.stdout.split()
+
+
+def test_import_loads_no_dataclasses_or_json():
+    # the probe sees these modules once loaded, a bare interpreter loads
+    # none of them, and neither does `import veralg`
+    assert _loaded_after("import dataclasses, json") == list(HEAVY_MODULES)
+    assert _loaded_after("pass") == []
+    assert _loaded_after("import veralg") == []
