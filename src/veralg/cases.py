@@ -9,8 +9,6 @@ doubles as a regression suite for the whole pipeline.
 
 from __future__ import annotations
 
-import copy
-
 from .closure import (
     _nonzero_word,
     falsify_equation_ideal,
@@ -236,10 +234,18 @@ INNER_BOUND = 3
 
 
 def load_job(name: str) -> dict:
-    """A deep copy of the pinned job description for a falsification run."""
+    """A copy of the pinned job description for a falsification run.
+
+    A job's values are strs, ints, lists of strs and the ``system`` dict of
+    strs, so copying each list and dict shares nothing a caller can change.
+    """
     if name not in _JOBS:
         raise KeyError(f"no pinned job named {name!r}")
-    return copy.deepcopy(_JOBS[name])
+    job = dict(_JOBS[name])
+    for key, value in job.items():
+        if isinstance(value, (list, dict)):
+            job[key] = value.copy()
+    return job
 
 
 def example_bound(name: str) -> int:

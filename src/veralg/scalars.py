@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import comb, gcd, lcm
+from operator import add, sub
 from typing import Mapping, Optional, Sequence
 
 __all__ = [
@@ -55,6 +56,8 @@ MAX_POWER_TERMS = 500
 # The deepest parenthesis nesting accepted in an input text.  The readers
 # recurse once per level, so this keeps them far from the recursion limit.
 MAX_NESTING = 100
+
+_set = object.__setattr__  # writes a field of a frozen record or value
 
 
 class ZeroInversion(ArithmeticError):
@@ -130,7 +133,7 @@ def _p_mul(p, q):
     out = {}
     for e1, c1 in p.items():
         for e2, c2 in q.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
+            e = tuple(map(add, e1, e2))
             c = c1 * c2
             s = out.get(e)
             s = c if s is None else s + c
@@ -159,7 +162,7 @@ def _p_divexact(p, d):
     r = dict(p)
     while r:
         re_, rc = _p_lead(r)
-        e = tuple(a - b for a, b in zip(re_, de))
+        e = tuple(map(sub, re_, de))
         if any(x < 0 for x in e):
             return None
         c = _div(rc, dc)
@@ -280,13 +283,15 @@ def _p_gcd(p, q):
 def _cancel(p, q):
     """p and q divided by their gcd g, which is monic.
 
-    Two cases skip the gcd.  When p = r*q for a rational r, g is q made
+    Three cases skip the gcd.  When p = r*q for a rational r, g is q made
     monic and the parts are the constants lc(p) = r*lc(q) and lc(q).  When
     the shorter argument (by terms; by leading monomial on a tie) has two
     terms or more and divides the longer one exactly, g is the shorter one
     made monic: its part is its lc, and the other part is the quotient
-    times that lc.  Otherwise the gcd is taken (``_p_gcd``) and both are
-    divided by it.
+    times that lc.  When that shorter argument does not divide the longer
+    one but has total degree 1, it is irreducible, so g is 1 and both are
+    returned unchanged.  Otherwise the gcd is taken (``_p_gcd``) and both
+    are divided by it.
     """
     zero = (0,) * len(next(iter(p)))
     if _proportional(p, q):
@@ -305,10 +310,19 @@ def _cancel(p, q):
             big = {e: _exact(c * lc) for e, c in s.items()}
             small = {zero: _exact(lc)}
             return (small, big) if swap else (big, small)
+        if max(map(sum, small)) == 1:
+            return p, q
     g = _p_gcd(p, q)
     if _p_is_const(g):
         return p, q
     return _p_divexact(p, g), _p_divexact(q, g)
+
+
+def _cancel_unit(num, den):
+    """_cancel(num, den), with no call when den is a unit and num is not constant."""
+    if len(den) == 1 and not any(next(iter(den))) and not _p_is_const(num):
+        return num, den
+    return _cancel(num, den)
 
 
 def _monic_den(num, den):
@@ -356,7 +370,7 @@ class _Record:
                 f"{type(self).__name__}() takes {', '.join(fields)}, each once"
             )
         for name, value in zip(fields, args):
-            object.__setattr__(self, name, value)
+            _set(self, name, value)
         self._check()
 
     def _check(self):
@@ -402,9 +416,9 @@ class FieldSpec(_Record):
 
     def __init__(self, names: tuple = ()):
         _check_names(names, "transcendental")
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "_products", {})
-        object.__setattr__(self, "_texts", {})
+        _set(self, "names", names)
+        _set(self, "_products", {})
+        _set(self, "_texts", {})
 
     def __eq__(self, other):
         # a job compares its one field with itself nearly every time
@@ -459,7 +473,7 @@ class _Exact:
         h = self._hash
         if h is None:
             h = hash(self._key())
-            object.__setattr__(self, "_hash", h)
+            _set(self, "_hash", h)
         return h
 
     def encode(self) -> str:
@@ -469,7 +483,7 @@ class _Exact:
             text = texts.get(self)
             if text is None:
                 text = texts[self] = self._format()
-            object.__setattr__(self, "_text", text)
+            _set(self, "_text", text)
         return text
 
     def __sub__(self, other):
@@ -501,21 +515,20 @@ class Scalar(_Exact):
     __slots__ = ("field", "num", "den")
 
     def __init__(self, field: FieldSpec, num, den=None, _canonical=False):
-        m = field.size
         if den is None:
-            den = {(0,) * m: 1}
+            den = {(0,) * len(field.names): 1}
         if not _canonical:
             if not den:
                 raise ZeroInversion("scalar with zero denominator")
             if not num:
-                num, den = {}, {(0,) * m: 1}
+                num, den = {}, {(0,) * len(field.names): 1}
             else:
                 num, den = _monic_den(*_cancel(num, den))
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_text", None)
+        _set(self, "field", field)
+        _set(self, "num", num)
+        _set(self, "den", den)
+        _set(self, "_hash", None)
+        _set(self, "_text", None)
 
     # -- constructors
 
@@ -558,17 +571,20 @@ class Scalar(_Exact):
 
         The value is exact: an int when it is integral, else a Fraction.
         """
-        if not self.num:
+        num, den = self.num, self.den
+        if not num:
             return 0
-        if _p_is_const(self.num) and _p_is_const(self.den):
-            return _div(next(iter(self.num.values())), next(iter(self.den.values())))
+        if len(num) == 1 and len(den) == 1:
+            e = next(iter(num))
+            if not any(e) and not any(next(iter(den))):
+                return _div(num[e], den[e])
         return None
 
     # -- arithmetic
 
     def _coerce(self, other):
         if isinstance(other, Scalar):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise ValueError("scalar field mismatch")
             return other
         if isinstance(other, (int, Fraction)):
@@ -614,9 +630,12 @@ class Scalar(_Exact):
         out = memo.get(key)
         if out is None:
             # each factor is in lowest terms, so only a numerator and the
-            # other factor's denominator can share a factor
-            n1, d2 = _cancel(self.num, o.den)
-            n2, d1 = _cancel(o.num, self.den)
+            # other factor's denominator can share a factor; a unit
+            # denominator shares none with a nonconstant numerator.  A
+            # constant numerator still goes through _cancel, which gives
+            # both parts exact values.
+            n1, d2 = _cancel_unit(self.num, o.den)
+            n2, d1 = _cancel_unit(o.num, self.den)
             num, den = _monic_den(_p_mul(n1, n2), _p_mul(d1, d2))
             out = memo[key] = Scalar(self.field, num, den, _canonical=True)
         return out
@@ -866,10 +885,10 @@ class ParamPoly(_Exact):
             if _canonical
             else {e: c for e, c in dict(terms).items() if not c.is_zero}
         )
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_text", None)
+        _set(self, "ctx", ctx)
+        _set(self, "terms", clean)
+        _set(self, "_hash", None)
+        _set(self, "_text", None)
 
     # -- constructors
 
@@ -979,13 +998,15 @@ class ParamPoly(_Exact):
         product.  Otherwise one pass over the remaining terms splits off
         each term's exponents of the mapped unknowns and replaces them by
         the product of the images' powers, each power computed once per
-        call, and adds the result into a single accumulator.
+        call, and adds the result into a single accumulator.  A term that
+        needs one power is that power times its coefficient.
         """
+        names = self.ctx.names
         mapped = []
         zero = []
-        for i, name in enumerate(self.ctx.names):
-            image = mapping.get(name)
-            if image is None or not any(e[i] for e in self.terms):
+        for i in sorted(names.index(n) for n in mapping if n in names):
+            image = mapping[names[i]]
+            if not any(e[i] for e in self.terms):
                 continue
             if image.ctx != self.ctx:
                 raise ValueError("parameter context mismatch")
@@ -1006,21 +1027,31 @@ class ParamPoly(_Exact):
         out = {}
         for e, c in terms.items():
             rest = list(e)
-            for i, _ in mapped:
-                rest[i] = 0
-            term = {tuple(rest): c}
+            needed = []
             for i, image in mapped:
                 k = e[i]
                 if not k:
                     continue
+                rest[i] = 0
                 power = powers.get((i, k))
                 if power is None:
                     power = image
                     for _ in range(k - 1):
                         power = _p_mul(power, image)
                     powers[(i, k)] = power
-                term = _p_mul(term, power)
-            for te, tc in term.items():
+                needed.append(power)
+            rest = tuple(rest)
+            if len(needed) == 1:
+                term = [
+                    (tuple(map(add, rest, pe)), c * pc)
+                    for pe, pc in needed[0].items()
+                ]
+            else:
+                term = {rest: c}
+                for power in needed:
+                    term = _p_mul(term, power)
+                term = term.items()
+            for te, tc in term:
                 s = out.get(te)
                 s = tc if s is None else s + tc
                 if s:
@@ -1070,12 +1101,12 @@ class ParamPoly(_Exact):
             c = p.pop(e)
             for terms, de, dc in lead:
                 if all(a >= b for a, b in zip(e, de)):
-                    q = tuple(a - b for a, b in zip(e, de))
+                    q = tuple(map(sub, e, de))
                     f = c / dc
                     for te, tc in terms.items():
                         if te == de:
                             continue
-                        k = tuple(a + b for a, b in zip(q, te))
+                        k = tuple(map(add, q, te))
                         v = f * tc
                         s = p.get(k)
                         if s is None:

@@ -10,7 +10,8 @@ computation per falsify job, products in an ideal to ``product_form``, and
 the chain of each case to ``solve_cases``, which ``kernel_contains`` walks
 without checking or rebuilding it.  The record classes are frozen, slotted
 and compared, hashed and printed by their fields, and ``import veralg``
-loads neither ``dataclasses`` nor ``json``.
+loads neither ``dataclasses`` nor ``json`` nor ``copy``; a loaded job is a
+copy that shares nothing a caller can change with the pinned one.
 """
 
 import importlib
@@ -315,8 +316,8 @@ def test_record_takes_each_field_once(args, kwargs):
 
 
 # the stdlib modules `import veralg` must not load: dataclasses with the
-# chain it pulls in, and json
-HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize", "json")
+# chain it pulls in, json, and copy
+HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize", "json", "copy")
 
 
 def _loaded_after(statement):
@@ -343,3 +344,14 @@ def test_import_loads_no_dataclasses_or_json():
     assert _loaded_after("import dataclasses, json") == list(HEAVY_MODULES)
     assert _loaded_after("pass") == []
     assert _loaded_after("import veralg") == []
+
+
+def test_loaded_job_shares_nothing_mutable():
+    for name in ("aut_1_3_4", "aut_6", "s_1_3"):
+        pinned = cases.load_job(name)
+        job = cases.load_job(name)
+        job["system"]["a"] = "7"
+        job["system"]["extra"] = "1"
+        job["candidates" if "candidates" in job else "field"].append("(x1 x1)")
+        assert cases.load_job(name) == pinned
+        assert cases.load_job(name) != job

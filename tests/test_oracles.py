@@ -56,7 +56,10 @@ value over Q(t) and ranked every multidegree, before ``check_op2``
 decided both at the point (a : b).  ``_old_verdict_and_witness`` tried
 the pairwise sums of the certified candidates after the candidates
 themselves, before the witness became the first certified candidate
-outside sigma(T).
+outside sigma(T).  ``_old_cancel`` took the gcd of a linear argument it
+could not divide, ``_old_scalar_mul`` cancelled each numerator against a
+unit denominator, and ``_old_per_name_substitute`` looked every unknown of
+the context up in the mapping.
 The current code must agree with them exactly.  The one exception is the
 build under ``CUSTOM_LAWS[0]`` on one generator up to degree 8: the old
 basis there has monomials with a rewritten child, which are not products
@@ -115,6 +118,7 @@ from veralg.scalars import (
     _format_poly,
     _grlex,
     _join_last,
+    _monic_den,
     _p_add,
     _p_div,
     _p_divexact,
@@ -124,6 +128,7 @@ from veralg.scalars import (
     _p_monic,
     _p_mul,
     _p_neg,
+    _proportional,
     _rational,
     _signed_coeff,
     _signed_int,
@@ -2786,6 +2791,20 @@ def _shortcut_pairs(rng, nvars):
             s[(1,) * nvars] = 2
         pairs.append(("q | p", _p_mul(s, d), d))
         pairs.append(("p | q", d, _p_mul(s, d)))
+    # a linear polynomial of two terms or more against a longer one it does
+    # not divide: it is irreducible, so the gcd is 1
+    linear = [(0,) * nvars] + [
+        tuple(int(i == j) for j in range(nvars)) for i in range(nvars)
+    ]
+    for _ in range(6):
+        d = {
+            e: rng.choice((-3, -2, -1, 1, 2, 5))
+            for e in rng.sample(linear, rng.randrange(2, nvars + 2))
+        }
+        p = _terms(rng, nvars, len(d) + rng.randrange(1, 3))
+        if _p_divexact(p, d) is None:
+            pairs.append(("linear, coprime", p, d))
+            pairs.append(("linear, coprime", d, p))
     for _ in range(6):
         p, q, f = (_terms(rng, nvars, rng.randrange(2, 4), top=1) for _ in range(3))
         pairs.append(("other", p, q))
@@ -2795,7 +2814,9 @@ def _shortcut_pairs(rng, nvars):
 
 def _path(label, p, q):
     """The path a pair takes, told apart by the oracle alone."""
-    if label in ("proportional", "monomial, polynomial", "monomial, monomial"):
+    if label in (
+        "proportional", "monomial, polynomial", "monomial, monomial", "linear, coprime"
+    ):
         return label
     if label in ("q | p", "p | q"):
         # a product can cancel down to as few terms as its factor
@@ -2830,11 +2851,11 @@ def test_gcd_shortcuts_match_prs(nvars, monkeypatch):
         parts = _cancel(p, q)
         assert parts == _prs_cancel(p, q), (label, p, q)
         assert all(_exact_type(c) for part in parts for c in part.values())
-        if path in ("proportional", "q | p", "p | q"):
+        if path in ("proportional", "q | p", "p | q", "linear, coprime"):
             assert not prs_runs, (label, p, q)
     assert seen == {
         "proportional", "monomial, polynomial", "monomial, monomial",
-        "q | p", "p | q", "coprime", "common factor",
+        "q | p", "p | q", "linear, coprime", "coprime", "common factor",
     }
 
 
@@ -3896,3 +3917,232 @@ def test_kernels_match_old_on_the_polynomials_jobs_meet():
         "cofactor kept its scalar", "lone", "several", "zero image", "image",
         "divided to 0", "remainder",
     }
+
+
+# The cancellation that took the gcd of a linear argument it could not
+# divide, the product that cancelled each numerator against a unit
+# denominator, and the substitution that looked every unknown of the
+# context up in the mapping.
+
+
+def _old_cancel(p, q):
+    """p and q divided by their gcd g, which is monic.
+
+    Two cases skip the gcd.  When p = r*q for a rational r, g is q made
+    monic and the parts are the constants lc(p) = r*lc(q) and lc(q).  When
+    the shorter argument (by terms; by leading monomial on a tie) has two
+    terms or more and divides the longer one exactly, g is the shorter one
+    made monic: its part is its lc, and the other part is the quotient
+    times that lc.  Otherwise the gcd is taken (``_p_gcd``) and both are
+    divided by it.
+    """
+    zero = (0,) * len(next(iter(p)))
+    if _proportional(p, q):
+        return {zero: _exact(_p_lead(p)[1])}, {zero: _exact(_p_lead(q)[1])}
+    # a divisor's leading monomial divides the dividend's, so of two
+    # arguments with as many terms only the one with the larger lead can
+    # be the dividend
+    swap = len(p) < len(q) or (
+        len(p) == len(q) and _grlex(_p_lead(p)[0]) < _grlex(_p_lead(q)[0])
+    )
+    big, small = (q, p) if swap else (p, q)
+    if len(small) > 1:
+        s = _p_divexact(big, small)
+        if s is not None:
+            _, lc = _p_lead(small)
+            big = {e: _exact(c * lc) for e, c in s.items()}
+            small = {zero: _exact(lc)}
+            return (small, big) if swap else (big, small)
+    g = _p_gcd(p, q)
+    if _p_is_const(g):
+        return p, q
+    return _p_divexact(p, g), _p_divexact(q, g)
+
+
+def _old_scalar_mul(self, other):
+    """Scalar.__mul__ on _old_cancel, without the field's product memo."""
+    if type(other) is int or type(other) is Fraction:
+        return self._scaled(other)
+    o = self._coerce(other)
+    if o is None:
+        return NotImplemented
+    f = o.as_fraction()
+    if f is not None:
+        return self._scaled(f)
+    f = self.as_fraction()
+    if f is not None:
+        return o._scaled(f)
+    # each factor is in lowest terms, so only a numerator and the
+    # other factor's denominator can share a factor
+    n1, d2 = _old_cancel(self.num, o.den)
+    n2, d1 = _old_cancel(o.num, self.den)
+    num, den = _monic_den(_p_mul(n1, n2), _p_mul(d1, d2))
+    return Scalar(self.field, num, den, _canonical=True)
+
+
+def _old_per_name_substitute(self, mapping: Mapping[str, "ParamPoly"]) -> "ParamPoly":
+    """Replace unknowns by polynomials (simultaneously).
+
+    An unknown with a zero image drops the terms that mention it; when
+    every image is zero that filter is the whole pass, with no power or
+    product.  Otherwise one pass over the remaining terms splits off
+    each term's exponents of the mapped unknowns and replaces them by
+    the product of the images' powers, each power computed once per
+    call, and adds the result into a single accumulator.
+    """
+    mapped = []
+    zero = []
+    for i, name in enumerate(self.ctx.names):
+        image = mapping.get(name)
+        if image is None or not any(e[i] for e in self.terms):
+            continue
+        if image.ctx != self.ctx:
+            raise ValueError("parameter context mismatch")
+        if image.terms:
+            mapped.append((i, image.terms))
+        else:
+            zero.append(i)
+    if not mapped and not zero:
+        return self
+    terms = self.terms
+    if zero:
+        terms = {
+            e: c for e, c in terms.items() if not any(e[i] for i in zero)
+        }
+        if not mapped:
+            return ParamPoly(self.ctx, terms, _canonical=True)
+    powers = {}
+    out = {}
+    for e, c in terms.items():
+        rest = list(e)
+        for i, _ in mapped:
+            rest[i] = 0
+        term = {tuple(rest): c}
+        for i, image in mapped:
+            k = e[i]
+            if not k:
+                continue
+            power = powers.get((i, k))
+            if power is None:
+                power = image
+                for _ in range(k - 1):
+                    power = _p_mul(power, image)
+                powers[(i, k)] = power
+            term = _p_mul(term, power)
+        for te, tc in term.items():
+            s = out.get(te)
+            s = tc if s is None else s + tc
+            if s:
+                out[te] = s
+            else:
+                out.pop(te, None)
+    return ParamPoly(self.ctx, out, _canonical=True)
+
+
+def _assert_same_parts(new, old):
+    """Two (p, q) results of a cancellation: the same parts, values and text."""
+    field = FieldSpec.default(len(next(iter(old[0]))))
+    _assert_identical(
+        Scalar(field, *new, _canonical=True), Scalar(field, *old, _canonical=True)
+    )
+
+
+def _is_linear(p):
+    """Two terms or more, of total degree 1: irreducible."""
+    return len(p) > 1 and max(map(sum, p)) == 1
+
+
+def _is_unit(p):
+    return len(p) == 1 and not any(next(iter(p)))
+
+
+def test_kernel_shortcuts_match_old_on_the_arguments_jobs_meet(monkeypatch):
+    # every call of _cancel, Scalar.__mul__ and ParamPoly.substitute that
+    # repro --all and SLOW_JOBS make, with its result
+    cancels, products, substitutions = [], [], []
+    cancel, mul, substitute = _cancel, Scalar.__mul__, ParamPoly.substitute
+
+    def recording_cancel(p, q):
+        out = cancel(p, q)
+        cancels.append((dict(p), dict(q), out))
+        return out
+
+    def recording_mul(self, other):
+        out = mul(self, other)
+        products.append((self, other, out))
+        return out
+
+    def recording_substitute(self, mapping):
+        out = substitute(self, mapping)
+        substitutions.append((self, dict(mapping), out))
+        return out
+
+    monkeypatch.setattr("veralg.scalars._cancel", recording_cancel)
+    monkeypatch.setattr(Scalar, "__mul__", recording_mul)
+    monkeypatch.setattr(Scalar, "__rmul__", recording_mul)
+    monkeypatch.setattr(ParamPoly, "substitute", recording_substitute)
+    cases.run_all()
+    for job, _, _ in SLOW_JOBS.values():
+        cases.falsify_job(job)
+    monkeypatch.undo()
+    seen = set()
+    for p, q, new in cancels:
+        _assert_same_parts(new, _old_cancel(p, q))
+        if _is_linear(min(p, q, key=len)):
+            seen.add("linear")
+    for x, y, new in products:
+        old = _old_scalar_mul(x, y)
+        if old is NotImplemented:
+            assert new is NotImplemented
+            continue
+        _assert_identical(new, old)
+        if isinstance(y, Scalar) and y.as_fraction() is None is x.as_fraction():
+            for num, den in ((x.num, y.den), (y.num, x.den)):
+                if _is_unit(den):
+                    seen.add("constant over a unit" if _is_unit(num) else "unit")
+    for p, mapping, new in substitutions:
+        _assert_same_poly(new, _old_per_name_substitute(p, mapping))
+        seen.add("substituted" if new is not p else "absent")
+    assert seen == {"linear", "unit", "constant over a unit", "substituted", "absent"}
+
+
+def test_kernel_shortcuts_match_old_on_hand_made_cases():
+    one, t1, t2 = (0, 0), (1, 0), (0, 1)
+    linear = {t1: 1, t2: 2}  # t1 + 2*t2
+    other = {(2, 0): 1, t2: 3, one: 1}  # t1^2 + 3*t2 + 1
+    pairs = (
+        # a linear divisor that divides the other argument
+        (_p_mul(linear, other), linear),
+        (linear, _p_mul(linear, other)),
+        # a linear argument that does not
+        (other, linear),
+        (linear, other),
+        # t1 divides t1*t2 + t1: one term takes the gcd path
+        ({t1: 1}, {(1, 1): 1, t1: 1}),
+        ({(1, 1): 1, t1: 1}, {t1: 1}),
+    )
+    for p, q in pairs:
+        _assert_same_parts(_cancel(p, q), _old_cancel(p, q))
+    assert _cancel({t1: 1}, {(1, 1): 1, t1: 1}) == ({one: 1}, {t2: 1, one: 1})
+    # a constant numerator stored as an integral Fraction, over t1 + 1,
+    # times a factor over the unit denominator: _cancel makes the 2 an int
+    field = FieldSpec(("t1", "t2"))
+    x = Scalar(field, {one: Fraction(2)}, {t1: 1, one: 1}, _canonical=True)
+    y = Scalar.transcendental(field, "t2")
+    for a, b in ((x, y), (y, x)):
+        _assert_identical(a * b, _old_scalar_mul(a, b))
+        assert type((a * b).num[t2]) is int
+    # mappings of two unknowns at once, given out of the context's order,
+    # with a zero image and a name the context does not have
+    ctx = ParamContext(field, ("u", "v", "w"))
+    p = parse_parampoly("u^2*v + t1*u*w + v^2 - w + 3", ctx)
+    image_u = parse_parampoly("t1*w - 1", ctx)
+    image_v = parse_parampoly("w + t2", ctx)
+    for mapping in (
+        {"v": image_v, "u": image_u},
+        {"u": image_u, "v": image_v},
+        {"v": ParamPoly.zero(ctx), "u": image_u, "z": image_v},
+    ):
+        new = p.substitute(mapping)
+        _assert_same_poly(new, _old_per_name_substitute(p, mapping))
+        assert not {"u", "v"} & set(new.variables())

@@ -6,15 +6,22 @@ a benchmark run; this test makes it fail here instead, and it checks that
 a build's rows still pass through the ``RowReducer.insert`` it wraps.  A
 second test runs
 a falsifier and checks that the generic endomorphism's ``apply`` is counted,
-so that the method the tracer wraps stays on the live path.  Each runs in a
+so that the method the tracer wraps stays on the live path.  Both run in a
 child interpreter, because the tracer patches the veralg modules in place.
+A last test counts the gcds of a falsify run through the module attribute
+``veralg.scalars._p_gcd``, which the tracer's ``scalars.gcd`` layer wraps:
+a helper that called the gcd by another name would leave that layer at 0.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from veralg import cli, scalars
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -85,3 +92,17 @@ def test_tracer_installs_and_counts_check_op2():
 def test_tracer_counts_symbolic_apply_on_falsify():
     calls = _traced_calls(FALSIFY_SCRIPT)
     assert calls["freealg.symbolic_apply"] >= 1
+
+
+def test_falsify_gcds_go_through_the_wrapped_name(monkeypatch):
+    gcd = scalars._p_gcd
+    calls = []
+
+    def counting(p, q):
+        calls.append(1)
+        return gcd(p, q)
+
+    monkeypatch.setattr(scalars, "_p_gcd", counting)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["falsify", "--example", "aut_6"]) == 0
+    assert calls

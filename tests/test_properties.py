@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from veralg.scalars import (
     FieldSpec,
     Scalar,
+    _cancel,
     _grlex,
     _p_add,
     _p_divexact,
@@ -23,6 +24,7 @@ from veralg.scalars import (
     _p_neg,
     parse_scalar,
 )
+from test_oracles import _old_cancel
 
 F = FieldSpec.default(2)  # Q(t1, t2)
 
@@ -42,6 +44,10 @@ nonzero_polys = polys.filter(bool)
 # gcd inputs may have higher degree: no field operation runs on top of them
 wide_polys = st.dictionaries(wide_exponents, coefficients, max_size=3).map(_clean)
 nonzero_wide_polys = wide_polys.filter(bool)
+# two terms or more of total degree at most 1
+linear_polys = st.dictionaries(
+    st.sampled_from(((0, 0), (1, 0), (0, 1))), coefficients.filter(bool), min_size=2
+)
 scalars = st.builds(lambda n, d: Scalar(F, n, d), polys, nonzero_polys)
 nonzero_scalars = scalars.filter(lambda x: not x.is_zero)
 
@@ -132,6 +138,27 @@ class TestGcdContract:
     @given(wide_polys, wide_polys)
     def test_symmetric(self, p, q):
         assert _p_gcd(p, q) == _p_gcd(q, p)
+
+
+class TestCancelWithLinearFactors:
+    @PROPS
+    @given(nonzero_wide_polys, linear_polys, linear_polys)
+    def test_matches_old_cancel(self, p, f, g):
+        # a linear argument that divides the other one, one that need not,
+        # a linear factor the two arguments share, and p against its
+        # multiple (a monomial p divides it: the gcd is not 1)
+        for a, b in (
+            (_p_mul(p, f), f),
+            (_p_mul(p, f), g),
+            (_p_mul(p, f), _p_mul(g, f)),
+            (p, _p_mul(p, f)),
+        ):
+            for x, y in ((a, b), (b, a)):
+                got, want = _cancel(x, y), _old_cancel(x, y)
+                assert got == want
+                assert [{e: type(c) for e, c in part.items()} for part in got] == [
+                    {e: type(c) for e, c in part.items()} for part in want
+                ]
 
 
 def _lift(p):
