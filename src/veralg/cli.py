@@ -118,7 +118,10 @@ def _load_job(args) -> dict:
         job = cases.load_job(args.example)
     else:
         with open(args.spec, "r", encoding="utf-8") as handle:
-            job = json.load(handle)
+            try:
+                job = json.load(handle)
+            except RecursionError:
+                raise UsageError("the job file nests too deep to read") from None
     if not isinstance(job, dict):
         raise UsageError("a job must be a JSON object")
     unknown = [key for key in job if key not in JOB_FIELDS]

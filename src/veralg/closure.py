@@ -219,40 +219,38 @@ _set = object.__setattr__  # writes a field of a frozen record
 class Branch(_Record):
     """A node of the case tree over the constraint equations.
 
-    substitutions and nonvanishing are cumulative along the path from the
-    root.  substitutions are in elimination order: no image mentions its own
-    unknown or an earlier one, which is the order ``substitute_in_order``
-    applies them in, one ``ParamPoly.substitute`` pass each; a branch
-    ``name = 0`` has the zero image.  residuals are the remaining
-    equations, reduced by the whole chain but on an "infeasible" leaf; a
-    node that adds a pair reduced them, as inherited from its parent, by
-    that pair alone, which gives what ``substitute_in_order`` of the whole
-    chain gives.  A "solved" leaf keeps its residuals as reduction rules
-    (equations that hold on the case but do not isolate any unknown).  An
-    "infeasible" leaf stops when the last pair of its chain makes an
-    assumed-nonzero polynomial vanish, before it reduces its equations, so
-    its residuals are the ones it inherited, not reduced by that last pair.
-    Children share their parent's substitutions and hypotheses, and a
-    polynomial keeps its text once encoded, so ``as_dict`` computes the
-    text of each shared polynomial once.
+    A node holds only the step it adds to its parent's case.  ``step`` is
+    the pairs it adds to the chain of substitutions: one or none, or more
+    where an elimination leaves another to make; a branch ``name = 0``
+    adds the zero image.  The pairs are in elimination order: no image
+    mentions its own unknown or one substituted before it, here or above.
+    ``assumed`` is the polynomials it adds to those assumed nonzero: on a
+    child of a split, the factors before its own; on the split's closing
+    contradiction, every factor.  A case's chain and hypotheses are those
+    of the nodes from the root to it, in order, and ``as_dict`` prints
+    them so at every node.  residuals are the remaining equations, reduced
+    by that chain but on an "infeasible" leaf.  A "solved" leaf keeps its
+    residuals as reduction rules (equations that hold on the case but do
+    not isolate any unknown).  An "infeasible" leaf stops when the last
+    pair of its step makes an assumed-nonzero polynomial vanish, before it
+    reduces its equations, so its residuals are the ones it inherited,
+    not reduced by that last pair.
     """
 
     __slots__ = (
-        "substitutions",
-        "nonvanishing",
+        "step",
+        "assumed",
         "residuals",
         "status",  # "split" | "solved" | "contradiction" | "infeasible" | "stuck"
         "note",
         "children",
     )
 
-    def __init__(
-        self, substitutions, nonvanishing, residuals, status, note, children=()
-    ):
+    def __init__(self, step, assumed, residuals, status, note, children=()):
         # a sweep pass builds about a thousand nodes, so each field is set
         # directly instead of through _Record.__init__
-        _set(self, "substitutions", substitutions)
-        _set(self, "nonvanishing", nonvanishing)
+        _set(self, "step", step)
+        _set(self, "assumed", assumed)
         _set(self, "residuals", residuals)
         _set(self, "status", status)
         _set(self, "note", note)
@@ -265,14 +263,17 @@ class Branch(_Record):
         for child in self.children:
             yield from child.leaves()
 
-    def as_dict(self) -> dict:
+    def as_dict(self, chain=(), hypotheses=()) -> dict:
+        # chain and hypotheses are those of the nodes above this one
+        chain += self.step
+        hypotheses += self.assumed
         return {
-            "substitutions": {n: p.encode() for n, p in self.substitutions},
-            "nonvanishing": [p.encode() for p in self.nonvanishing],
+            "substitutions": {n: p.encode() for n, p in chain},
+            "nonvanishing": [p.encode() for p in hypotheses],
             "residuals": [p.encode() for p in self.residuals],
             "status": self.status,
             "note": self.note,
-            "children": [c.as_dict() for c in self.children],
+            "children": [c.as_dict(chain, hypotheses) for c in self.children],
         }
 
 
@@ -329,21 +330,20 @@ def solve_cases(
 
     Each hint is made monic (leading coefficient 1) once, here, so that an
     equation equal to a hint up to a scalar has the hint as its lone factor.
-    A node adds at most one substitution to its parent's chain, and only
-    that pair's image is checked against the elimination order
-    (``check_next_substitution``).  The equations and hypotheses a node
-    inherits are already reduced by its parent's chain, so the node applies
-    only the pair it adds: one ``ParamPoly.substitute`` pass each, which is
-    the last step of ``substitute_in_order`` on the whole chain, so the
-    result is the same.  A node's distinct residuals are collected in a
-    dict keyed by the polynomial, which keeps the first occurrence of each
-    in order, so finding them costs one hash per residual.  Each distinct
-    equation is factored once per tree (``factor_for_branching``, whose
-    factors are up to a unit).  A split makes its factors monic, so that
-    the hypotheses and equations of its children do not depend on the
-    scalar in front; a lone factor is a rule, not a split, and is made
-    monic only to be compared with an assumed-nonzero polynomial of the
-    same term support.
+    A node is one step (``Branch``): each pair it adds is checked against
+    the unknowns of the chain before it (``check_next_substitution``).  The
+    equations and hypotheses a node inherits are already reduced by that
+    chain, so the node applies only the pair it adds: one
+    ``ParamPoly.substitute`` pass each, which is the last step of
+    ``substitute_in_order`` on the whole chain, so the result is the same.
+    A node's distinct residuals are collected in a dict keyed by the
+    polynomial, which keeps the first occurrence of each in order, so
+    finding them costs one hash per residual.  Each distinct equation is
+    factored once per tree (``factor_for_branching``, whose factors are up
+    to a unit).  A split makes its factors monic, so that the hypotheses
+    and equations of its children do not depend on the scalar in front; a
+    lone factor is a rule, not a split, and is made monic only to be
+    compared with an assumed-nonzero polynomial of the same term support.
     """
 
     hints = tuple(
@@ -352,22 +352,22 @@ def solve_cases(
     )
     factored = {}  # equation -> its branch factors, one entry per tree
 
-    def build(subs, nonvan, held, eqs, depth, note, step=None):
-        # held is nonvan, and eqs are the inherited equations, both reduced
-        # by subs; step is the pair this node adds to the chain, or None
+    def build(names, nonvan, held, eqs, depth, note, assumed=(), step=()):
+        # names are the unknowns of the chain above the last pair of step,
+        # nonvan the hypotheses from the root, and held (nonvan) and eqs are
+        # reduced by that chain; step and assumed are the node's own
         pair = None
-        if step is not None:
-            name, image = step
-            # a node adds one pair to its parent's chain, which is in order
-            check_next_substitution([n for n, _ in subs], name, image)
-            subs = subs + (step,)
+        if step:
+            name, image = step[-1]
+            check_next_substitution(names, name, image)
+            names = names + (name,)
             pair = {name: image}
         reduced_nv = []
         for p, h in zip(nonvan, held):
             r = h.substitute(pair) if pair else h
             if r.is_zero:
                 return Branch(
-                    subs, nonvan, tuple(eqs), "infeasible",
+                    step, assumed, tuple(eqs), "infeasible",
                     f"assumed nonzero {p.encode()} vanished", ()
                 )
             reduced_nv.append(r)
@@ -379,7 +379,7 @@ def solve_cases(
                 continue
             if r.constant_value() is not None:
                 return Branch(
-                    subs, nonvan, (r,), "contradiction",
+                    step, assumed, (r,), "contradiction",
                     f"constant residual {r.encode()}", ()
                 )
             work.setdefault(r)
@@ -389,20 +389,15 @@ def solve_cases(
         if hit is not None:
             name, image, src = hit
             return build(
-                subs,
-                nonvan,
-                reduced_nv,
-                [e for e in work if e is not src],
-                depth,
-                note or f"eliminated {name}",
-                (name, image),
+                names, nonvan, reduced_nv, [e for e in work if e is not src],
+                depth, note or f"eliminated {name}", assumed, step + ((name, image),),
             )
 
         if not work:
-            return Branch(subs, nonvan, (), "solved", note or "no residuals", ())
+            return Branch(step, assumed, (), "solved", note or "no residuals", ())
 
         chosen = None
-        assumed = set(reduced_nv)
+        known = set(reduced_nv)
         for eq in sorted(work, key=lambda p: len(p.terms)):
             factors = factored.get(eq)
             if factors is None:
@@ -416,18 +411,18 @@ def solve_cases(
                 # with the same support, and then kept
                 f = factors[0]
                 support = f.terms.keys()
-                if any(a.terms.keys() == support for a in assumed):
+                if any(a.terms.keys() == support for a in known):
                     f = factors[0] = f.monic()
-                    if f in assumed:
+                    if f in known:
                         return Branch(
-                            subs, nonvan, (eq,), "contradiction",
+                            step, assumed, (eq,), "contradiction",
                             "every factor is assumed nonzero", ()
                         )
                 continue
-            active = [f for f in dict.fromkeys(factors) if f not in assumed]
+            active = [f for f in dict.fromkeys(factors) if f not in known]
             if not active:
                 return Branch(
-                    subs, nonvan, (eq,), "contradiction",
+                    step, assumed, (eq,), "contradiction",
                     "every factor is assumed nonzero", ()
                 )
             chosen = (eq, active)
@@ -435,39 +430,37 @@ def solve_cases(
         if chosen is None:
             # every residual is a single irreducible equation: keep as rules
             return Branch(
-                subs, nonvan, tuple(work), "solved",
+                step, assumed, tuple(work), "solved",
                 note or "residuals kept as reduction rules", ()
             )
 
         eq, active = chosen
         if depth >= max_depth:
-            return Branch(subs, nonvan, tuple(work), "stuck", "depth limit", ())
+            return Branch(step, assumed, tuple(work), "stuck", "depth limit", ())
 
         rest = [e for e in work if e is not eq]
         children = []
         for i, f in enumerate(active):
-            hyp = nonvan + tuple(active[:i])
-            held = reduced_nv + active[:i]
+            added = tuple(active[:i])
             name = _is_variable(f)
-            if name is not None:
-                children.append(
-                    build(
-                        subs, hyp, held, list(rest), depth + 1, f"{name} = 0",
-                        (name, ParamPoly.zero(ctx)),
-                    )
-                )
+            if name is None:  # f = 0 joins the equations
+                below, pairs = rest + [f], ()
             else:
-                children.append(
-                    build(subs, hyp, held, rest + [f], depth + 1, f"{f.encode()} = 0")
+                below, pairs = list(rest), ((name, ParamPoly.zero(ctx)),)
+            children.append(
+                build(
+                    names, nonvan + added, reduced_nv + active[:i], below,
+                    depth + 1, f"{name or f.encode()} = 0", added, pairs,
                 )
+            )
         children.append(
             Branch(
-                subs, nonvan + tuple(active), (eq,), "contradiction",
+                (), tuple(active), (eq,), "contradiction",
                 "all factors assumed nonzero", ()
             )
         )
         return Branch(
-            subs, nonvan, tuple(work), "split",
+            step, assumed, tuple(work), "split",
             note or f"split on {eq.encode()}", tuple(children)
         )
 
@@ -496,40 +489,38 @@ def kernel_contains(
 
     Each coordinate of the residue then walks the tree (``_vanishes_below``)
     and is reduced on every solved leaf as ``parampoly_reduce`` would
-    reduce it; the first that some leaf leaves nonzero decides, and later
-    coordinates are not reduced.
+    reduce it by the leaf's chain and residuals; the first that some leaf
+    leaves nonzero decides, and later coordinates are not reduced.
     """
     if all(leaf.status != "solved" for leaf in tree.leaves()):
         return True
     applied = constraints.alpha.apply(el)
     index = alg.basis_index()
     residue = ideal.residue({index[m]: c for m, c in applied.terms.items()})
-    return all(_vanishes_below(tree, r, 0) for r in residue.values())
+    return all(_vanishes_below(tree, r) for r in residue.values())
 
 
-def _vanishes_below(node: Branch, r: ParamPoly, done: int) -> bool:
+def _vanishes_below(node: Branch, r: ParamPoly) -> bool:
     """Is r zero on every solved leaf below the node?
 
-    r is already reduced by the first ``done`` pairs of the node's chain,
-    its parent's, so the node substitutes only the pairs it adds, one
-    ``ParamPoly.substitute`` pass each, and the walk goes on depth first;
-    a pair that many leaves share is applied once.  A leaf that is not
-    solved holds no case and returns before any substitution.  A solved
-    leaf divides what is left by its residuals as they stand:
-    ``solve_cases`` checked the order of each pair and reduced the
-    residuals by the chain as it built the tree.
+    r is already reduced by the chain above the node, so the node
+    substitutes only its step, one ``ParamPoly.substitute`` pass per pair,
+    and the walk goes on depth first; a pair that many leaves share is
+    applied once.  A leaf that is not solved holds no case and returns
+    before any substitution.  A solved leaf divides what is left by its
+    residuals as they stand: ``solve_cases`` checked the order of each
+    pair and reduced the residuals by the chain as it built the tree.
     """
     if not node.children and node.status != "solved":
         return True
-    for name, image in node.substitutions[done:]:
+    for name, image in node.step:
         if r:
             r = r.substitute({name: image})
     if not r:
         return True
     if not node.children:
         return bool(node.residuals) and not r.reduce_by(node.residuals)
-    done = len(node.substitutions)
-    return all(_vanishes_below(child, r, done) for child in node.children)
+    return all(_vanishes_below(child, r) for child in node.children)
 
 
 # ---------------------------------------------------------------------------

@@ -1222,12 +1222,12 @@ def parampoly_reduce(
     results (``ParamPoly.reduce_by``).  The result contains no term
     divisible by the leading monomial of any (substituted) vanishing
     polynomial; applying the same reduction again is the identity.
-    ``solve_cases`` grows its chains one pair at a time: it checks each new
-    pair alone (``check_next_substitution``) and substitutes only that pair
-    into polynomials that the rest of the chain has already reduced, with
-    the same result.  ``kernel_contains`` walks the tree it builds the same
-    way, and divides by a solved leaf's residuals as they stand, since the
-    leaf's chain leaves them fixed.
+    A node of the ``solve_cases`` tree holds only its step, the pairs it
+    adds; the solver checks each alone (``check_next_substitution``) and
+    substitutes it only into polynomials that the chain above has already
+    reduced, with the same result.  ``kernel_contains`` walks the tree the
+    same way, and divides by a solved leaf's residuals as they stand,
+    since the leaf's chain leaves them fixed.
     """
     substitutions = substitutions or {}
     check_elimination_order(substitutions)

@@ -515,6 +515,22 @@ class TestInputErrors:
         assert code == 2
         assert "a job must be a JSON object" in self.single_error(err)
 
+    @pytest.mark.parametrize(
+        "text",
+        ("[" * 100000 + "]" * 100000, '{"a": ' * 100000 + "1" + "}" * 100000),
+        ids=("array", "object"),
+    )
+    @pytest.mark.parametrize("command", ("falsify", "expand"))
+    def test_job_file_nested_too_deep(self, capsys, tmp_path, command, text):
+        # the JSON reader recurses once per level, so it runs out of stack
+        # long before the file ends; that is bad input, not a crash
+        path = tmp_path / "job.json"
+        path.write_text(text)
+        code, out, err = run(capsys, [command, "--spec", str(path)])
+        assert code == 2
+        assert out == ""
+        assert "nests too deep" in self.single_error(err)
+
     def test_unknown_job_kind(self, capsys, tmp_path):
         path = self.job_file(tmp_path, "aut_1_3_4", kind="nosuch")
         code, _, err = run(capsys, ["falsify", "--spec", path])

@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from case_walk import as_tree, walk
 from endomorphism_oracle import (
     Endomorphism,
     closure_sampled,
@@ -77,9 +78,9 @@ def _rand_ideal_element(alg, rng, maxdeg):
 
 def _solved_zero_sets(tree):
     out = []
-    for leaf in tree.leaves():
+    for leaf, chain, _ in walk(tree):
         if leaf.status == "solved":
-            out.append(frozenset(n for n, p in leaf.substitutions if p.is_zero))
+            out.append(frozenset(n for n, p in chain if p.is_zero))
     return out
 
 
@@ -261,8 +262,9 @@ class TestTwoDimLinearRun:
         tree = solve_cases(cons.equations, cons.ctx)
         good = alg.normal_form(parse_element("(x1 x2)", G, F))
         bad = alg.normal_form(parse_element("(x1 x1)", G, F))
-        solved = [l for l in tree.leaves() if l.status == "solved"]
-        # a solved leaf is a tree of one case
+        # a solved leaf, with its chain and hypotheses from the root, is a
+        # tree of one case
+        solved = [as_tree(*case) for case in walk(tree) if case[0].status == "solved"]
         assert all(kernel_contains(alg, ideal, cons, l, good) for l in solved)
         assert not all(kernel_contains(alg, ideal, cons, l, bad) for l in solved)
         # one call over the whole tree gives the conjunction of the above
@@ -281,16 +283,16 @@ class TestTwoDimLinearRun:
         rule = parse_parampoly("a11*a22 - t1*rho", cons.ctx)
 
         def with_rule(node):
-            subs, nonvan, res = node.substitutions, node.nonvanishing, node.residuals
+            step, assumed, res = node.step, node.assumed, node.residuals
             if node.children:
                 children = tuple(with_rule(c) for c in node.children)
-                return Branch(subs, nonvan, res, node.status, node.note, children)
+                return Branch(step, assumed, res, node.status, node.note, children)
             if node.status == "solved":
-                return Branch(subs, nonvan, res + (rule,), node.status, node.note)
+                return Branch(step, assumed, res + (rule,), node.status, node.note)
             return node
 
         tree = with_rule(solve_cases(cons.equations, cons.ctx))
-        solved = [l for l in tree.leaves() if l.status == "solved"]
+        solved = [chain for l, chain, _ in walk(tree) if l.status == "solved"]
         good = alg.normal_form(parse_element("(x1 x2)", G, F))
         checked, chained, applied, substituted = [], [], [], []
         real_substitute = ParamPoly.substitute
@@ -318,8 +320,8 @@ class TestTwoDimLinearRun:
         assert all(p is not rule for p in substituted)
         # a pair is one object however many leaves share it
         uses = {}
-        for l in solved:
-            for name, image in l.substitutions:
+        for chain in solved:
+            for name, image in chain:
                 key = (name, id(image))
                 uses[key] = uses.get(key, 0) + 1
         assert any(n > 1 for n in uses.values())
@@ -509,10 +511,10 @@ class TestLieRun:
         tree = solve_cases(cons.equations, cons.ctx, hints=(DET_HINT,))
         leaves = list(tree.leaves())
         assert all(l.status != "stuck" for l in leaves)
-        solved = [l for l in leaves if l.status == "solved"]
+        solved = [(l, hyps) for l, _, hyps in walk(tree) if l.status == "solved"]
         assert len(solved) == 6
         # the invertible-map case survives with det = 0 kept as a rule
-        full = [l for l in solved if len(l.nonvanishing) == 4]
+        full = [l for l, hyps in solved if len(hyps) == 4]
         assert len(full) == 1
         assert [p.encode() for p in full[0].residuals] == [DET_HINT]
 
@@ -563,8 +565,8 @@ class TestSolveCasesUnits:
     def test_elimination_chain(self):
         tree = solve_cases([self._p("x + 1"), self._p("x*y")], self.CTX)
         assert tree.status == "solved"
-        subs = dict((n, p.encode()) for n, p in tree.substitutions)
-        assert subs == {"x": "-1", "y": "0"}
+        [(_, chain, _)] = walk(tree)
+        assert {n: p.encode() for n, p in chain} == {"x": "-1", "y": "0"}
 
     def test_constant_contradiction(self):
         tree = solve_cases([self._p("1")], self.CTX)
@@ -866,9 +868,9 @@ def test_lone_residual_made_monic_only_against_same_support(
     monkeypatch.undo()
     hints = [parse_parampoly(h, cons.ctx).monic() for h in job.get("hints", ())]
     lone_residuals, same_support = set(), set()
-    for node in _nodes(tree):
-        subs = dict(node.substitutions)
-        assumed = [substitute_in_order(p, subs) for p in node.nonvanishing]
+    for node, chain, hypotheses in walk(tree):
+        subs = dict(chain)
+        assumed = [substitute_in_order(p, subs) for p in hypotheses]
         for eq in node.residuals:
             factors = factor_for_branching(eq, hints)
             if len(factors) == 1 and closure._is_variable(factors[0]) is None:
@@ -878,3 +880,28 @@ def test_lone_residual_made_monic_only_against_same_support(
     made_lone = {f for f in made if f in lone_residuals}
     assert made_lone <= same_support
     assert (len(lone_residuals), len(made_lone)) == (lone, made_monic)
+
+
+def test_case_tree_nodes_hold_only_their_step():
+    # a node holds the pairs and hypotheses it adds, and none of an
+    # ancestor's: the 28 nodes of the aut_6 tree hold 11 pairs and 29
+    # hypotheses, where those walked from the root number 50 and 82
+    assert Branch.__slots__ == (
+        "step", "assumed", "residuals", "status", "note", "children",
+    )
+    job = cases.load_job("aut_6")
+    alg, field, gens, system = cases.job_context(job)
+    t = parse_element(job["generator"], gens, field)
+    cons = gen_constraints(alg, ideal_build(alg, field, (t,), int(job["tail"])), system)
+    tree = solve_cases(cons.equations, cons.ctx, job["hints"])
+    walked = list(walk(tree))
+    for node, chain, hypotheses in walked:
+        pairs_above = chain[: len(chain) - len(node.step)]
+        assumed_above = hypotheses[: len(hypotheses) - len(node.assumed)]
+        assert not set(node.step) & set(pairs_above)
+        assert not set(node.assumed) & set(assumed_above)
+    assert len(walked) == 28
+    assert sum(len(node.step) for node, _, _ in walked) == 11
+    assert sum(len(chain) for _, chain, _ in walked) == 50
+    assert sum(len(node.assumed) for node, _, _ in walked) == 29
+    assert sum(len(hypotheses) for _, _, hypotheses in walked) == 82

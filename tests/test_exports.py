@@ -152,8 +152,8 @@ def test_one_product_path_in_an_ideal():
 def _copied_pairs(node):
     """The tree with each pair a new tuple: equal pairs, no shared objects."""
     return closure.Branch(
-        tuple((n, p) for n, p in node.substitutions),
-        node.nonvanishing,
+        tuple((n, p) for n, p in node.step),
+        node.assumed,
         node.residuals,
         node.status,
         node.note,
@@ -206,8 +206,8 @@ def _kernel_calls(monkeypatch, copied):
 def test_kernel_walks_the_case_tree(monkeypatch):
     # kernel_contains takes the case tree and trusts solve_cases with each
     # chain: it checks no pair's order and substitutes no chain again, and
-    # it does the same work whether or not a child's pairs are its
-    # parent's objects, so it tells no shared prefix by identity
+    # it does the same work whether or not each step's pairs are the
+    # objects solve_cases made, so it tells no pair by identity
     params = inspect.signature(closure.kernel_contains).parameters
     assert list(params) == ["alg", "ideal", "constraints", "tree", "el"]
     shared = _kernel_calls(monkeypatch, copied=False)
@@ -230,9 +230,7 @@ RECORD_FIELDS = {
     ),
     "InnerReport": ("status", "witness", "obstruction", "equations"),
     "GenConstraints": ("alpha", "equations", "basis", "sigma_generator"),
-    "Branch": (
-        "substitutions", "nonvanishing", "residuals", "status", "note", "children",
-    ),
+    "Branch": ("step", "assumed", "residuals", "status", "note", "children"),
     "Certificate": ("kind", "verdict", "alg", "system", "op2", "details"),
 }
 

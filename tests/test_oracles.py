@@ -50,7 +50,9 @@ made the cofactor monic before ``factor_for_branching`` kept it up to a
 unit, ``_old_one_pass_substitute`` ran its product pass for a zero image
 too, and ``_old_reduce_by`` built a polynomial per division step;
 ``_old_solve_cases`` factors with the first, and keeps the lone-factor
-test that relied on it (``_old_is_lone_monic``).  ``_old_check_op2``
+test that relied on it (``_old_is_lone_monic``); it builds ``_OldBranch``,
+the node that held its whole chain of substitutions and every hypothesis
+from the root, before each ``Branch`` held only its step.  ``_old_check_op2``
 (with ``_old_law_value`` and ``_old_singular_at``) formed every law's
 value over Q(t) and ranked every multidegree, before ``check_op2``
 decided both at the point (a : b).  ``_old_verdict_and_witness`` tried
@@ -80,11 +82,11 @@ from typing import Mapping, Optional, Sequence
 
 import pytest
 
+from case_walk import as_tree, walk
 from veralg import cases, closure
 from veralg import variety as variety_module
 from veralg.cases import OP2_GRID
 from veralg.closure import (
-    Branch,
     TruncatedIdeal,
     _is_lone,
     _is_variable,
@@ -112,6 +114,7 @@ from veralg.scalars import (
     Scalar,
     ZeroInversion,
     _NAME_RE,
+    _Record,
     _cancel,
     _div,
     _exact,
@@ -1823,8 +1826,10 @@ def test_reduce_matches_old_on_case_trees(name):
         for v in candidates
     ]
     compared = 0
-    for leaf in tree.leaves():
-        subs = dict(leaf.substitutions)
+    for leaf, chain, _ in walk(tree):
+        if leaf.children:
+            continue
+        subs = dict(chain)
         for q in cons.equations:
             assert parampoly_reduce(q, subs) == _old_parampoly_reduce(q, subs)
         if leaf.status != "solved":
@@ -1972,11 +1977,11 @@ def test_lone_monic_factor_matches_old_trivial_test():
         monic_hints = [h.monic() for h in hints]
         # every residual of a split node, and of a solved leaf that keeps
         # its residuals as rules
-        for node in _nodes(tree):
+        for node, chain, hypotheses in walk(tree):
             if node.status not in ("split", "solved"):
                 continue
-            subs = dict(node.substitutions)
-            nv_set = [parampoly_reduce(p, subs) for p in node.nonvanishing]
+            subs = dict(chain)
+            nv_set = [parampoly_reduce(p, subs) for p in hypotheses]
             for eq in node.residuals:
                 # the factors the old test saw, all monic, with the hints
                 # made monic as solve_cases makes them
@@ -2452,12 +2457,12 @@ def _generic_oracle(gens, field):
     return Endomorphism.generic_linear(gens, field, extra=("rho",))
 
 
-def _old_kernel_contains(alg, ideal, constraints, branch, el):
+def _old_kernel_contains(alg, ideal, constraints, chain, residuals, el):
     """Does alpha(el) lie in the ideal for every alpha satisfying the case?"""
     alpha = _generic_oracle(alg.gens, ideal.field)
     residue = ideal.residue(coordinates(alg, alpha.apply(el, alg.bound)))
-    subs = dict(branch.substitutions)
-    rules = list(branch.residuals)
+    subs = dict(chain)
+    rules = list(residuals)
     return all(
         parampoly_reduce(q, subs, rules).is_zero for q in residue.values()
     )
@@ -2471,8 +2476,8 @@ def test_kernel_once_per_candidate_matches_per_leaf(name, monkeypatch):
     def per_leaf(alg, ideal, cons, tree, v):
         # the old loop: one call, with its own alpha(v) and residue, per leaf
         return all(
-            _old_kernel_contains(alg, ideal, cons, leaf, v)
-            for leaf in tree.leaves()
+            _old_kernel_contains(alg, ideal, cons, chain, leaf.residuals, v)
+            for leaf, chain, _ in walk(tree)
             if leaf.status == "solved"
         )
 
@@ -2491,14 +2496,15 @@ def _flat_kernel_contains(
     alg,
     ideal: TruncatedIdeal,
     constraints,
-    leaves: Sequence[Branch],
+    leaves: Sequence[tuple],
     el: Element,
 ) -> bool:
     """Does alpha(el) lie in the ideal for every alpha of every given case?
 
-    alpha(el) and its residue modulo the ideal depend only on el, so they
-    are computed once, and not at all when there are no leaves.  alpha(el)
-    is combined from the rational tables of alpha on el's words, kept in
+    A case is a solved leaf's (chain, residuals).  alpha(el) and its
+    residue modulo the ideal depend only on el, so they are computed once,
+    and not at all when there are no leaves.  alpha(el) is combined from
+    the rational tables of alpha on el's words, kept in
     ``constraints.alpha``, so a word met by ``gen_constraints`` or an
     earlier candidate is not expanded again.  Each leaf then reduces every coordinate of the residue as
     ``parampoly_reduce`` does, by its substitutions and then modulo its
@@ -2512,12 +2518,10 @@ def _flat_kernel_contains(
     index = alg.basis_index()
     residue = ideal.residue({index[m]: c for m, c in applied.terms.items()})
     coords = list(residue.values())
-    for leaf in leaves:
-        subs = dict(leaf.substitutions)
+    for chain, residuals in leaves:
+        subs = dict(chain)
         check_elimination_order(subs)
-        rules = [
-            v for v in (substitute_in_order(v, subs) for v in leaf.residuals) if v
-        ]
+        rules = [v for v in (substitute_in_order(v, subs) for v in residuals) if v]
         for q in coords:
             r = substitute_in_order(q, subs)
             if r and rules:
@@ -2552,20 +2556,18 @@ def _walk_tree(job):
     return alg, ideal, cons, tree, candidates
 
 
-def _subtrees(node):
-    yield node
-    for child in node.children:
-        yield from _subtrees(child)
-
-
 @pytest.mark.parametrize("name", sorted(_walk_jobs()))
 def test_kernel_walk_matches_flat(name):
     # the walk on the whole tree, on every subtree and on each solved leaf
-    # alone, against the flat test over that subtree's solved leaves
+    # alone, each with its chain from the root as its step, against the
+    # flat test over that subtree's solved leaves
     alg, ideal, cons, tree, candidates = _walk_tree(_walk_jobs()[name])
     for v in candidates:
-        for node in _subtrees(tree):
-            solved = [l for l in node.leaves() if l.status == "solved"]
+        for case in walk(tree):
+            node = as_tree(*case)
+            solved = [
+                (c, l.residuals) for l, c, _ in walk(node) if l.status == "solved"
+            ]
             want = _flat_kernel_contains(alg, ideal, cons, solved, v)
             assert kernel_contains(alg, ideal, cons, node, v) == want, (name, v)
     assert any(l.status == "solved" for l in tree.leaves()) and candidates
@@ -2576,9 +2578,9 @@ def test_solved_residuals_are_reduced_by_their_chain(name):
     # kernel_contains divides by a solved leaf's residuals as they stand,
     # so its chain must leave each one fixed
     _, _, _, tree, _ = _walk_tree(_walk_jobs()[name])
-    for leaf in tree.leaves():
+    for leaf, chain, _ in walk(tree):
         if leaf.status == "solved":
-            subs = dict(leaf.substitutions)
+            subs = dict(chain)
             for r in leaf.residuals:
                 assert substitute_in_order(r, subs) == r, (name, leaf.note, r)
 
@@ -3147,7 +3149,70 @@ def test_scalar_encode_caches_its_text():
 
 # The case solver in which every node substituted its whole chain into each
 # inherited equation and hypothesis and factored each equation anew, and
-# whose elimination built one list of terms per (equation, unknown).
+# whose elimination built one list of terms per (equation, unknown); its
+# nodes held their whole chain and every hypothesis from the root.
+
+_set = object.__setattr__  # writes a field of a frozen record
+
+
+class _OldBranch(_Record):
+    """A node of the case tree over the constraint equations.
+
+    substitutions and nonvanishing are cumulative along the path from the
+    root.  substitutions are in elimination order: no image mentions its own
+    unknown or an earlier one, which is the order ``substitute_in_order``
+    applies them in, one ``ParamPoly.substitute`` pass each; a branch
+    ``name = 0`` has the zero image.  residuals are the remaining
+    equations, reduced by the whole chain but on an "infeasible" leaf; a
+    node that adds a pair reduced them, as inherited from its parent, by
+    that pair alone, which gives what ``substitute_in_order`` of the whole
+    chain gives.  A "solved" leaf keeps its residuals as reduction rules
+    (equations that hold on the case but do not isolate any unknown).  An
+    "infeasible" leaf stops when the last pair of its chain makes an
+    assumed-nonzero polynomial vanish, before it reduces its equations, so
+    its residuals are the ones it inherited, not reduced by that last pair.
+    Children share their parent's substitutions and hypotheses, and a
+    polynomial keeps its text once encoded, so ``as_dict`` computes the
+    text of each shared polynomial once.
+    """
+
+    __slots__ = (
+        "substitutions",
+        "nonvanishing",
+        "residuals",
+        "status",  # "split" | "solved" | "contradiction" | "infeasible" | "stuck"
+        "note",
+        "children",
+    )
+
+    def __init__(
+        self, substitutions, nonvanishing, residuals, status, note, children=()
+    ):
+        # a sweep pass builds about a thousand nodes, so each field is set
+        # directly instead of through _Record.__init__
+        _set(self, "substitutions", substitutions)
+        _set(self, "nonvanishing", nonvanishing)
+        _set(self, "residuals", residuals)
+        _set(self, "status", status)
+        _set(self, "note", note)
+        _set(self, "children", children)
+
+    def leaves(self):
+        if not self.children:
+            yield self
+            return
+        for child in self.children:
+            yield from child.leaves()
+
+    def as_dict(self) -> dict:
+        return {
+            "substitutions": {n: p.encode() for n, p in self.substitutions},
+            "nonvanishing": [p.encode() for p in self.nonvanishing],
+            "residuals": [p.encode() for p in self.residuals],
+            "status": self.status,
+            "note": self.note,
+            "children": [c.as_dict() for c in self.children],
+        }
 
 
 def _old_try_eliminate(equations, ctx):
@@ -3170,7 +3235,7 @@ def _old_solve_cases(
     ctx: ParamContext,
     hints: Sequence = (),
     max_depth: int = 12,
-) -> Branch:
+) -> _OldBranch:
     """Split the system into cases by elimination and factor branching.
 
     Each hint is made monic (leading coefficient 1) once, here, so that an
@@ -3196,7 +3261,7 @@ def _old_solve_cases(
         for p in nonvan:
             r = substitute_in_order(p, subs_map)
             if r.is_zero:
-                return Branch(
+                return _OldBranch(
                     subs, nonvan, tuple(eqs), "infeasible",
                     f"assumed nonzero {p.encode()} vanished", ()
                 )
@@ -3208,7 +3273,7 @@ def _old_solve_cases(
             if r.is_zero:
                 continue
             if r.constant_value() is not None:
-                return Branch(
+                return _OldBranch(
                     subs, nonvan, (r,), "contradiction",
                     f"constant residual {r.encode()}", ()
                 )
@@ -3227,7 +3292,7 @@ def _old_solve_cases(
             )
 
         if not work:
-            return Branch(subs, nonvan, (), "solved", note or "no residuals", ())
+            return _OldBranch(subs, nonvan, (), "solved", note or "no residuals", ())
 
         nv_set = list(reduced_nv)
         chosen = None
@@ -3239,7 +3304,7 @@ def _old_solve_cases(
                     uniq.append(f)
             active = [f for f in uniq if all(f != n for n in nv_set)]
             if not active:
-                return Branch(
+                return _OldBranch(
                     subs, nonvan, (eq,), "contradiction",
                     "every factor is assumed nonzero", ()
                 )
@@ -3248,14 +3313,14 @@ def _old_solve_cases(
                 break
         if chosen is None:
             # every residual is a single irreducible equation: keep as rules
-            return Branch(
+            return _OldBranch(
                 subs, nonvan, tuple(work), "solved",
                 note or "residuals kept as reduction rules", ()
             )
 
         eq, active = chosen
         if depth >= max_depth:
-            return Branch(subs, nonvan, tuple(work), "stuck", "depth limit", ())
+            return _OldBranch(subs, nonvan, tuple(work), "stuck", "depth limit", ())
 
         rest = [e for e in work if e is not eq]
         children = []
@@ -3274,12 +3339,12 @@ def _old_solve_cases(
                     build(subs, hyp, rest + [f], depth + 1, f"{f.encode()} = 0")
                 )
         children.append(
-            Branch(
+            _OldBranch(
                 subs, nonvan + tuple(active), (eq,), "contradiction",
                 "all factors assumed nonzero", ()
             )
         )
-        return Branch(
+        return _OldBranch(
             subs, nonvan, tuple(work), "split",
             note or f"split on {eq.encode()}", tuple(children)
         )
@@ -3288,8 +3353,17 @@ def _old_solve_cases(
 
 
 def _assert_same_tree(new, old):
-    assert new == old
+    # the certificates' trees, then node by node the chain and hypotheses
+    # walked from the root against the old node's own
     assert new.as_dict() == old.as_dict()
+    walked, nodes = list(walk(new)), list(_nodes(old))
+    assert len(walked) == len(nodes)
+    for (node, chain, hypotheses), was in zip(walked, nodes):
+        assert (chain, hypotheses) == (was.substitutions, was.nonvanishing)
+        assert (node.residuals, node.status, node.note) == (
+            was.residuals, was.status, was.note
+        )
+        assert len(node.children) == len(was.children)
 
 
 def _statuses(tree):
@@ -3892,8 +3966,8 @@ def test_kernels_match_old_on_the_polynomials_jobs_meet():
                 assert new == old, (name, eq.encode())
                 seen.add("lone" if _is_lone(new) else "several")
 
-        def walk(node, polys, done):
-            for pair in node.substitutions[done:]:
+        def substitute_steps(node, polys):
+            for pair in node.step:
                 mapping = dict([pair])
                 out = []
                 for q in polys:
@@ -3910,9 +3984,9 @@ def test_kernels_match_old_on_the_polynomials_jobs_meet():
                     _assert_same_poly(new, old)
                     seen.add("divided to 0" if not new else "remainder")
             for child in node.children:
-                walk(child, polys, len(node.substitutions))
+                substitute_steps(child, polys)
 
-        walk(tree, list(cons.equations) + coords, 0)
+        substitute_steps(tree, list(cons.equations) + coords)
     assert seen == {
         "cofactor kept its scalar", "lone", "several", "zero image", "image",
         "divided to 0", "remainder",

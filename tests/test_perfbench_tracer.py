@@ -4,10 +4,12 @@
 rename or deletion in veralg would make ``Tracer().install()`` raise inside
 a benchmark run; this test makes it fail here instead, and it checks that
 a build's rows still pass through the ``RowReducer.insert`` it wraps.  A
-second test runs
-a falsifier and checks that the generic endomorphism's ``apply`` is counted,
-so that the method the tracer wraps stays on the live path.  Both run in a
-child interpreter, because the tracer patches the veralg modules in place.
+second test runs a falsifier and checks that the generic endomorphism's
+``apply`` is counted, so that the method the tracer wraps stays on the live
+path.  A third counts the case tree of that run twice, by the tracer and
+by a walk of the certificate's tree, so that a renamed ``Branch`` field
+fails here instead of reading 0.  These run in a child interpreter,
+because the tracer patches the veralg modules in place.
 A last test counts the gcds of a falsify run through the module attribute
 ``veralg.scalars._p_gcd``, which the tracer's ``scalars.gcd`` layer wraps:
 a helper that called the gcd by another name would leave that layer at 0.
@@ -61,8 +63,21 @@ cases.falsify_job(cases.load_job("aut_6"))
 print(json.dumps(tracer.report()["calls"]))
 """
 
+# the tracer's case-tree counts of a falsify run, and the tree it printed
+CASES_SCRIPT = """
+import json
+import layers
 
-def _traced_calls(script):
+tracer = layers.Tracer().install()
+from veralg import cases
+
+cert = cases.falsify_job(cases.load_job("aut_6"))
+print(json.dumps([tracer.report()["counts"], cert.details["cases"]]))
+"""
+
+
+def _traced(script):
+    """The JSON of the last stdout line of the script in a child interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -80,7 +95,7 @@ def _traced_calls(script):
 
 
 def test_tracer_installs_and_counts_check_op2():
-    calls = _traced_calls(SCRIPT)
+    calls = _traced(SCRIPT)
     assert calls["verbal.check_op2"] == 1
     assert calls["variety.build"] >= 1
     # the build's rows go through the RowReducer.insert that the tracer wraps
@@ -90,8 +105,24 @@ def test_tracer_installs_and_counts_check_op2():
 
 
 def test_tracer_counts_symbolic_apply_on_falsify():
-    calls = _traced_calls(FALSIFY_SCRIPT)
+    calls = _traced(FALSIFY_SCRIPT)
     assert calls["freealg.symbolic_apply"] >= 1
+
+
+def test_tracer_counts_the_case_tree_of_falsify():
+    counts, tree = _traced(CASES_SCRIPT)
+    nodes = leaves = depth_max = 0
+    todo = [(tree, 0)]
+    while todo:
+        node, depth = todo.pop()
+        nodes += 1
+        depth_max = max(depth_max, depth)
+        leaves += not node["children"]
+        todo.extend((child, depth + 1) for child in node["children"])
+    assert nodes == 28
+    assert counts["closure.case_nodes"] == nodes
+    assert counts["closure.case_leaves"] == leaves
+    assert counts["closure.case_depth_max"] == depth_max
 
 
 def test_falsify_gcds_go_through_the_wrapped_name(monkeypatch):
