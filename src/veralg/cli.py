@@ -346,9 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
         group = p.add_mutually_exclusive_group(required=True)
         group.add_argument("--spec", help="path to a job JSON file")
         group.add_argument(
-            "--example", choices=[e for e in cases.EXAMPLE_IDS
-                                  if e not in ("op2_table", "inner_table")],
-            help="a pinned example id",
+            "--example", choices=list(cases.EXAMPLES), help="a pinned example id",
         )
 
     p = sub.add_parser("basis", help="basis and dimensions of a truncation")

@@ -362,6 +362,61 @@ class TestRepro:
         code, _, _ = run(capsys, ["repro", "--example", "aut_6", "--all"])
         assert code == 2
 
+    # ROADMAP item 6 step 3's Alternative (2, 3) row under phi = swap, where
+    # the laws act at the bound: 4 solved cases, none stuck
+    ALTERNATIVE_ROW = {
+        "job": {
+            "kind": "equation-ideal",
+            "field": ["t1", "t2"],
+            "variety": "alternative",
+            "gens": 2,
+            "bound": 3,
+            "system": {"phi": "swap", "a": "1", "b": "0"},
+            "generator": "t1 * (x1 (x1 x2)) + (x1 (x2 x1))",
+            "tail": 4,
+            "candidates": ["(x1 (x1 x2))", "(x1 (x2 x1))"],
+            "hints": [cases.DET],
+        },
+        "checks": {
+            "verdict": "not_geometrically_equivalent",
+            "witness": "(x1 (x1 x2))",
+            "stuck_count": 0,
+        },
+    }
+
+    @staticmethod
+    def job_choices(command):
+        parser = cli._build_parser()
+        [sub] = [a for a in parser._actions if a.dest == "command"]
+        [example] = [a for a in sub.choices[command]._actions if a.dest == "example"]
+        return example.choices
+
+    def test_one_table_entry_is_an_example(self, capsys, monkeypatch):
+        monkeypatch.setitem(cases.EXAMPLES, "aut_alt", self.ALTERNATIVE_ROW)
+        report = cases.run_example("aut_alt")
+        assert report["ok"] is True
+        checks = [(c["name"], c["ok"]) for c in report["checks"]]
+        assert checks == [("verdict", True), ("witness", True), ("stuck_count", True)]
+        assert report["certificate"]["details"]["case_count"] == 4
+        code, d, _ = run_json(capsys, ["falsify", "--example", "aut_alt"])
+        assert code == 0
+        assert d["details"]["witness"] == "(x1 (x1 x2))"
+
+    def test_wrong_want_is_a_mismatch(self, monkeypatch):
+        entry = dict(self.ALTERNATIVE_ROW)
+        entry["checks"] = dict(entry["checks"], witness="(x1 (x2 x1))")
+        monkeypatch.setitem(cases.EXAMPLES, "aut_alt", entry)
+        report = cases.run_example("aut_alt")
+        assert report["ok"] is False
+        checks = [(c["name"], c["ok"]) for c in report["checks"]]
+        assert checks == [("verdict", True), ("witness", False), ("stuck_count", True)]
+
+    def test_example_ids_come_from_the_table(self, monkeypatch):
+        assert cases.EXAMPLE_IDS == (*cases.EXAMPLES, "op2_table", "inner_table")
+        monkeypatch.setitem(cases.EXAMPLES, "aut_alt", self.ALTERNATIVE_ROW)
+        for command in ("falsify", "expand"):
+            assert self.job_choices(command) == list(cases.EXAMPLES)
+
 
 class TestInputErrors:
     """Bad input exits 2 with a single error line instead of a traceback."""
@@ -385,11 +440,23 @@ class TestInputErrors:
         assert code == 2
         assert "division by zero" in self.single_error(err)
 
-    def test_division_by_zero_in_hint(self, capsys, tmp_path):
+    @pytest.mark.parametrize("command", ("falsify", "expand"))
+    def test_division_by_zero_in_hint(self, capsys, tmp_path, command):
+        # expand printed its expansion and exited 0 on a hint that falsify
+        # refused: it did not read the hints
         path = self.job_file(tmp_path, "aut_1_3_4", hints=["1/0"])
-        code, _, err = run(capsys, ["falsify", "--spec", path])
+        code, out, err = run(capsys, [command, "--spec", path])
         assert code == 2
+        assert out == ""
         assert "division by zero" in self.single_error(err)
+
+    @pytest.mark.parametrize("command", ("falsify", "expand"))
+    def test_unknown_name_in_hint(self, capsys, tmp_path, command):
+        path = self.job_file(tmp_path, "aut_1_3_4", hints=["a11*x"])
+        code, out, err = run(capsys, [command, "--spec", path])
+        assert code == 2
+        assert out == ""
+        assert "unknown name 'x'" in self.single_error(err)
 
     def test_zero_generators(self, capsys):
         code, _, err = run(

@@ -3660,7 +3660,7 @@ def _pinned_texts():
     pinned jobs, the slow jobs and the sweep corpus, with the reader that
     reads it."""
     sweep_jobs = _sweep_jobs_module()
-    jobs = [cases.load_job(name) for name in cases.EXAMPLE_IDS if name in cases._JOBS]
+    jobs = [cases.load_job(name) for name in cases.EXAMPLES]
     jobs += [job for job, _, _ in SLOW_JOBS.values()]
     jobs += sweep_jobs.corpus(sweep_jobs.CORPUS_SEED, sweep_jobs.load_top_basis())
     for job in jobs:
